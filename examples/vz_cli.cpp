@@ -21,8 +21,8 @@
 // In connect mode the deployment flags must match the server's (both sides
 // regenerate the same simulated world); ingestion streams over the wire
 // unless the server already holds data, and --save/--load trigger
-// server-local snapshots. --subscribe registers a standing query over
-// protocol v5 and prints match pushes as the server finalizes segments —
+// server-local snapshots. --subscribe registers a standing query and
+// prints match pushes as the server finalizes segments —
 // run it in one terminal while another vz_cli (or any ingest source) feeds
 // the server. --tune-* sends a kAdminTune RPC and prints the echoed
 // settings.

@@ -147,7 +147,9 @@ StatusOr<const InterCameraIndex::Group*> InterCameraIndex::GroupOfNearest(
   if (entries_.empty() || tree_ == nullptr || tree_->size() == 0) {
     return Status::NotFound("inter-camera index is empty");
   }
-  // Append the query as a scratch slot, search, then remove it again.
+  // Append the query as a scratch slot, search, then remove it again — one
+  // search at a time, since the slot and the metric's caches are shared.
+  std::lock_guard<std::mutex> lock(search_mu_);
   entry_maps_.push_back(query);
   const int scratch = static_cast<int>(entry_maps_.size()) - 1;
   metric_->InvalidateCentroid(static_cast<size_t>(scratch));

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <vector>
 
@@ -96,7 +97,8 @@ class InterCameraIndex {
                                              double boundary_scale = 1.0) const;
 
   /// Clustering-query support: the group containing the representative
-  /// nearest (under OMD) to `query` (Sec. 5.2). Errors when empty.
+  /// nearest (under OMD) to `query` (Sec. 5.2). Errors when empty. Safe to
+  /// call concurrently with itself (queries run under a shared lock).
   StatusOr<const Group*> GroupOfNearest(const FeatureMap& query);
 
   /// Overrides (or restores) the group count and regroups.
@@ -126,6 +128,9 @@ class InterCameraIndex {
   Rng rng_;
   std::vector<RepEntry> entries_;
   std::vector<FeatureMap> entry_maps_;  // tree items index into this
+  /// Serializes `GroupOfNearest`, which appends the query to `entry_maps_`
+  /// as a scratch tree item and fills the metric's lazy caches.
+  std::mutex search_mu_;
   std::unique_ptr<FeatureMapListMetric> metric_;
   std::unique_ptr<index::PerchTree> tree_;
   std::vector<Group> groups_;

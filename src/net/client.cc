@@ -73,9 +73,6 @@ struct Client::PendingCall {
 
 struct Client::ConnCore {
   UniqueFd fd;
-  /// Set before the reader starts, immutable after: this connection speaks
-  /// v5 framing (correlation ids, reader-thread demux, pushes).
-  bool v5 = false;
   int64_t io_timeout_ms = -1;
   /// Serializes frame writes (requests from concurrent callers).
   std::mutex write_mu;
@@ -216,13 +213,12 @@ Status Client::Handshake() {
   auto core = std::make_shared<ConnCore>();
   core->fd = std::move(*connected);
   core->io_timeout_ms = io_timeout;
-  // The hello exchange ALWAYS uses the legacy framing, whatever version is
-  // being negotiated — that is what lets a v4 server read a v5 client's
-  // hello (and refuse it intelligibly) and vice versa.
+  // The Hello rides correlation 0, like every connection-level frame; calls
+  // number from 1.
   io::BinaryWriter hello;
-  hello.WriteU32(options_.protocol_version);
+  hello.WriteU32(kProtocolVersion);
   if (Status s = WriteFrame(core->fd.get(),
-                            static_cast<uint32_t>(MsgType::kHello),
+                            static_cast<uint32_t>(MsgType::kHello), 0,
                             hello.buffer(), io_timeout);
       !s.ok()) {
     return s;
@@ -264,13 +260,8 @@ Status Client::Handshake() {
     }
     return wire_status->status;
   }
-  if (options_.protocol_version >= 5) {
-    // Both sides switch to v5 framing after a successful v5 hello; from
-    // here every frame on this connection carries a correlation id and the
-    // reader thread owns the receive side.
-    core->v5 = true;
-    core->reader = std::thread([core] { ReaderLoop(core); });
-  }
+  // From here the reader thread owns the receive side.
+  core->reader = std::thread([core] { ReaderLoop(core); });
   std::shared_ptr<ConnCore> old;
   {
     std::lock_guard<std::mutex> lock(shared_->mu);
@@ -288,7 +279,7 @@ void Client::ReaderLoop(std::shared_ptr<ConnCore> core) {
   for (;;) {
     // Block without a deadline: per-call deadlines are enforced by the
     // waiters (cv.wait_for), and teardown wakes this recv via shutdown.
-    auto frame = ReadFrameV5(core->fd.get(), /*timeout_ms=*/-1);
+    auto frame = ReadFrame(core->fd.get(), /*timeout_ms=*/-1);
     if (!frame.ok()) {
       Status broken = frame.status();
       if (broken.code() == StatusCode::kNotFound) {
@@ -322,8 +313,8 @@ void Client::ReaderLoop(std::shared_ptr<ConnCore> core) {
     }
     if (frame->correlation == 0) {
       // A correlation-less error frame: the server could not read one of
-      // our frames (it answers with a legacy-correlation-0 hello-typed
-      // error) and is closing. Connection-fatal — no way to tell which
+      // our frames (it answers with a hello-typed error at correlation 0)
+      // and is closing. Connection-fatal — no way to tell which
       // in-flight call it refers to.
       std::lock_guard<std::mutex> lock(core->mu);
       core->broken = Status::Unavailable("server rejected a request frame");
@@ -360,54 +351,9 @@ StatusOr<std::shared_ptr<Client::ConnCore>> Client::EnsureConn() {
 StatusOr<std::string> Client::CallOnce(const std::shared_ptr<ConnCore>& core,
                                        MsgType type,
                                        const std::string& payload,
-                                       WireStatus* wire_status) {
-  if (!core->fd.valid()) return Status::FailedPrecondition("not connected");
-  const int64_t io_timeout = core->io_timeout_ms;
-  VZ_RETURN_IF_ERROR(WriteFrame(core->fd.get(), static_cast<uint32_t>(type),
-                                payload, io_timeout));
-  auto response = ReadFrame(core->fd.get(), io_timeout);
-  if (!response.ok()) {
-    if (response.status().code() == StatusCode::kNotFound) {
-      return Status::DataLoss("connection closed by server");
-    }
-    if (response.status().code() == StatusCode::kInvalidArgument) {
-      // Bad magic, hostile length, alien type: on the response path these
-      // all mean the stream got corrupted in transit, not that we argued
-      // badly — reclassify so the reconnect-retry machinery kicks in.
-      return Status::DataLoss("response stream corrupted: " +
-                              response.status().message());
-    }
-    return response.status();
-  }
-  const uint32_t expected = static_cast<uint32_t>(type) | kResponseFlag;
-  const uint32_t hello_error =
-      static_cast<uint32_t>(MsgType::kHello) | kResponseFlag;
-  if (response->type == hello_error && type != MsgType::kHello) {
-    // The server could not read our request frame (torn or corrupted in
-    // transit) and is about to close the connection. It never processed the
-    // request, so a reconnect-retry is safe even without a token.
-    io::BinaryReader error_reader(response->payload);
-    auto error_status = DecodeWireStatus(&error_reader);
-    return Status::Unavailable(
-        "server rejected the request frame: " +
-        (error_status.ok() ? error_status->status.message()
-                           : "unreadable error response"));
-  }
-  // Anything else off-type means the stream desynced.
-  if (response->type != expected) {
-    return Status::DataLoss("response type mismatch");
-  }
-  io::BinaryReader reader(response->payload);
-  VZ_ASSIGN_OR_RETURN(*wire_status, DecodeWireStatus(&reader));
-  return response->payload.substr(reader.position());
-}
-
-StatusOr<std::string> Client::CallOnceV5(const std::shared_ptr<ConnCore>& core,
-                                         MsgType type,
-                                         const std::string& payload,
-                                         WireStatus* wire_status,
-                                         const PushCallback* push_callback,
-                                         uint64_t* correlation_out) {
+                                       WireStatus* wire_status,
+                                       const PushCallback* push_callback,
+                                       uint64_t* correlation_out) {
   if (!core->fd.valid()) return Status::FailedPrecondition("not connected");
   auto slot = std::make_shared<PendingCall>();
   uint64_t correlation = 0;
@@ -429,8 +375,8 @@ StatusOr<std::string> Client::CallOnceV5(const std::shared_ptr<ConnCore>& core,
   };
   {
     std::lock_guard<std::mutex> write_lock(core->write_mu);
-    if (Status s = WriteFrameV5(core->fd.get(), static_cast<uint32_t>(type),
-                                correlation, payload, core->io_timeout_ms);
+    if (Status s = WriteFrame(core->fd.get(), static_cast<uint32_t>(type),
+                              correlation, payload, core->io_timeout_ms);
         !s.ok()) {
       abandon_pending();
       return s;
@@ -448,8 +394,8 @@ StatusOr<std::string> Client::CallOnceV5(const std::shared_ptr<ConnCore>& core,
     if (!slot->done) {
       const Status broken = core->broken;
       core->pending.erase(correlation);
-      // Same contract as a blocking-read deadline on the legacy path: a
-      // response that missed its deadline is a transport failure.
+      // Same contract as a blocking-read deadline: a response that missed
+      // its deadline is a transport failure.
       return broken.ok() ? Status::Unavailable("response deadline expired")
                          : broken;
     }
@@ -531,8 +477,7 @@ StatusOr<std::string> Client::Call(MsgType type, const std::string& payload) {
       std::lock_guard<std::mutex> lock(shared_->mu);
       shared_->stats.requests_sent++;
     }
-    auto body = core->v5 ? CallOnceV5(core, type, wire_payload, &wire_status)
-                         : CallOnce(core, type, wire_payload, &wire_status);
+    auto body = CallOnce(core, type, wire_payload, &wire_status);
     if (!body.ok()) {
       // Transport failure: the connection is unusable; reconnect within
       // budget. The retry is exactly-once for mutating requests (same
@@ -623,11 +568,6 @@ StatusOr<uint64_t> Client::Subscribe(const SubscribeRequest& request,
   auto ensured = EnsureConn();
   if (!ensured.ok()) return ensured.status();
   std::shared_ptr<ConnCore> core = *ensured;
-  if (!core->v5) {
-    return Status::FailedPrecondition(
-        "Subscribe requires a protocol v5 connection (client pinned to v" +
-        std::to_string(options_.protocol_version) + ")");
-  }
   io::BinaryWriter writer;
   EncodeSubscribeRequest(&writer, request);
   {
@@ -636,8 +576,8 @@ StatusOr<uint64_t> Client::Subscribe(const SubscribeRequest& request,
   }
   WireStatus wire_status;
   uint64_t correlation = 0;
-  auto body = CallOnceV5(core, MsgType::kSubscribe, writer.buffer(),
-                         &wire_status, &callback, &correlation);
+  auto body = CallOnce(core, MsgType::kSubscribe, writer.buffer(),
+                       &wire_status, &callback, &correlation);
   const Status failure = !body.ok() ? body.status() : wire_status.status;
   if (!failure.ok()) {
     std::lock_guard<std::mutex> lock(core->mu);
@@ -660,9 +600,9 @@ StatusOr<uint64_t> Client::Subscribe(const SubscribeRequest& request,
 
 Status Client::Unsubscribe(uint64_t subscription_id) {
   std::shared_ptr<ConnCore> core = conn();
-  if (core == nullptr || !core->v5) {
+  if (core == nullptr) {
     return Status::FailedPrecondition(
-        "no v5 connection (subscriptions are connection-scoped)");
+        "not connected (subscriptions are connection-scoped)");
   }
   io::BinaryWriter writer;
   writer.WriteU64(subscription_id);
@@ -672,7 +612,7 @@ Status Client::Unsubscribe(uint64_t subscription_id) {
   }
   WireStatus wire_status;
   auto body =
-      CallOnceV5(core, MsgType::kUnsubscribe, writer.buffer(), &wire_status);
+      CallOnce(core, MsgType::kUnsubscribe, writer.buffer(), &wire_status);
   if (!body.ok()) return body.status();
   if (!wire_status.status.ok()) return wire_status.status;
   std::lock_guard<std::mutex> lock(core->mu);

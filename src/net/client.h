@@ -50,11 +50,6 @@ struct ClientOptions {
   /// process-unique id. Pin it in tests (or to resume a session's dedup
   /// window across client restarts).
   uint64_t session_id = 0;
-  /// Protocol version announced in the Hello (v5 by default). Pin to 4 to
-  /// interoperate with a v4-only server: the connection then uses the
-  /// legacy framing and the strictly synchronous call path — no correlation
-  /// ids, no reader thread, and `Subscribe` is refused.
-  uint32_t protocol_version = kProtocolVersion;
 };
 
 /// Per-client counters, mostly for tests and diagnostics.
@@ -89,15 +84,14 @@ int64_t BackoffDelayMs(const ClientOptions& options, int64_t hint_ms,
 /// Read-only RPCs issued from a callback are safe.
 using PushCallback = std::function<void(const PushEvent&)>;
 
-/// RPC client for the Video-zilla serving layer. One TCP connection; on a
-/// v5 connection a background reader demultiplexes responses by correlation
-/// id, so multiple threads may issue RPCs concurrently over the same
-/// connection, and server-pushed `kPushEvent` frames are dispatched to the
-/// callbacks registered by `Subscribe`. With `protocol_version` pinned to 4
-/// the client behaves exactly like the legacy synchronous client (one
-/// in-flight request, no pushes). `Connect` performs the version handshake;
-/// every RPC mirrors the corresponding `VideoZilla` method, so call sites
-/// can swap between in-process and remote execution.
+/// RPC client for the Video-zilla serving layer. One TCP connection; a
+/// background reader demultiplexes responses by correlation id, so multiple
+/// threads may issue RPCs concurrently over the same connection, and
+/// server-pushed `kPushEvent` frames are dispatched to the callbacks
+/// registered by `Subscribe`. `Connect` performs the version handshake (the
+/// server accepts exactly `kProtocolVersion`); every RPC mirrors the
+/// corresponding `VideoZilla` method, so call sites can swap between
+/// in-process and remote execution.
 ///
 /// Overload handling: a `kResourceExhausted` response (a shed query or a
 /// shed connection) is retried up to `max_shed_retries` times with capped,
@@ -128,7 +122,7 @@ class Client {
   Status CameraStart(const core::CameraId& camera);
   Status CameraTerminate(const core::CameraId& camera);
   Status IngestFrame(const core::FrameObservation& frame);
-  /// N frames in one RPC under one idempotency token (v5): one round trip,
+  /// N frames in one RPC under one idempotency token: one round trip,
   /// one WAL record. Per-frame rejections (unknown camera, stale frame id)
   /// are counted in the reply, not errors — the batch as a whole succeeds.
   StatusOr<IngestBatchReply> IngestBatch(
@@ -147,14 +141,13 @@ class Client {
       const core::QueryConstraints& constraints = {});
   StatusOr<core::SvsMetadata> GetMetaData(core::SvsId id);
 
-  // --- Standing queries (v5). ---
+  // --- Standing queries. ---
 
   /// Registers a standing query; the server pushes `PushEvent`s for it as
   /// ingestion finalizes matching segments — no polling. `callback` runs on
   /// the reader thread for every push (see `PushCallback` for its
-  /// contract). Returns the subscription id. Requires a v5 connection; does
-  /// not retry or reconnect (a lost connection voids the subscription
-  /// anyway).
+  /// contract). Returns the subscription id. Does not retry or reconnect (a
+  /// lost connection voids the subscription anyway).
   StatusOr<uint64_t> Subscribe(const SubscribeRequest& request,
                                PushCallback callback);
   /// Cancels a standing query registered on this connection. Pushes already
@@ -166,7 +159,7 @@ class Client {
   StatusOr<std::vector<CameraHealthEntry>> CameraHealthReport();
   StatusOr<core::QueryLoadStats> QueryLoadStats();
 
-  /// Live index tuning (v5): applies the knobs of the performance monitor's
+  /// Live index tuning: applies the knobs of the performance monitor's
   /// adjustment ladder (index mode, boundary scale, OMD alpha, keyframe
   /// selection, forced group/cluster counts) and returns the server's
   /// post-apply settings. Carries an idempotency token (exactly-once) but
@@ -224,11 +217,11 @@ class Client {
   void Close();
 
  private:
-  /// Per-connection state, shared with the v5 reader thread. Lives behind a
+  /// Per-connection state, shared with the reader thread. Lives behind a
   /// `shared_ptr` so the reader can outlive a `Close` racing a call, and so
   /// the Client object itself stays movable while the thread runs.
   struct ConnCore;
-  /// One in-flight v5 call's completion slot.
+  /// One in-flight call's completion slot.
   struct PendingCall;
   /// Client-lifetime mutable state (token sequence, stats, jitter stream)
   /// behind a pointer so concurrent calls synchronize on stable addresses
@@ -237,16 +230,15 @@ class Client {
 
   Client(std::string host, uint16_t port, const ClientOptions& options);
 
-  /// Opens the TCP connection and runs the Hello exchange (always in legacy
-  /// framing); on a successful v5 handshake, switches the new connection to
-  /// v5 framing and starts its reader thread. Installs the connection.
+  /// Opens the TCP connection, runs the Hello exchange (at correlation 0)
+  /// and starts the connection's reader thread. Installs the connection.
   Status Handshake();
   /// The current connection (null when disconnected).
   std::shared_ptr<ConnCore> conn() const;
   /// Retires `core` if it is still the current connection: socket shutdown,
   /// reader joined, pending calls failed.
   void DropConn(const std::shared_ptr<ConnCore>& core);
-  /// The v5 reader thread: demultiplexes response frames to their pending
+  /// The reader thread: demultiplexes response frames to their pending
   /// calls by correlation id and dispatches push frames to subscription
   /// callbacks.
   static void ReaderLoop(std::shared_ptr<ConnCore> core);
@@ -258,20 +250,16 @@ class Client {
   /// get an idempotency token prepended (the same token across retries of
   /// one call).
   StatusOr<std::string> Call(MsgType type, const std::string& payload);
-  /// One synchronous send/receive on a legacy (v4) connection.
-  StatusOr<std::string> CallOnce(const std::shared_ptr<ConnCore>& core,
-                                 MsgType type, const std::string& payload,
-                                 WireStatus* wire_status);
-  /// One multiplexed send/await on a v5 connection. When `push_callback` is
+  /// One multiplexed send/await. When `push_callback` is
   /// non-null it is registered under the call's correlation id BEFORE the
   /// request is sent (so no push can outrun the registration); the caller
   /// unregisters it if the call fails. `correlation_out` reports the
   /// correlation id used.
-  StatusOr<std::string> CallOnceV5(const std::shared_ptr<ConnCore>& core,
-                                   MsgType type, const std::string& payload,
-                                   WireStatus* wire_status,
-                                   const PushCallback* push_callback = nullptr,
-                                   uint64_t* correlation_out = nullptr);
+  StatusOr<std::string> CallOnce(const std::shared_ptr<ConnCore>& core,
+                                 MsgType type, const std::string& payload,
+                                 WireStatus* wire_status,
+                                 const PushCallback* push_callback = nullptr,
+                                 uint64_t* correlation_out = nullptr);
   void SleepBackoff(int64_t hint_ms, size_t attempt);
 
   std::string host_;

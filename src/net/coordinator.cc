@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <sys/socket.h>
 #include <thread>
 #include <utility>
 
@@ -11,13 +10,6 @@
 namespace vz::net {
 
 namespace {
-
-/// Response payload: a wire status followed by nothing.
-std::string StatusOnlyResponse(const Status& status, int64_t retry_after_ms) {
-  io::BinaryWriter writer;
-  EncodeWireStatus(&writer, {status, retry_after_ms});
-  return writer.buffer();
-}
 
 /// True for statuses that mean the edge could not be talked to, as opposed
 /// to an edge that answered with an error. Mirrors the client's reconnect
@@ -53,7 +45,9 @@ Coordinator::Coordinator(const CoordinatorOptions& options)
       inter_(&omd_, options.inter, Rng(options.seed ^ 0x1357)),
       edge_entries_(options.edges.size()),
       idle_clients_(options.edges.size()),
-      watch_clients_(options.edges.size()) {}
+      watch_clients_(options.edges.size()) {
+  RegisterHandlers();
+}
 
 Coordinator::~Coordinator() { Shutdown(); }
 
@@ -64,14 +58,20 @@ Status Coordinator::Start() {
   if (options_.edges.empty()) {
     return Status::InvalidArgument("a coordinator needs at least one edge");
   }
-  // One worker per connection plus the accept loop's headroom, like Server's
-  // owned-pool fallback.
+  // One worker per connection plus the caller's lane, like Server's
+  // owned-pool fallback. Idle eviction stays off (the Config default).
   pool_ = std::make_unique<ThreadPool>(options_.max_connections + 1);
-  VZ_ASSIGN_OR_RETURN(listen_fd_,
-                      TcpListen(options_.bind_address, options_.port));
-  VZ_ASSIGN_OR_RETURN(port_, LocalPort(listen_fd_.get()));
+  RpcEndpoint::Config config;
+  config.bind_address = options_.bind_address;
+  config.port = options_.port;
+  config.max_connections = options_.max_connections;
+  config.shed_retry_after_ms = options_.shed_retry_after_ms;
+  config.idle_poll_ms = options_.idle_poll_ms;
+  config.drain_timeout_ms = options_.drain_timeout_ms;
+  config.read_timeout_ms = options_.read_timeout_ms;
+  config.write_timeout_ms = options_.write_timeout_ms;
+  VZ_RETURN_IF_ERROR(endpoint_.Start(config, pool_.get()));
   stopping_.store(false);
-  accept_thread_ = std::thread([this] { AcceptLoop(); });
   forward_thread_ = std::thread([this] { ForwardLoop(); });
   // Prime the registry and the representative index before the first query
   // can arrive; edges that are down simply start their ladder early.
@@ -91,27 +91,11 @@ void Coordinator::Shutdown() {
   }
   sync_cv_.notify_all();
   if (sync_thread_.joinable()) sync_thread_.join();
-  if (listen_fd_.valid()) ::shutdown(listen_fd_.get(), SHUT_RDWR);
-  if (accept_thread_.joinable()) accept_thread_.join();
-  listen_fd_.Reset();
-  std::vector<std::future<void>> futures;
-  {
-    std::unique_lock<std::mutex> lock(mu_);
-    const bool drained = drained_cv_.wait_for(
-        lock, std::chrono::milliseconds(options_.drain_timeout_ms),
-        [this] { return active_connections_ == 0; });
-    if (!drained) {
-      for (int fd : active_fds_) ::shutdown(fd, SHUT_RDWR);
-    }
-    futures.swap(connection_futures_);
-  }
-  for (std::future<void>& f : futures) {
-    if (f.valid()) f.wait();
-  }
+  endpoint_.Shutdown();
   push_cv_.notify_all();
   if (forward_thread_.joinable()) forward_thread_.join();
-  // Connection handlers tore their own subscriptions down on exit; anything
-  // left (a handler killed past the drain deadline) is reclaimed here.
+  // Closing connections tore their own subscriptions down; anything left is
+  // reclaimed here.
   std::vector<std::shared_ptr<ClientSub>> leftovers;
   {
     std::lock_guard<std::mutex> lock(push_mu_);
@@ -140,14 +124,12 @@ std::vector<ShardHealthInfo> Coordinator::shard_health() const {
 
 CoordinatorStats Coordinator::stats() const {
   CoordinatorStats stats;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    stats.connections_accepted = connections_accepted_;
-    stats.connections_shed = connections_shed_;
-    stats.connections_active = active_connections_;
-  }
-  stats.requests_served = requests_served_.load();
-  stats.request_errors = request_errors_.load();
+  const RpcEndpoint::Stats front = endpoint_.stats();
+  stats.connections_accepted = front.connections_accepted;
+  stats.connections_shed = front.connections_shed;
+  stats.connections_active = front.connections_active;
+  stats.requests_served = front.requests_served;
+  stats.request_errors = front.request_errors;
   stats.fanout_legs = fanout_legs_.load();
   stats.fanout_failures = fanout_failures_.load();
   stats.degraded_answers = degraded_answers_.load();
@@ -169,222 +151,60 @@ CoordinatorStats Coordinator::stats() const {
   return stats;
 }
 
-// --- Client-facing front end (a read-only sibling of Server's loop). ---
+// --- Client-facing handlers. ---
 
-void Coordinator::AcceptLoop() {
-  while (!stopping_.load()) {
-    auto accepted = TcpAccept(listen_fd_.get());
-    if (!accepted.ok()) {
-      if (stopping_.load()) return;
-      continue;
-    }
-    UniqueFd fd = std::move(*accepted);
-    (void)SetTcpNoDelay(fd.get());
-
-    std::lock_guard<std::mutex> lock(mu_);
-    ++connections_accepted_;
-    if (stopping_.load() || active_connections_ >= options_.max_connections) {
-      ++connections_shed_;
-      const Status shed = Status::ResourceExhausted(
-          "coordinator at connection capacity (" +
-          std::to_string(options_.max_connections) + "); retry later");
-      (void)WriteFrame(
-          fd.get(), static_cast<uint32_t>(MsgType::kHello) | kResponseFlag,
-          StatusOnlyResponse(shed, options_.shed_retry_after_ms),
-          options_.write_timeout_ms > 0 ? options_.write_timeout_ms : -1);
-      continue;  // fd closes on scope exit
-    }
-    ++active_connections_;
-    active_fds_.push_back(fd.get());
-    auto shared = std::make_shared<ConnShared>();
-    shared->id = next_conn_id_++;
-    shared->fd = fd.get();
-    conns_by_id_.emplace(shared->id, shared);
-    std::erase_if(connection_futures_, [](std::future<void>& f) {
-      return !f.valid() ||
-             f.wait_for(std::chrono::seconds(0)) == std::future_status::ready;
+void Coordinator::RegisterHandlers() {
+  for (MsgType type :
+       {MsgType::kDirectQuery, MsgType::kClusteringQueryById,
+        MsgType::kClusteringQueryByMap, MsgType::kGetMetaData,
+        MsgType::kSvsFeatureMap, MsgType::kMonitorStats,
+        MsgType::kCameraHealth, MsgType::kQueryLoadStats}) {
+    endpoint_.Handle(type, [this, type](io::BinaryReader* reader,
+                                        const RpcEndpoint::Call&,
+                                        Status* failure) {
+      return ExecuteRequest(type, reader, failure);
     });
-    connection_futures_.push_back(
-        pool_->Submit([this, raw = fd.Release(), shared]() mutable {
-          HandleConnection(UniqueFd(raw), std::move(shared));
-        }));
   }
-}
-
-void Coordinator::HandleConnection(UniqueFd fd,
-                                   std::shared_ptr<ConnShared> conn) {
-  bool hello_done = false;
-  while (!stopping_.load()) {
-    auto readable = WaitReadable(fd.get(), options_.idle_poll_ms);
-    if (!readable.ok()) break;
-    if (!*readable) continue;  // idle; re-check the stop flag
-    if (!ServeOneRequest(conn, &hello_done)) break;
-  }
-  // Push teardown BEFORE the socket closes: `closed` flips under
-  // `write_mu`, and the forwarder re-checks it under the same lock, so no
-  // forwarded push can land on a recycled fd number.
-  {
-    std::lock_guard<std::mutex> write_lock(conn->write_mu);
-    conn->closed.store(true);
-  }
-  DropSubscriptionsOf(conn->id);
-  std::lock_guard<std::mutex> lock(mu_);
-  conns_by_id_.erase(conn->id);
-  std::erase(active_fds_, fd.get());
-  if (active_connections_ > 0) --active_connections_;
-  if (active_connections_ == 0) drained_cv_.notify_all();
-}
-
-bool Coordinator::ServeOneRequest(const std::shared_ptr<ConnShared>& conn,
-                                  bool* hello_done) {
-  const int fd = conn->fd;
-  const int64_t read_timeout =
-      options_.read_timeout_ms > 0 ? options_.read_timeout_ms : -1;
-  const int64_t write_timeout =
-      options_.write_timeout_ms > 0 ? options_.write_timeout_ms : -1;
-  // The framing is fixed per exchange: a v5 Hello's own response still
-  // travels in legacy framing (the flag flips after it is written).
-  const bool v5 = conn->v5.load(std::memory_order_acquire);
-
-  auto write_response = [&](uint32_t type, uint64_t correlation,
-                            const std::string& payload) {
-    std::lock_guard<std::mutex> write_lock(conn->write_mu);
-    return v5 ? WriteFrameV5(fd, type, correlation, payload, write_timeout)
-              : WriteFrame(fd, type, payload, write_timeout);
-  };
-
-  uint64_t correlation = 0;
-  WireFrame request;
-  Status read_status;
-  if (v5) {
-    auto framed = ReadFrameV5(fd, read_timeout);
-    if (framed.ok()) {
-      correlation = framed->correlation;
-      request.type = framed->type;
-      request.payload = std::move(framed->payload);
-    } else {
-      read_status = framed.status();
-    }
-  } else {
-    auto framed = ReadFrame(fd, read_timeout);
-    if (framed.ok()) {
-      request = std::move(*framed);
-    } else {
-      read_status = framed.status();
-    }
-  }
-  if (!read_status.ok()) {
-    if (read_status.code() != StatusCode::kNotFound &&
-        read_status.code() != StatusCode::kUnavailable) {
-      request_errors_.fetch_add(1);
-      // On a v5 connection the request's correlation never arrived intact,
-      // so the error rides correlation 0 — connection-fatal for the client.
-      (void)write_response(
-          static_cast<uint32_t>(MsgType::kHello) | kResponseFlag, 0,
-          StatusOnlyResponse(read_status, 0));
-    }
-    return false;
-  }
-  if ((request.type & kResponseFlag) != 0 ||
-      request.type == static_cast<uint32_t>(MsgType::kPushEvent)) {
-    request_errors_.fetch_add(1);
-    (void)write_response(request.type | kResponseFlag, correlation,
-                         StatusOnlyResponse(
-                             Status::InvalidArgument(
-                                 "response or push frame sent as request"),
-                             0));
-    return false;
-  }
-
-  Status failure;
-  const std::string response = DispatchRequest(request, conn.get(),
-                                               correlation, hello_done,
-                                               &failure);
-  if (failure.ok()) {
-    requests_served_.fetch_add(1);
-  } else {
-    request_errors_.fetch_add(1);
-  }
-  if (!write_response(request.type | kResponseFlag, correlation, response)
-           .ok()) {
-    return false;
-  }
-  // A successful v5 Hello switches the framing from here on.
-  if (!v5 && conn->negotiated_v5) {
-    conn->v5.store(true, std::memory_order_release);
-  }
-  // Like Server: a protocol-ordering violation closes the connection after
-  // the error response; RPC-level failures keep it open.
-  if (!failure.ok() && failure.code() == StatusCode::kFailedPrecondition &&
-      !*hello_done) {
-    return false;
-  }
-  return true;
-}
-
-std::string Coordinator::DispatchRequest(const WireFrame& request,
-                                         ConnShared* conn,
-                                         uint64_t correlation,
-                                         bool* hello_done, Status* failure) {
-  io::BinaryReader reader(request.payload);
-  const MsgType type = static_cast<MsgType>(request.type);
-
-  if (type == MsgType::kHello) {
-    auto version = reader.ReadU32();
-    if (!version.ok()) {
-      *failure = Status::InvalidArgument("malformed payload: " +
-                                         version.status().message());
-      return StatusOnlyResponse(*failure, 0);
-    }
-    io::BinaryWriter writer;
-    if (*version < kMinProtocolVersion || *version > kProtocolVersion) {
+  // The coordinator holds no video state: ingest, camera lifecycle and
+  // snapshots belong to the edges, and replication is edge-to-edge.
+  for (MsgType type :
+       {MsgType::kCameraStart, MsgType::kCameraTerminate,
+        MsgType::kIngestFrame, MsgType::kIngestBatch, MsgType::kFlush,
+        MsgType::kSnapshotSave, MsgType::kSnapshotLoad, MsgType::kWalShip,
+        MsgType::kRepSync, MsgType::kCheckpointFetch}) {
+    endpoint_.Handle(type, [](io::BinaryReader*, const RpcEndpoint::Call&,
+                              Status* failure) {
       *failure = Status::FailedPrecondition(
-          "protocol version mismatch: client speaks v" +
-          std::to_string(*version) + ", coordinator speaks v" +
-          std::to_string(kMinProtocolVersion) + "-v" +
-          std::to_string(kProtocolVersion));
-      EncodeWireStatus(&writer, {*failure, 0});
-    } else {
-      *hello_done = true;
-      // A v4 client keeps legacy framing for the whole connection; a v5
-      // client switches after this response is written.
-      conn->negotiated_v5 = *version >= 5;
-      EncodeWireStatus(&writer, {Status::OK(), 0});
-    }
-    writer.WriteU32(kProtocolVersion);
-    return writer.buffer();
+          "coordinator is a read-only query plane: send mutating and "
+          "replication RPCs to an edge server");
+      return StatusOnlyResponse(*failure);
+    });
   }
-  if (!*hello_done) {
-    *failure = Status::FailedPrecondition("first message must be Hello");
-    return StatusOnlyResponse(*failure, 0);
-  }
-  if (type == MsgType::kSubscribe) {
-    return HandleSubscribe(conn, correlation, &reader, failure);
-  }
-  if (type == MsgType::kUnsubscribe) {
-    return HandleUnsubscribe(conn, &reader, failure);
-  }
-  if (type == MsgType::kAdminTune) {
-    // The one mutating RPC the coordinator forwards: index tuning is
-    // fleet-wide operator state, so it fans out to every eligible shard.
-    return HandleAdminTune(&reader, failure);
-  }
-  if (IsMutatingType(request.type)) {
-    // The coordinator holds no video state: ingest, camera lifecycle and
-    // snapshots belong to the edges.
-    *failure = Status::FailedPrecondition(
-        "coordinator is read-only: send mutating RPCs to an edge server");
-    return StatusOnlyResponse(*failure, 0);
-  }
-  return ExecuteRequest(type, &reader, failure);
+  // The one mutating RPC the coordinator forwards: index tuning is
+  // fleet-wide operator state, so it fans out to every eligible shard.
+  endpoint_.Handle(MsgType::kAdminTune,
+                   [this](io::BinaryReader* reader, const RpcEndpoint::Call&,
+                          Status* failure) {
+                     return HandleAdminTune(reader, failure);
+                   });
+  endpoint_.Handle(MsgType::kSubscribe,
+                   [this](io::BinaryReader* reader,
+                          const RpcEndpoint::Call& call, Status* failure) {
+                     return HandleSubscribe(call, reader, failure);
+                   });
+  endpoint_.Handle(MsgType::kUnsubscribe,
+                   [this](io::BinaryReader* reader,
+                          const RpcEndpoint::Call& call, Status* failure) {
+                     return HandleUnsubscribe(call.conn_id, reader, failure);
+                   });
+  endpoint_.OnClose(
+      [this](uint64_t conn_id) { DropSubscriptionsOf(conn_id); });
 }
 
 std::string Coordinator::ExecuteRequest(MsgType type,
                                         io::BinaryReader* reader,
                                         Status* failure) {
   switch (type) {
-    case MsgType::kPing:
-      return StatusOnlyResponse(Status::OK(), 0);
     case MsgType::kDirectQuery:
       return HandleDirectQuery(reader, failure);
     case MsgType::kClusteringQueryById:
@@ -400,38 +220,25 @@ std::string Coordinator::ExecuteRequest(MsgType type,
       return HandleCameraHealth(failure);
     case MsgType::kQueryLoadStats:
       return HandleQueryLoadStats(failure);
-    case MsgType::kWalShip:
-    case MsgType::kRepSync:
-    case MsgType::kCheckpointFetch:
-      *failure = Status::FailedPrecondition(
-          "replication RPCs are edge-to-edge; the coordinator serves none");
-      return StatusOnlyResponse(*failure, 0);
     default:
       break;
   }
   *failure = Status::Unimplemented(
       "unhandled message type " +
       std::to_string(static_cast<uint32_t>(type)));
-  return StatusOnlyResponse(*failure, 0);
+  return StatusOnlyResponse(*failure);
 }
 
 // --- Standing-query fan-out. ---
 
-std::string Coordinator::HandleSubscribe(ConnShared* conn,
-                                         uint64_t correlation,
+std::string Coordinator::HandleSubscribe(const RpcEndpoint::Call& call,
                                          io::BinaryReader* reader,
                                          Status* failure) {
   auto spec = DecodeSubscribeRequest(reader);
   if (!spec.ok()) {
     *failure = Status::InvalidArgument("malformed payload: " +
                                        spec.status().message());
-    return StatusOnlyResponse(*failure, 0);
-  }
-  if (!conn->v5.load(std::memory_order_acquire)) {
-    *failure = Status::FailedPrecondition(
-        "Subscribe requires protocol v5: push frames are multiplexed by "
-        "correlation id, which v4 framing cannot carry");
-    return StatusOnlyResponse(*failure, 0);
+    return StatusOnlyResponse(*failure);
   }
 
   auto sub = std::make_shared<ClientSub>();
@@ -441,15 +248,11 @@ std::string Coordinator::HandleSubscribe(ConnShared* conn,
     std::lock_guard<std::mutex> lock(push_mu_);
     sub->id = next_sub_id_++;
   }
-  sub->correlation = correlation;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    auto it = conns_by_id_.find(conn->id);
-    if (it != conns_by_id_.end()) sub->conn = it->second;
-  }
+  sub->conn_id = call.conn_id;
+  sub->correlation = call.correlation;
   sub->edge_clients.resize(registry_.size());
 
-  // One dedicated v5 connection per eligible edge: pushes arrive on the
+  // One dedicated connection per eligible edge: pushes arrive on the
   // connection that subscribed, so pooled (shared) clients cannot carry
   // them. Zero reconnect budget — a silently reconnected client would have
   // silently lost its subscription.
@@ -488,12 +291,12 @@ std::string Coordinator::HandleSubscribe(ConnShared* conn,
     TeardownSub(sub);
     *failure = Status::Unavailable(
         "no eligible shard accepted the subscription");
-    return StatusOnlyResponse(*failure, 0);
+    return StatusOnlyResponse(*failure);
   }
   {
     std::lock_guard<std::mutex> lock(push_mu_);
     subs_by_id_.emplace(sub->id, sub);
-    subs_by_conn_[conn->id].push_back(sub->id);
+    subs_by_conn_[call.conn_id].push_back(sub->id);
   }
   subscriptions_total_.fetch_add(1);
   io::BinaryWriter writer;
@@ -502,29 +305,28 @@ std::string Coordinator::HandleSubscribe(ConnShared* conn,
   return writer.buffer();
 }
 
-std::string Coordinator::HandleUnsubscribe(ConnShared* conn,
+std::string Coordinator::HandleUnsubscribe(uint64_t conn_id,
                                            io::BinaryReader* reader,
                                            Status* failure) {
   auto id = reader->ReadU64();
   if (!id.ok()) {
     *failure = Status::InvalidArgument("malformed payload: " +
                                        id.status().message());
-    return StatusOnlyResponse(*failure, 0);
+    return StatusOnlyResponse(*failure);
   }
   std::shared_ptr<ClientSub> victim;
   {
     std::lock_guard<std::mutex> lock(push_mu_);
     auto it = subs_by_id_.find(*id);
     // A connection may only cancel its own subscriptions.
-    if (it == subs_by_id_.end() || it->second->conn == nullptr ||
-        it->second->conn->id != conn->id) {
+    if (it == subs_by_id_.end() || it->second->conn_id != conn_id) {
       *failure = Status::NotFound("unknown subscription id " +
                                   std::to_string(*id));
-      return StatusOnlyResponse(*failure, 0);
+      return StatusOnlyResponse(*failure);
     }
     victim = it->second;
     subs_by_id_.erase(it);
-    auto conn_it = subs_by_conn_.find(conn->id);
+    auto conn_it = subs_by_conn_.find(conn_id);
     if (conn_it != subs_by_conn_.end()) {
       std::erase(conn_it->second, *id);
       if (conn_it->second.empty()) subs_by_conn_.erase(conn_it);
@@ -532,7 +334,7 @@ std::string Coordinator::HandleUnsubscribe(ConnShared* conn,
   }
   // Outside push_mu_: closing the edge clients joins their reader threads.
   TeardownSub(victim);
-  return StatusOnlyResponse(Status::OK(), 0);
+  return StatusOnlyResponse(Status::OK());
 }
 
 std::string Coordinator::HandleAdminTune(io::BinaryReader* reader,
@@ -544,13 +346,13 @@ std::string Coordinator::HandleAdminTune(io::BinaryReader* reader,
   if (!token.ok()) {
     *failure = Status::InvalidArgument("malformed payload: " +
                                        token.status().message());
-    return StatusOnlyResponse(*failure, 0);
+    return StatusOnlyResponse(*failure);
   }
   auto request = DecodeAdminTuneRequest(reader);
   if (!request.ok()) {
     *failure = Status::InvalidArgument("malformed payload: " +
                                        request.status().message());
-    return StatusOnlyResponse(*failure, 0);
+    return StatusOnlyResponse(*failure);
   }
   auto legs = FanOut<AdminTuneReply>(
       EligibleSet(),
@@ -571,11 +373,11 @@ std::string Coordinator::HandleAdminTune(io::BinaryReader* reader,
   }
   if (!first_error.ok()) {
     *failure = first_error;
-    return StatusOnlyResponse(*failure, 0);
+    return StatusOnlyResponse(*failure);
   }
   if (echo == nullptr) {
     *failure = Status::Unavailable("no eligible shard applied the tuning");
-    return StatusOnlyResponse(*failure, 0);
+    return StatusOnlyResponse(*failure);
   }
   io::BinaryWriter writer;
   EncodeWireStatus(&writer, {Status::OK(), 0});
@@ -638,21 +440,14 @@ void Coordinator::OnEdgePush(const std::weak_ptr<ClientSub>& weak,
   push_cv_.notify_all();
 }
 
-void Coordinator::DeliverPending(const std::shared_ptr<ClientSub>& sub,
-                                 int64_t write_timeout) {
-  const std::shared_ptr<ConnShared> conn = sub->conn;
-  if (conn == nullptr || !conn->v5.load(std::memory_order_acquire)) return;
+void Coordinator::DeliverPending(const std::shared_ptr<ClientSub>& sub) {
   {
     std::lock_guard<std::mutex> lock(sub->mu);
     if (sub->buffer.empty() && sub->dropped_pending == 0) return;
   }
-  // Zero-timeout writability probe: a slow client is skipped this round,
-  // its buffer keeps absorbing (drop-oldest) — backpressure stays on it
-  // alone, never on the edge connections or other subscribers.
-  auto writable = WaitWritable(conn->fd, 0);
-  if (!writable.ok() || !*writable) return;
-  std::vector<PushEvent> events;
-  {
+  uint64_t gaps = 0;
+  const size_t sent = endpoint_.Push(sub->conn_id, [&] {
+    std::vector<SubscriptionEngine::Delivery> out;
     std::lock_guard<std::mutex> lock(sub->mu);
     size_t budget = options_.subscription_max_drain;
     if (sub->dropped_pending > 0 && budget > 0) {
@@ -661,7 +456,7 @@ void Coordinator::DeliverPending(const std::shared_ptr<ClientSub>& sub,
       gap.kind = PushKind::kGap;
       gap.dropped = sub->dropped_pending;
       sub->dropped_pending = 0;
-      events.push_back(std::move(gap));
+      out.push_back({sub->correlation, std::move(gap)});
       --budget;
     }
     // Merge order is (shard index, edge sequence) — a pure function of the
@@ -674,41 +469,25 @@ void Coordinator::DeliverPending(const std::shared_ptr<ClientSub>& sub,
                                   : a.edge_sequence < b.edge_sequence;
                      });
     while (!sub->buffer.empty() && budget > 0) {
-      events.push_back(std::move(sub->buffer.front().event));
+      out.push_back(
+          {sub->correlation, std::move(sub->buffer.front().event)});
       sub->buffer.pop_front();
       --budget;
     }
     // Coordinator-level sequences are dense as delivered, so a subscriber
     // can prove it saw every frame the coordinator sent.
-    for (PushEvent& event : events) event.sequence = sub->next_sequence++;
-  }
-  if (events.empty()) return;
-  std::vector<std::string> frames;
-  frames.reserve(events.size());
-  uint64_t gaps = 0;
-  for (const PushEvent& event : events) {
-    io::BinaryWriter writer;
-    EncodePushEvent(&writer, event);
-    if (event.kind == PushKind::kGap) ++gaps;
-    frames.push_back(EncodeFrameV5(static_cast<uint32_t>(MsgType::kPushEvent),
-                                   sub->correlation, writer.buffer()));
-  }
-  {
-    std::lock_guard<std::mutex> write_lock(conn->write_mu);
-    if (conn->closed.load()) return;  // events die with the connection
-    Status written = WriteEncodedFrames(conn->fd, frames, write_timeout);
-    if (!written.ok()) {
-      ::shutdown(conn->fd, SHUT_RDWR);  // the handler tears down
-      return;
+    for (SubscriptionEngine::Delivery& delivery : out) {
+      delivery.event.sequence = sub->next_sequence++;
+      if (delivery.event.kind == PushKind::kGap) ++gaps;
     }
-  }
-  pushes_forwarded_.fetch_add(events.size());
+    return out;
+  });
+  if (sent == 0) return;
+  pushes_forwarded_.fetch_add(sent);
   push_gaps_forwarded_.fetch_add(gaps);
 }
 
 void Coordinator::ForwardLoop() {
-  const int64_t write_timeout =
-      options_.write_timeout_ms > 0 ? options_.write_timeout_ms : -1;
   const int64_t poll_ms = options_.push_poll_ms > 0 ? options_.push_poll_ms
                                                     : 50;
   std::unique_lock<std::mutex> lock(push_mu_);
@@ -719,7 +498,7 @@ void Coordinator::ForwardLoop() {
     subs.reserve(subs_by_id_.size());
     for (const auto& [id, sub] : subs_by_id_) subs.push_back(sub);
     lock.unlock();
-    for (const auto& sub : subs) DeliverPending(sub, write_timeout);
+    for (const auto& sub : subs) DeliverPending(sub);
     lock.lock();
   }
 }
@@ -866,13 +645,13 @@ std::string Coordinator::HandleDirectQuery(io::BinaryReader* reader,
   if (!feature.ok()) {
     *failure = Status::InvalidArgument("malformed payload: " +
                                        feature.status().message());
-    return StatusOnlyResponse(*failure, 0);
+    return StatusOnlyResponse(*failure);
   }
   auto constraints = DecodeQueryConstraints(reader);
   if (!constraints.ok()) {
     *failure = Status::InvalidArgument("malformed payload: " +
                                        constraints.status().message());
-    return StatusOnlyResponse(*failure, 0);
+    return StatusOnlyResponse(*failure);
   }
 
   const std::vector<bool> consult = DirectQueryConsultSet(*feature);
@@ -952,13 +731,13 @@ std::string Coordinator::HandleClusteringQuery(MsgType type,
     if (!id.ok()) {
       *failure = Status::InvalidArgument("malformed payload: " +
                                          id.status().message());
-      return StatusOnlyResponse(*failure, 0);
+      return StatusOnlyResponse(*failure);
     }
     auto decoded = DecodeQueryConstraints(reader);
     if (!decoded.ok()) {
       *failure = Status::InvalidArgument("malformed payload: " +
                                          decoded.status().message());
-      return StatusOnlyResponse(*failure, 0);
+      return StatusOnlyResponse(*failure);
     }
     constraints = *decoded;
     owner = ShardOfSvsId(*id);
@@ -966,7 +745,7 @@ std::string Coordinator::HandleClusteringQuery(MsgType type,
       *failure = Status::NotFound("SVS " + std::to_string(*id) +
                                   " names shard " + std::to_string(owner) +
                                   " which does not exist");
-      return StatusOnlyResponse(*failure, 0);
+      return StatusOnlyResponse(*failure);
     }
     // Resolve the target's feature map on its owning shard, then run the
     // same by-map query everywhere (the owner included) — which is also
@@ -993,7 +772,7 @@ std::string Coordinator::HandleClusteringQuery(MsgType type,
           registry_.RecordSuccess(owner, NowMs());
           CheckinClient(owner, std::move(client));
           *failure = map.status();
-          return StatusOnlyResponse(*failure, 0);
+          return StatusOnlyResponse(*failure);
         }
       }
     }
@@ -1002,13 +781,13 @@ std::string Coordinator::HandleClusteringQuery(MsgType type,
     if (!decoded_target.ok()) {
       *failure = Status::InvalidArgument("malformed payload: " +
                                          decoded_target.status().message());
-      return StatusOnlyResponse(*failure, 0);
+      return StatusOnlyResponse(*failure);
     }
     auto decoded = DecodeQueryConstraints(reader);
     if (!decoded.ok()) {
       *failure = Status::InvalidArgument("malformed payload: " +
                                          decoded.status().message());
-      return StatusOnlyResponse(*failure, 0);
+      return StatusOnlyResponse(*failure);
     }
     target = std::move(*decoded_target);
     constraints = *decoded;
@@ -1091,26 +870,26 @@ std::string Coordinator::HandleGetMetaData(io::BinaryReader* reader,
   if (!id.ok()) {
     *failure = Status::InvalidArgument("malformed payload: " +
                                        id.status().message());
-    return StatusOnlyResponse(*failure, 0);
+    return StatusOnlyResponse(*failure);
   }
   const size_t owner = ShardOfSvsId(*id);
   if (owner >= registry_.size()) {
     *failure = Status::NotFound("SVS " + std::to_string(*id) +
                                 " names shard " + std::to_string(owner) +
                                 " which does not exist");
-    return StatusOnlyResponse(*failure, 0);
+    return StatusOnlyResponse(*failure);
   }
   if (!registry_.Eligible(owner)) {
     *failure = Status::Unavailable("shard " + std::to_string(owner) +
                                    " owning SVS " + std::to_string(*id) +
                                    " is unreachable");
-    return StatusOnlyResponse(*failure, 0);
+    return StatusOnlyResponse(*failure);
   }
   auto checkout = CheckoutClient(owner);
   if (!checkout.ok()) {
     registry_.RecordFailure(owner, NowMs());
     *failure = checkout.status();
-    return StatusOnlyResponse(*failure, 0);
+    return StatusOnlyResponse(*failure);
   }
   std::unique_ptr<Client> client = std::move(*checkout);
   auto meta = client->GetMetaData(LocalSvsId(*id));
@@ -1122,7 +901,7 @@ std::string Coordinator::HandleGetMetaData(io::BinaryReader* reader,
       CheckinClient(owner, std::move(client));
     }
     *failure = meta.status();
-    return StatusOnlyResponse(*failure, 0);
+    return StatusOnlyResponse(*failure);
   }
   registry_.RecordSuccess(owner, NowMs());
   CheckinClient(owner, std::move(client));
@@ -1139,20 +918,20 @@ std::string Coordinator::HandleSvsFeatureMap(io::BinaryReader* reader,
   if (!id.ok()) {
     *failure = Status::InvalidArgument("malformed payload: " +
                                        id.status().message());
-    return StatusOnlyResponse(*failure, 0);
+    return StatusOnlyResponse(*failure);
   }
   const size_t owner = ShardOfSvsId(*id);
   if (owner >= registry_.size() || !registry_.Eligible(owner)) {
     *failure = Status::Unavailable("shard " + std::to_string(owner) +
                                    " owning SVS " + std::to_string(*id) +
                                    " is unreachable");
-    return StatusOnlyResponse(*failure, 0);
+    return StatusOnlyResponse(*failure);
   }
   auto checkout = CheckoutClient(owner);
   if (!checkout.ok()) {
     registry_.RecordFailure(owner, NowMs());
     *failure = checkout.status();
-    return StatusOnlyResponse(*failure, 0);
+    return StatusOnlyResponse(*failure);
   }
   std::unique_ptr<Client> client = std::move(*checkout);
   auto map = client->SvsFeatureMap(LocalSvsId(*id));
@@ -1164,7 +943,7 @@ std::string Coordinator::HandleSvsFeatureMap(io::BinaryReader* reader,
       CheckinClient(owner, std::move(client));
     }
     *failure = map.status();
-    return StatusOnlyResponse(*failure, 0);
+    return StatusOnlyResponse(*failure);
   }
   registry_.RecordSuccess(owner, NowMs());
   CheckinClient(owner, std::move(client));
@@ -1214,10 +993,15 @@ std::string Coordinator::HandleMonitorStats(Status* failure) {
     merged.serving.read_only =
         merged.serving.read_only || edge.serving.read_only;
   }
+  // The serving counters describe the coordinator's own front end.
   const CoordinatorStats own = stats();
-  merged.serving.connections_accepted = own.connections_accepted;
-  merged.serving.connections_shed = own.connections_shed;
-  merged.serving.pings_served = 0;
+  const RpcEndpoint::Stats front = endpoint_.stats();
+  merged.serving.connections_accepted = front.connections_accepted;
+  merged.serving.connections_shed = front.connections_shed;
+  merged.serving.connections_evicted_idle = front.connections_evicted_idle;
+  merged.serving.connections_evicted_slow = front.connections_evicted_slow;
+  merged.serving.pings_served = front.pings_served;
+  merged.serving.connections = endpoint_.connections();
   merged.serving.shards = registry_.HealthTable(NowMs());
   merged.serving.subscriptions_active = own.subscriptions_active;
   merged.serving.subscriptions_total = own.subscriptions_total;
@@ -1343,31 +1127,29 @@ size_t Coordinator::SyncPass(bool respect_backoff) {
     // reconnect budget is zero, so the failure is honest — a silently
     // reconnected watcher would have silently lost its subscription) and
     // re-established here.
-    if (options_.rep_push) {
-      if (watch_clients_[i] != nullptr && !watch_clients_[i]->Ping().ok()) {
-        watch_clients_[i].reset();
-      }
-      if (watch_clients_[i] == nullptr) {
-        const EdgeEndpoint endpoint = registry_.endpoint(i);
-        ClientOptions watch_options;
-        watch_options.connect_timeout_ms = options_.edge_connect_timeout_ms;
-        watch_options.io_timeout_ms = options_.edge_io_timeout_ms;
-        watch_options.max_shed_retries = 0;
-        watch_options.max_reconnects = 0;
-        auto watch_conn = Client::Connect(endpoint.host, endpoint.port,
-                                          watch_options);
-        if (watch_conn.ok()) {
-          auto watcher = std::make_unique<Client>(std::move(*watch_conn));
-          SubscribeRequest watch_spec;
-          watch_spec.want_matches = false;
-          watch_spec.want_stats = true;
-          auto subscribed =
-              watcher->Subscribe(watch_spec, [this](const PushEvent&) {
-                rep_dirty_.store(true);
-                sync_cv_.notify_all();
-              });
-          if (subscribed.ok()) watch_clients_[i] = std::move(watcher);
-        }
+    if (watch_clients_[i] != nullptr && !watch_clients_[i]->Ping().ok()) {
+      watch_clients_[i].reset();
+    }
+    if (watch_clients_[i] == nullptr) {
+      const EdgeEndpoint endpoint = registry_.endpoint(i);
+      ClientOptions watch_options;
+      watch_options.connect_timeout_ms = options_.edge_connect_timeout_ms;
+      watch_options.io_timeout_ms = options_.edge_io_timeout_ms;
+      watch_options.max_shed_retries = 0;
+      watch_options.max_reconnects = 0;
+      auto watch_conn =
+          Client::Connect(endpoint.host, endpoint.port, watch_options);
+      if (watch_conn.ok()) {
+        auto watcher = std::make_unique<Client>(std::move(*watch_conn));
+        SubscribeRequest watch_spec;
+        watch_spec.want_matches = false;
+        watch_spec.want_stats = true;
+        auto subscribed =
+            watcher->Subscribe(watch_spec, [this](const PushEvent&) {
+              rep_dirty_.store(true);
+              sync_cv_.notify_all();
+            });
+        if (subscribed.ok()) watch_clients_[i] = std::move(watcher);
       }
     }
   }

@@ -6,7 +6,6 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <future>
 #include <memory>
 #include <mutex>
 #include <shared_mutex>
@@ -15,13 +14,13 @@
 #include <unordered_map>
 #include <vector>
 
-#include "common/socket.h"
 #include "common/status.h"
 #include "common/thread_pool.h"
 #include "core/inter_camera_index.h"
 #include "core/omd.h"
 #include "core/query.h"
 #include "net/edge_registry.h"
+#include "net/rpc_endpoint.h"
 #include "net/wire.h"
 
 namespace vz::net {
@@ -95,13 +94,6 @@ struct CoordinatorOptions {
   size_t subscription_max_drain = 64;
   /// Fallback poll of the forward-delivery thread.
   int64_t push_poll_ms = 50;
-  /// Keep a per-edge stats subscription that wakes the rep-sync thread the
-  /// moment an edge's index version advances, instead of waiting out
-  /// `sync_interval_ms`. The interval poll stays as the fallback (and the
-  /// versioned "unchanged" RepSync fast path still bounds the cost of a
-  /// spurious wake). Requires v5 edges; edges that refuse simply stay on
-  /// the interval.
-  bool rep_push = true;
 
   // --- Representative sync / probing. ---
 
@@ -176,15 +168,20 @@ struct CoordinatorStats {
 /// such pass synchronously (ignoring backoff), which is how tests and drills
 /// make transitions deterministic.
 ///
-/// Mutating RPCs are refused (`kFailedPrecondition`): ingest goes to the
-/// edges, the coordinator is a read-only query plane. Two exceptions ride
-/// the v5 protocol: `kAdminTune` fans out to every eligible shard (tuning
-/// is fleet-wide operator state), and `kSubscribe` registers a standing
-/// query that the coordinator re-subscribes on every eligible edge over
-/// dedicated v5 connections — edge pushes are remapped into the global id
-/// space and forwarded to the client merged in (shard index, edge sequence)
-/// order, with the same bounded-queue / drop-oldest / gap-marker contract
-/// the edges themselves give slow subscribers.
+/// Mutating and replication RPCs are refused (`kFailedPrecondition`):
+/// ingest goes to the edges, the coordinator is a read-only query plane.
+/// Two exceptions: `kAdminTune` fans out to every eligible shard (tuning is
+/// fleet-wide operator state), and `kSubscribe` registers a standing query
+/// that the coordinator re-subscribes on every eligible edge over dedicated
+/// connections — edge pushes are remapped into the global id space and
+/// forwarded to the client merged in (shard index, edge sequence) order,
+/// with the same bounded-queue / drop-oldest / gap-marker contract the
+/// edges themselves give slow subscribers.
+///
+/// The client-facing front end is an `RpcEndpoint`, so connection
+/// supervision (deadlines, slow-client eviction, the connection registry
+/// and its Monitor counters) works exactly as on an edge `Server`; idle
+/// eviction stays off.
 class Coordinator {
  public:
   explicit Coordinator(const CoordinatorOptions& options);
@@ -202,7 +199,7 @@ class Coordinator {
   void Shutdown();
 
   /// The bound port (valid after a successful `Start`).
-  uint16_t port() const { return port_; }
+  uint16_t port() const { return endpoint_.port(); }
 
   /// One synchronous sync/probe pass over every edge, ignoring probe
   /// backoff: reachable edges are rep-synced (and their camera inventory
@@ -230,27 +227,12 @@ class Coordinator {
     Result result;
   };
 
-  /// Per-connection state shared between the serving thread and the push
-  /// forwarder (mirrors Server::ConnShared).
-  struct ConnShared {
-    uint64_t id = 0;
-    int fd = -1;
-    /// Serializes all frame writes (responses and forwarded pushes).
-    std::mutex write_mu;
-    /// v5 framing active (flipped after a successful v5 Hello response).
-    std::atomic<bool> v5{false};
-    bool negotiated_v5 = false;
-    /// Flipped under `write_mu` before the fd closes, so a forwarded push
-    /// can never land on a recycled descriptor.
-    std::atomic<bool> closed{false};
-  };
-
-  /// One client subscription and its fan-out: dedicated v5 edge clients
-  /// whose push callbacks feed a bounded merge buffer, drained by the
+  /// One client subscription and its fan-out: dedicated edge clients whose
+  /// push callbacks feed a bounded merge buffer, drained by the
   /// forward-delivery thread into the client connection.
   struct ClientSub {
     uint64_t id = 0;  // coordinator-assigned subscription id
-    std::shared_ptr<ConnShared> conn;
+    uint64_t conn_id = 0;  // the subscribing client connection
     /// The client's Subscribe correlation — forwarded pushes ride it.
     uint64_t correlation = 0;
     std::mutex mu;  // guards the buffer below (leaf lock)
@@ -269,22 +251,17 @@ class Coordinator {
 
   static int64_t NowMs();
 
-  void AcceptLoop();
-  void HandleConnection(UniqueFd fd, std::shared_ptr<ConnShared> conn);
-  bool ServeOneRequest(const std::shared_ptr<ConnShared>& conn,
-                       bool* hello_done);
-  std::string DispatchRequest(const WireFrame& request, ConnShared* conn,
-                              uint64_t correlation, bool* hello_done,
-                              Status* failure);
+  /// Registers the RPC handlers on `endpoint_`.
+  void RegisterHandlers();
   std::string ExecuteRequest(MsgType type, io::BinaryReader* reader,
                              Status* failure);
 
   /// kSubscribe: fan the standing query out over the eligible edges and
   /// register the forwarding state. kUnsubscribe / connection teardown undo
   /// it (closing the dedicated edge clients voids the edge subscriptions).
-  std::string HandleSubscribe(ConnShared* conn, uint64_t correlation,
+  std::string HandleSubscribe(const RpcEndpoint::Call& call,
                               io::BinaryReader* reader, Status* failure);
-  std::string HandleUnsubscribe(ConnShared* conn, io::BinaryReader* reader,
+  std::string HandleUnsubscribe(uint64_t conn_id, io::BinaryReader* reader,
                                 Status* failure);
   std::string HandleAdminTune(io::BinaryReader* reader, Status* failure);
   /// Tears down every subscription owned by `conn_id` (connection closed).
@@ -296,9 +273,8 @@ class Coordinator {
   void OnEdgePush(const std::weak_ptr<ClientSub>& weak, size_t shard,
                   const PushEvent& event);
   /// Drains one subscription's buffer (gap marker first, then events in
-  /// (shard, edge sequence) order) and writes the push frames.
-  void DeliverPending(const std::shared_ptr<ClientSub>& sub,
-                      int64_t write_timeout);
+  /// (shard, edge sequence) order) into its client connection.
+  void DeliverPending(const std::shared_ptr<ClientSub>& sub);
   /// The forward-delivery thread: drains subscription buffers in (shard
   /// index, edge sequence) order and writes push frames to clients.
   void ForwardLoop();
@@ -375,9 +351,7 @@ class Coordinator {
 
   // --- Client-facing front end. ---
   std::unique_ptr<ThreadPool> pool_;
-  UniqueFd listen_fd_;
-  uint16_t port_ = 0;
-  std::thread accept_thread_;
+  RpcEndpoint endpoint_;
   std::atomic<bool> stopping_{false};
   bool started_ = false;
 
@@ -386,7 +360,7 @@ class Coordinator {
   std::condition_variable sync_cv_;
   /// Serializes sync passes (the background thread vs `PollEdgesNow`).
   std::mutex pass_mu_;
-  /// Per-edge rep-push watchers (guarded by `pass_mu_`): dedicated v5
+  /// Per-edge rep-push watchers (guarded by `pass_mu_`): dedicated
   /// clients holding a stats subscription whose callback sets `rep_dirty_`
   /// and wakes the sync thread. Re-established by the next pass when an
   /// edge connection dies (their reconnect budget is zero: a silently
@@ -402,18 +376,6 @@ class Coordinator {
   std::unordered_map<uint64_t, std::shared_ptr<ClientSub>> subs_by_id_;
   std::unordered_map<uint64_t, std::vector<uint64_t>> subs_by_conn_;
 
-  mutable std::mutex mu_;  // guards the connection bookkeeping below
-  std::condition_variable drained_cv_;
-  std::vector<std::future<void>> connection_futures_;
-  size_t active_connections_ = 0;
-  std::vector<int> active_fds_;
-  uint64_t next_conn_id_ = 1;
-  std::unordered_map<uint64_t, std::shared_ptr<ConnShared>> conns_by_id_;
-  uint64_t connections_accepted_ = 0;
-  uint64_t connections_shed_ = 0;
-
-  std::atomic<uint64_t> requests_served_{0};
-  std::atomic<uint64_t> request_errors_{0};
   std::atomic<uint64_t> fanout_legs_{0};
   std::atomic<uint64_t> fanout_failures_{0};
   std::atomic<uint64_t> degraded_answers_{0};

@@ -1,0 +1,183 @@
+#ifndef VZ_NET_RPC_ENDPOINT_H_
+#define VZ_NET_RPC_ENDPOINT_H_
+
+#include <atomic>
+#include <chrono>
+#include <condition_variable>
+#include <cstdint>
+#include <functional>
+#include <future>
+#include <map>
+#include <memory>
+#include <mutex>
+#include <string>
+#include <thread>
+#include <unordered_map>
+#include <vector>
+
+#include "common/socket.h"
+#include "common/status.h"
+#include "common/thread_pool.h"
+#include "net/subscription.h"
+#include "net/wire.h"
+
+namespace vz::net {
+
+/// Response payload carrying nothing but a wire status.
+std::string StatusOnlyResponse(const Status& status,
+                               int64_t retry_after_ms = 0);
+
+/// The RPC front end `Server` and `Coordinator` are built on (see DESIGN.md,
+/// "Network service"): listen and accept with a connection cap, one
+/// supervised request loop per connection on a borrowed `ThreadPool`, the
+/// Hello handshake, `kPing`, dispatch through a `MsgType` → handler table,
+/// the connection registry, and the push-write path.
+///
+/// Per connection: Hello comes first and must name exactly
+/// `kProtocolVersion`; a response or push frame sent as a request is
+/// refused and closes the connection, as does `kFailedPrecondition` before
+/// the Hello. Any error after the Hello keeps the connection open. Once the
+/// first byte of a frame is readable the whole frame must arrive within the
+/// read deadline, and every write must finish within the write deadline; a
+/// peer that misses either is evicted as slow. A connection with no
+/// completed request past the idle timeout plus grace is evicted as idle.
+///
+/// Responses and pushes share one write lock and one closed flag per
+/// connection, so frames never interleave and a push never lands on a
+/// closed (or recycled) descriptor.
+class RpcEndpoint {
+ public:
+  /// Connection handling settings, copied by the owner from its options.
+  struct Config {
+    std::string bind_address = "127.0.0.1";
+    uint16_t port = 0;
+    /// Connections served at once; arrivals beyond it are answered with
+    /// `kResourceExhausted` (retry-after attached) and closed. The pool
+    /// passed to `Start` needs a free worker per connection.
+    size_t max_connections = 8;
+    int64_t shed_retry_after_ms = 50;
+    /// Cadence at which idle connection loops re-check the stop flag.
+    int64_t idle_poll_ms = 50;
+    /// Budget `Shutdown` grants in-flight requests before force-closing.
+    int64_t drain_timeout_ms = 10'000;
+    /// Frame read/write deadlines; <= 0 disables them.
+    int64_t read_timeout_ms = 10'000;
+    int64_t write_timeout_ms = 10'000;
+    /// Idle eviction after `idle_timeout_ms + eviction_grace_ms` without a
+    /// completed request; <= 0 disables it.
+    int64_t idle_timeout_ms = 0;
+    int64_t eviction_grace_ms = 100;
+  };
+
+  /// Lifetime counters (all totals except the `connections_active` gauge).
+  struct Stats {
+    uint64_t connections_accepted = 0;
+    uint64_t connections_shed = 0;
+    size_t connections_active = 0;
+    uint64_t requests_served = 0;
+    uint64_t request_errors = 0;
+    uint64_t connections_evicted_idle = 0;
+    uint64_t connections_evicted_slow = 0;
+    uint64_t pings_served = 0;
+  };
+
+  /// Who sent a request: its connection and its correlation id.
+  struct Call {
+    uint64_t conn_id = 0;
+    uint64_t correlation = 0;
+  };
+
+  /// Builds the response payload (a wire status first) of one request,
+  /// setting `*failure` when the RPC failed. Runs on the connection's own
+  /// pool worker.
+  using Handler = std::function<std::string(
+      io::BinaryReader* reader, const Call& call, Status* failure)>;
+
+  RpcEndpoint() = default;
+  ~RpcEndpoint() { Shutdown(); }
+
+  RpcEndpoint(const RpcEndpoint&) = delete;
+  RpcEndpoint& operator=(const RpcEndpoint&) = delete;
+
+  /// Registers the handler of `type`. Call before `Start`; a type with no
+  /// handler is answered with `kUnimplemented`.
+  void Handle(MsgType type, Handler handler);
+  /// Registers the hook run once per connection as it closes, after its
+  /// last push write.
+  void OnClose(std::function<void(uint64_t conn_id)> hook);
+
+  /// Binds and starts accepting; connection loops run on `pool`.
+  Status Start(const Config& config, ThreadPool* pool);
+  /// Stops accepting, lets every connection finish the request it is
+  /// serving, and force-closes what is still open after the drain timeout.
+  /// Idempotent.
+  void Shutdown() { Stop(/*drain=*/true); }
+  /// Stops without draining: sockets are torn down under in-flight
+  /// requests.
+  void Kill() { Stop(/*drain=*/false); }
+
+  /// The bound port (valid after a successful `Start`).
+  uint16_t port() const { return port_; }
+  Stats stats() const;
+  /// The per-connection registry, ordered by connection id.
+  std::vector<ConnectionInfo> connections() const;
+
+  /// The push-write path. Probes `conn_id` for writability first and skips
+  /// it when its receive window is full; only then calls `drain` for the
+  /// events to send, so a stalled subscriber's queue keeps dropping its
+  /// oldest events instead of losing a drained batch. Writes the events as
+  /// one gathered burst of `kPushEvent` frames; a write that misses the
+  /// deadline evicts the connection as slow. Returns the number of events
+  /// written (0 when skipped, closed or failed).
+  size_t Push(
+      uint64_t conn_id,
+      const std::function<std::vector<SubscriptionEngine::Delivery>()>& drain);
+
+ private:
+  using SteadyClock = std::chrono::steady_clock;
+  struct Conn;
+
+  void Stop(bool drain);
+  void AcceptLoop();
+  void Serve(UniqueFd fd, std::shared_ptr<Conn> conn);
+  /// Serves one readable request; false when the connection should close.
+  bool ServeOne(Conn* conn, bool* hello_done);
+  std::string Dispatch(const WireFrame& request, const Call& call,
+                       bool* hello_done, Status* failure);
+  /// Writes one frame under the connection's write lock.
+  Status Write(Conn* conn, uint32_t type, uint64_t correlation,
+               const std::string& payload);
+  int64_t WriteTimeout() const {
+    return config_.write_timeout_ms > 0 ? config_.write_timeout_ms : -1;
+  }
+
+  Config config_;
+  ThreadPool* pool_ = nullptr;
+  std::unordered_map<uint32_t, Handler> handlers_;
+  std::function<void(uint64_t)> on_close_;
+
+  UniqueFd listen_fd_;
+  uint16_t port_ = 0;
+  std::atomic<bool> stopping_{false};
+
+  mutable std::mutex mu_;  // guards the three fields below
+  std::condition_variable drained_cv_;
+  std::map<uint64_t, std::shared_ptr<Conn>> conns_;
+  std::vector<std::future<void>> loops_;
+  uint64_t next_conn_id_ = 0;
+
+  std::atomic<uint64_t> accepted_{0};
+  std::atomic<uint64_t> shed_{0};
+  std::atomic<uint64_t> served_{0};
+  std::atomic<uint64_t> errors_{0};
+  std::atomic<uint64_t> evicted_idle_{0};
+  std::atomic<uint64_t> evicted_slow_{0};
+  std::atomic<uint64_t> pings_{0};
+
+  // Declared after everything the accept loop uses.
+  std::thread accept_thread_;
+};
+
+}  // namespace vz::net
+
+#endif  // VZ_NET_RPC_ENDPOINT_H_

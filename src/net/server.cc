@@ -1,13 +1,9 @@
 #include "net/server.h"
 
 #include <algorithm>
-#include <cerrno>
 #include <chrono>
-#include <cstring>
 #include <set>
-#include <sys/socket.h>
 #include <thread>
-#include <unistd.h>
 #include <utility>
 
 #include "io/env.h"
@@ -17,19 +13,6 @@
 namespace vz::net {
 
 namespace {
-
-/// Response payload: a wire status followed by nothing.
-std::string StatusOnlyResponse(const Status& status, int64_t retry_after_ms) {
-  io::BinaryWriter writer;
-  EncodeWireStatus(&writer, {status, retry_after_ms});
-  return writer.buffer();
-}
-
-int64_t ElapsedMs(const std::chrono::steady_clock::time_point& since,
-                  const std::chrono::steady_clock::time_point& now) {
-  return std::chrono::duration_cast<std::chrono::milliseconds>(now - since)
-      .count();
-}
 
 /// True for mutating RPCs whose request bytes go into the WAL. Exactly the
 /// state-changing ones: SnapshotSave carries a token (retrying it is
@@ -75,6 +58,7 @@ Server::Server(core::VideoZilla* system, const ServerOptions& options)
           options.subscription_queue_capacity,
           options.subscription_max_drain}) {
   env_ = options_.env != nullptr ? options_.env : io::Env::Default();
+  RegisterHandlers();
 }
 
 Server::~Server() { Shutdown(); }
@@ -87,17 +71,14 @@ Status Server::Start() {
         "a standby needs its own wal_dir: it mirrors the primary's log and "
         "must survive its own crashes");
   }
-  // Connection handlers live on pool workers for the whole connection, so
-  // the shared pool must actually have workers; a serial system gets a
+  // Connection loops live on pool workers for the whole connection, so the
+  // shared pool must actually have workers; a serial system gets a
   // server-owned pool sized to the connection cap instead.
   pool_ = system_->thread_pool();
   if (pool_ == nullptr || pool_->num_threads() < 2) {
     owned_pool_ = std::make_unique<ThreadPool>(options_.max_connections + 1);
     pool_ = owned_pool_.get();
   }
-  connection_cap_ =
-      std::min(options_.max_connections, pool_->num_threads() - 1);
-  if (connection_cap_ == 0) connection_cap_ = 1;
 
   // The subscription engine taps segment finalization before recovery runs:
   // replayed segments fire the observer too, but with no subscribers yet the
@@ -124,10 +105,20 @@ Status Server::Start() {
 }
 
 Status Server::StartListener() {
-  VZ_ASSIGN_OR_RETURN(listen_fd_,
-                      TcpListen(options_.bind_address, options_.port));
-  VZ_ASSIGN_OR_RETURN(port_, LocalPort(listen_fd_.get()));
-  accept_thread_ = std::thread([this] { AcceptLoop(); });
+  RpcEndpoint::Config config;
+  config.bind_address = options_.bind_address;
+  config.port = options_.port;
+  // One pool worker per connection, leaving the caller's lane free.
+  config.max_connections = std::max<size_t>(
+      1, std::min(options_.max_connections, pool_->num_threads() - 1));
+  config.shed_retry_after_ms = options_.shed_retry_after_ms;
+  config.idle_poll_ms = options_.idle_poll_ms;
+  config.drain_timeout_ms = options_.drain_timeout_ms;
+  config.read_timeout_ms = options_.read_timeout_ms;
+  config.write_timeout_ms = options_.write_timeout_ms;
+  config.idle_timeout_ms = options_.idle_timeout_ms;
+  config.eviction_grace_ms = options_.eviction_grace_ms;
+  VZ_RETURN_IF_ERROR(endpoint_.Start(config, pool_));
   // The push-delivery thread lives exactly as long as the listener (a
   // standby starts it at promotion, with the listener).
   if (!delivery_thread_.joinable()) {
@@ -141,7 +132,11 @@ void Server::StopReplication() {
   if (replication_thread_.joinable()) replication_thread_.join();
 }
 
-void Server::Shutdown() {
+void Server::Shutdown() { Stop(/*drain=*/true); }
+
+void Server::Kill() { Stop(/*drain=*/false); }
+
+void Server::Stop(bool drain) {
   if (!started_) return;
   StopReplication();
   stopping_.store(true);
@@ -151,58 +146,15 @@ void Server::Shutdown() {
     std::lock_guard<std::mutex> lock(ship_mu_);
   }
   ship_cv_.notify_all();
-  if (listen_fd_.valid()) {
-    // Wake the blocking accept; close happens after the thread exits so the
-    // descriptor cannot be reused mid-accept.
-    ::shutdown(listen_fd_.get(), SHUT_RDWR);
-  }
-  if (accept_thread_.joinable()) accept_thread_.join();
-  listen_fd_.Reset();
-
-  // Drain: handlers notice `stopping_` at their next idle poll and finish
-  // the request they are serving first.
-  std::vector<std::future<void>> futures;
-  {
-    std::unique_lock<std::mutex> lock(mu_);
-    const bool drained = drained_cv_.wait_for(
-        lock, std::chrono::milliseconds(options_.drain_timeout_ms),
-        [this] { return active_conns_.empty(); });
-    if (!drained) {
-      for (const auto& [fd, conn] : active_conns_) ::shutdown(fd, SHUT_RDWR);
-    }
-    futures.swap(connection_futures_);
-  }
-  for (std::future<void>& f : futures) {
-    if (f.valid()) f.wait();
-  }
-  if (delivery_thread_.joinable()) delivery_thread_.join();
-  system_->SetSegmentObserver(nullptr);
-  started_ = false;
-}
-
-void Server::Kill() {
-  if (!started_) return;
-  StopReplication();
-  stopping_.store(true);
-  {
-    std::lock_guard<std::mutex> lock(ship_mu_);
-  }
-  ship_cv_.notify_all();
-  if (listen_fd_.valid()) ::shutdown(listen_fd_.get(), SHUT_RDWR);
-  if (accept_thread_.joinable()) accept_thread_.join();
-  listen_fd_.Reset();
-  // No drain and no grace: sockets are torn down under the handlers, so
-  // in-flight requests die with unsent responses — exactly the ambiguity
-  // the idempotency tokens exist for. Only already-fsynced records (i.e.
+  // A drain lets every connection finish the request it is serving. Kill
+  // tears the sockets down under the handlers instead, so in-flight
+  // requests die with unsent responses — exactly the ambiguity the
+  // idempotency tokens exist for. Only already-fsynced records (i.e.
   // everything acked) are guaranteed to survive.
-  std::vector<std::future<void>> futures;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    for (const auto& [fd, conn] : active_conns_) ::shutdown(fd, SHUT_RDWR);
-    futures.swap(connection_futures_);
-  }
-  for (std::future<void>& f : futures) {
-    if (f.valid()) f.wait();
+  if (drain) {
+    endpoint_.Shutdown();
+  } else {
+    endpoint_.Kill();
   }
   if (delivery_thread_.joinable()) delivery_thread_.join();
   system_->SetSegmentObserver(nullptr);
@@ -252,17 +204,17 @@ ServerRole Server::role() const {
 }
 
 ServerStats Server::stats() const {
-  std::lock_guard<std::mutex> lock(mu_);
   ServerStats stats;
-  stats.connections_accepted = connections_accepted_;
-  stats.connections_shed = connections_shed_;
-  stats.connections_active = active_conns_.size();
-  stats.requests_served = requests_served_.load();
-  stats.request_errors = request_errors_.load();
-  stats.connections_evicted_idle = evicted_idle_.load();
-  stats.connections_evicted_slow = evicted_slow_.load();
+  const RpcEndpoint::Stats front = endpoint_.stats();
+  stats.connections_accepted = front.connections_accepted;
+  stats.connections_shed = front.connections_shed;
+  stats.connections_active = front.connections_active;
+  stats.requests_served = front.requests_served;
+  stats.request_errors = front.request_errors;
+  stats.connections_evicted_idle = front.connections_evicted_idle;
+  stats.connections_evicted_slow = front.connections_evicted_slow;
+  stats.pings_served = front.pings_served;
   stats.duplicates_replayed = duplicates_replayed_.load();
-  stats.pings_served = pings_served_.load();
   stats.sessions_evicted = sessions_evicted_.load();
   {
     std::lock_guard<std::mutex> sessions_lock(sessions_mu_);
@@ -311,122 +263,80 @@ ServerStats Server::stats() const {
 }
 
 std::vector<ConnectionInfo> Server::connection_stats() const {
-  const auto now = SteadyClock::now();
-  std::lock_guard<std::mutex> lock(mu_);
-  std::vector<ConnectionInfo> infos;
-  infos.reserve(active_conns_.size());
-  for (const auto& [fd, conn] : active_conns_) {
-    ConnectionInfo info;
-    info.id = conn.id;
-    info.age_ms = ElapsedMs(conn.connected_at, now);
-    info.idle_ms = ElapsedMs(conn.last_activity, now);
-    info.bytes_in = conn.bytes_in;
-    info.bytes_out = conn.bytes_out;
-    info.rpcs = conn.rpcs;
-    infos.push_back(info);
-  }
-  std::sort(infos.begin(), infos.end(),
-            [](const ConnectionInfo& a, const ConnectionInfo& b) {
-              return a.id < b.id;
-            });
-  return infos;
+  return endpoint_.connections();
 }
 
-void Server::AcceptLoop() {
-  while (!stopping_.load()) {
-    auto accepted = TcpAccept(listen_fd_.get());
-    if (!accepted.ok()) {
-      if (stopping_.load()) return;
-      continue;  // transient accept failure (e.g. EMFILE burst)
-    }
-    UniqueFd fd = std::move(*accepted);
-    (void)SetTcpNoDelay(fd.get());
-
-    std::lock_guard<std::mutex> lock(mu_);
-    ++connections_accepted_;
-    if (stopping_.load() || active_conns_.size() >= connection_cap_) {
-      // Connection-level shedding: answer with the same wire status an
-      // admission shed produces, so one client backoff path covers both.
-      ++connections_shed_;
-      const Status shed = Status::ResourceExhausted(
-          "server at connection capacity (" +
-          std::to_string(connection_cap_) + "); retry later");
-      (void)WriteFrame(
-          fd.get(), static_cast<uint32_t>(MsgType::kHello) | kResponseFlag,
-          StatusOnlyResponse(shed, options_.shed_retry_after_ms),
-          options_.write_timeout_ms > 0 ? options_.write_timeout_ms : -1);
-      continue;  // fd closes on scope exit
-    }
-    ConnState conn;
-    conn.id = ++next_connection_id_;
-    conn.connected_at = SteadyClock::now();
-    conn.last_activity = conn.connected_at;
-    auto shared = std::make_shared<ConnShared>();
-    shared->id = conn.id;
-    shared->fd = fd.get();
-    conn.shared = shared;
-    active_conns_.emplace(fd.get(), conn);
-    conns_by_id_.emplace(shared->id, shared);
-    // Completed connections leave stale ready futures behind; reap them
-    // while we hold the lock anyway.
-    std::erase_if(connection_futures_, [](std::future<void>& f) {
-      return !f.valid() ||
-             f.wait_for(std::chrono::seconds(0)) == std::future_status::ready;
+void Server::RegisterHandlers() {
+  for (MsgType type :
+       {MsgType::kDirectQuery, MsgType::kClusteringQueryById,
+        MsgType::kClusteringQueryByMap, MsgType::kGetMetaData,
+        MsgType::kMonitorStats, MsgType::kCameraHealth,
+        MsgType::kQueryLoadStats, MsgType::kWalShip, MsgType::kRepSync,
+        MsgType::kSvsFeatureMap, MsgType::kCheckpointFetch}) {
+    endpoint_.Handle(type, [this, type](io::BinaryReader* reader,
+                                        const RpcEndpoint::Call&,
+                                        Status* failure) {
+      return ExecuteRequest(type, reader, failure);
     });
-    connection_futures_.push_back(
-        pool_->Submit([this, raw = fd.Release(), shared]() mutable {
-          HandleConnection(UniqueFd(raw), std::move(shared));
-        }));
   }
-}
-
-void Server::TouchConnection(int fd, uint64_t bytes_in, uint64_t bytes_out,
-                             bool completed_rpc) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = active_conns_.find(fd);
-  if (it == active_conns_.end()) return;
-  it->second.last_activity = SteadyClock::now();
-  it->second.bytes_in += bytes_in;
-  it->second.bytes_out += bytes_out;
-  if (completed_rpc) ++it->second.rpcs;
-}
-
-void Server::HandleConnection(UniqueFd fd, std::shared_ptr<ConnShared> conn) {
-  bool hello_done = false;
-  // The idle clock: any completed request (including kPing) resets it.
-  auto last_activity = SteadyClock::now();
-  while (!stopping_.load()) {
-    auto readable = WaitReadable(fd.get(), options_.idle_poll_ms);
-    if (!readable.ok()) break;
-    if (!*readable) {
-      if (options_.idle_timeout_ms > 0 &&
-          ElapsedMs(last_activity, SteadyClock::now()) >
-              options_.idle_timeout_ms + options_.eviction_grace_ms) {
-        evicted_idle_.fetch_add(1);
-        break;
+  for (MsgType type :
+       {MsgType::kCameraStart, MsgType::kCameraTerminate,
+        MsgType::kIngestFrame, MsgType::kIngestBatch, MsgType::kFlush,
+        MsgType::kSnapshotSave, MsgType::kSnapshotLoad,
+        MsgType::kAdminTune}) {
+    endpoint_.Handle(type, [this, type](io::BinaryReader* reader,
+                                        const RpcEndpoint::Call&,
+                                        Status* failure) {
+      auto token = DecodeIdempotencyToken(reader);
+      if (!token.ok()) {
+        *failure = Status::InvalidArgument("malformed idempotency token: " +
+                                           token.status().message());
+        return StatusOnlyResponse(*failure);
       }
-      continue;  // idle; re-check the stop flag
+      std::string response = DispatchMutating(type, *token, reader, failure);
+      // Wake stats subscriptions once the mutation is acked: the index
+      // version may have advanced (the segment observer already handled
+      // match subscriptions).
+      if (failure->ok()) engine_.OnIndexVersion(system_->index_version());
+      return response;
+    });
+  }
+  // Subscription management is connection-scoped (no idempotency token: a
+  // lost reply costs nothing — subscriptions die with the connection and
+  // re-subscribing is cheap and exact).
+  endpoint_.Handle(MsgType::kSubscribe, [this](io::BinaryReader* reader,
+                                               const RpcEndpoint::Call& call,
+                                               Status* failure) {
+    auto spec = DecodeSubscribeRequest(reader);
+    if (!spec.ok()) {
+      *failure = Status::InvalidArgument("malformed payload: " +
+                                         spec.status().message());
+      return StatusOnlyResponse(*failure);
     }
-    if (!ServeOneRequest(conn, &hello_done)) break;
-    last_activity = SteadyClock::now();
-  }
-  // Push teardown BEFORE the socket closes: `closed` is flipped under
-  // `write_mu`, and every delivery write re-checks it under the same lock,
-  // so no push can land on a recycled fd number.
-  {
-    std::lock_guard<std::mutex> write_lock(conn->write_mu);
-    conn->closed.store(true);
-  }
-  engine_.DropConnection(conn->id);
-  std::lock_guard<std::mutex> lock(mu_);
-  conns_by_id_.erase(conn->id);
-  active_conns_.erase(fd.get());
-  if (active_conns_.empty()) drained_cv_.notify_all();
+    const uint64_t id =
+        engine_.Subscribe(call.conn_id, call.correlation, std::move(*spec));
+    io::BinaryWriter writer;
+    EncodeWireStatus(&writer, {Status::OK(), 0});
+    writer.WriteU64(id);
+    return writer.buffer();
+  });
+  endpoint_.Handle(MsgType::kUnsubscribe, [this](io::BinaryReader* reader,
+                                                 const RpcEndpoint::Call& call,
+                                                 Status* failure) {
+    auto id = reader->ReadU64();
+    if (!id.ok()) {
+      *failure = Status::InvalidArgument("malformed payload: " +
+                                         id.status().message());
+      return StatusOnlyResponse(*failure);
+    }
+    *failure = engine_.Unsubscribe(call.conn_id, *id);
+    return StatusOnlyResponse(*failure);
+  });
+  endpoint_.OnClose(
+      [this](uint64_t conn_id) { engine_.DropConnection(conn_id); });
 }
 
 void Server::DeliveryLoop() {
-  const int64_t write_timeout =
-      options_.write_timeout_ms > 0 ? options_.write_timeout_ms : -1;
   while (!stopping_.load()) {
     if (!engine_.WaitForWork(options_.push_poll_ms > 0 ? options_.push_poll_ms
                                                        : 50)) {
@@ -434,263 +344,20 @@ void Server::DeliveryLoop() {
     }
     for (const uint64_t conn_id : engine_.ConnectionsWithPending()) {
       if (stopping_.load()) break;
-      std::shared_ptr<ConnShared> conn;
-      {
-        std::lock_guard<std::mutex> lock(mu_);
-        auto it = conns_by_id_.find(conn_id);
-        if (it != conns_by_id_.end()) conn = it->second;
-      }
-      // A vanished connection is mid-teardown; its handler's DropConnection
-      // reclaims the queues.
-      if (conn == nullptr || !conn->v5.load(std::memory_order_acquire)) {
-        continue;
-      }
-      // Zero-timeout writability probe: a subscriber whose receive window
-      // is full is skipped this round. Its queues keep absorbing events
-      // (dropping oldest past capacity) — backpressure lands on the slow
-      // subscriber alone, never on ingest or on other connections.
-      auto writable = WaitWritable(conn->fd, 0);
-      if (!writable.ok() || !*writable) continue;
-      const std::vector<SubscriptionEngine::Delivery> deliveries =
-          engine_.Drain(conn_id);
-      if (deliveries.empty()) continue;
-      std::vector<std::string> frames;
-      frames.reserve(deliveries.size());
       uint64_t gaps = 0;
-      uint64_t bytes_out = 0;
-      for (const SubscriptionEngine::Delivery& delivery : deliveries) {
-        io::BinaryWriter writer;
-        EncodePushEvent(&writer, delivery.event);
-        if (delivery.event.kind == PushKind::kGap) ++gaps;
-        frames.push_back(
-            EncodeFrameV5(static_cast<uint32_t>(MsgType::kPushEvent),
-                          delivery.correlation, writer.buffer()));
-        bytes_out += frames.back().size();
-      }
-      Status written = Status::OK();
-      bool conn_gone = false;
-      {
-        std::lock_guard<std::mutex> write_lock(conn->write_mu);
-        if (conn->closed.load()) {
-          conn_gone = true;  // drained events die with the connection
-        } else {
-          // The probe said writable, so this write normally completes
-          // without blocking; a peer that stalls mid-frame still runs into
-          // the write deadline and is evicted — never a torn frame.
-          written = WriteEncodedFrames(conn->fd, frames, write_timeout);
-          if (!written.ok()) ::shutdown(conn->fd, SHUT_RDWR);
+      const size_t sent = endpoint_.Push(conn_id, [&] {
+        std::vector<SubscriptionEngine::Delivery> deliveries =
+            engine_.Drain(conn_id);
+        for (const SubscriptionEngine::Delivery& delivery : deliveries) {
+          if (delivery.event.kind == PushKind::kGap) ++gaps;
         }
-      }
-      if (conn_gone) continue;
-      if (!written.ok()) {
-        if (written.code() == StatusCode::kUnavailable) {
-          evicted_slow_.fetch_add(1);
-        }
-        continue;  // the handler notices the shutdown and tears down
-      }
-      pushes_sent_.fetch_add(deliveries.size());
+        return deliveries;
+      });
+      if (sent == 0) continue;
+      pushes_sent_.fetch_add(sent);
       push_gaps_sent_.fetch_add(gaps);
-      TouchConnection(conn->fd, 0, bytes_out, false);
     }
   }
-}
-
-bool Server::ServeOneRequest(const std::shared_ptr<ConnShared>& conn,
-                             bool* hello_done) {
-  const int fd = conn->fd;
-  const int64_t read_timeout =
-      options_.read_timeout_ms > 0 ? options_.read_timeout_ms : -1;
-  const int64_t write_timeout =
-      options_.write_timeout_ms > 0 ? options_.write_timeout_ms : -1;
-  // The framing is fixed for the whole request/response exchange: a v5
-  // Hello's own response still travels in legacy framing (the flag flips
-  // only after it is written).
-  const bool v5 = conn->v5.load(std::memory_order_acquire);
-
-  // All writes (responses here, pushes in DeliveryLoop) serialize on the
-  // connection's write lock so frames never interleave mid-frame.
-  auto write_response = [&](uint32_t type, uint64_t correlation,
-                            const std::string& payload) {
-    std::lock_guard<std::mutex> write_lock(conn->write_mu);
-    return v5 ? WriteFrameV5(fd, type, correlation, payload, write_timeout)
-              : WriteFrame(fd, type, payload, write_timeout);
-  };
-
-  // The caller saw the first byte, so the whole frame now has to arrive
-  // within the read deadline — a sender trickling bytes is a slow client.
-  uint64_t correlation = 0;
-  WireFrame request;
-  Status read_status;
-  if (v5) {
-    auto framed = ReadFrameV5(fd, read_timeout);
-    if (framed.ok()) {
-      correlation = framed->correlation;
-      request.type = framed->type;
-      request.payload = std::move(framed->payload);
-    } else {
-      read_status = framed.status();
-    }
-  } else {
-    auto framed = ReadFrame(fd, read_timeout);
-    if (framed.ok()) {
-      request = std::move(*framed);
-    } else {
-      read_status = framed.status();
-    }
-  }
-  if (!read_status.ok()) {
-    if (read_status.code() == StatusCode::kUnavailable) {
-      evicted_slow_.fetch_add(1);
-      return false;  // no response: the peer is not keeping up anyway
-    }
-    // Clean disconnect between frames is the normal end of a connection;
-    // everything else (torn frame, checksum mismatch, unknown type) gets a
-    // best-effort error response before the close. On a v5 connection the
-    // request's correlation never arrived intact, so the error rides
-    // correlation 0 — the client treats that as connection-fatal.
-    if (read_status.code() != StatusCode::kNotFound) {
-      request_errors_.fetch_add(1);
-      (void)write_response(
-          static_cast<uint32_t>(MsgType::kHello) | kResponseFlag, 0,
-          StatusOnlyResponse(read_status, 0));
-    }
-    return false;
-  }
-  if ((request.type & kResponseFlag) != 0 ||
-      request.type == static_cast<uint32_t>(MsgType::kPushEvent)) {
-    request_errors_.fetch_add(1);
-    (void)write_response(request.type | kResponseFlag, correlation,
-                         StatusOnlyResponse(
-                             Status::InvalidArgument(
-                                 "response or push frame sent as request"),
-                             0));
-    return false;
-  }
-
-  Status failure;
-  const std::string response =
-      DispatchRequest(request, conn.get(), correlation, hello_done, &failure);
-  if (failure.ok()) {
-    requests_served_.fetch_add(1);
-  } else {
-    request_errors_.fetch_add(1);
-  }
-  TouchConnection(fd,
-                  v5 ? WireFrameBytesV5(request.payload.size())
-                     : WireFrameBytes(request.payload.size()),
-                  v5 ? WireFrameBytesV5(response.size())
-                     : WireFrameBytes(response.size()),
-                  failure.ok());
-  if (Status s = write_response(request.type | kResponseFlag, correlation,
-                                response);
-      !s.ok()) {
-    // A reader that stopped draining its responses is as stuck as a writer
-    // that stopped sending.
-    if (s.code() == StatusCode::kUnavailable) evicted_slow_.fetch_add(1);
-    return false;
-  }
-  // A successful v5 Hello switches the connection's framing from here on;
-  // the Hello exchange itself always uses the legacy layout.
-  if (!v5 && conn->negotiated_v5) {
-    conn->v5.store(true, std::memory_order_release);
-  }
-  // Wake stats subscriptions when a mutation may have advanced the index
-  // version (the segment observer already handled match subscriptions).
-  if (failure.ok() && IsMutatingType(request.type)) {
-    engine_.OnIndexVersion(system_->index_version());
-  }
-  // A protocol-ordering violation (RPC before Hello, bad version) closes the
-  // connection after the error response; RPC-level failures (unknown camera,
-  // shed query) keep it open.
-  if (!failure.ok() && (failure.code() == StatusCode::kFailedPrecondition &&
-                        !*hello_done)) {
-    return false;
-  }
-  return true;
-}
-
-std::string Server::DispatchRequest(const WireFrame& request, ConnShared* conn,
-                                    uint64_t correlation, bool* hello_done,
-                                    Status* failure) {
-  io::BinaryReader reader(request.payload);
-  const MsgType type = static_cast<MsgType>(request.type);
-
-  if (type == MsgType::kHello) {
-    auto version = reader.ReadU32();
-    if (!version.ok()) {
-      *failure = Status::InvalidArgument("malformed payload: " +
-                                         version.status().message());
-      return StatusOnlyResponse(*failure, 0);
-    }
-    io::BinaryWriter writer;
-    if (*version < kMinProtocolVersion || *version > kProtocolVersion) {
-      *failure = Status::FailedPrecondition(
-          "protocol version mismatch: client speaks v" +
-          std::to_string(*version) + ", server speaks v" +
-          std::to_string(kMinProtocolVersion) + "-v" +
-          std::to_string(kProtocolVersion));
-      EncodeWireStatus(&writer, {*failure, 0});
-    } else {
-      *hello_done = true;
-      // A v4 client keeps the legacy framing for the whole connection; a
-      // v5 client switches after this response is written.
-      conn->negotiated_v5 = *version >= 5;
-      EncodeWireStatus(&writer, {Status::OK(), 0});
-    }
-    writer.WriteU32(kProtocolVersion);
-    return writer.buffer();
-  }
-  if (!*hello_done) {
-    *failure =
-        Status::FailedPrecondition("first message must be Hello");
-    return StatusOnlyResponse(*failure, 0);
-  }
-
-  // Subscription management is connection-scoped (no idempotency token: a
-  // lost reply costs nothing — subscriptions die with the connection and
-  // re-subscribing is cheap and exact).
-  if (type == MsgType::kSubscribe) {
-    auto spec = DecodeSubscribeRequest(&reader);
-    if (!spec.ok()) {
-      *failure = Status::InvalidArgument("malformed payload: " +
-                                         spec.status().message());
-      return StatusOnlyResponse(*failure, 0);
-    }
-    if (!conn->v5.load(std::memory_order_acquire)) {
-      *failure = Status::FailedPrecondition(
-          "Subscribe requires protocol v5: push frames are multiplexed by "
-          "correlation id, which v4 framing cannot carry");
-      return StatusOnlyResponse(*failure, 0);
-    }
-    const uint64_t id = engine_.Subscribe(conn->id, correlation,
-                                          std::move(*spec));
-    io::BinaryWriter writer;
-    EncodeWireStatus(&writer, {Status::OK(), 0});
-    writer.WriteU64(id);
-    return writer.buffer();
-  }
-  if (type == MsgType::kUnsubscribe) {
-    auto id = reader.ReadU64();
-    if (!id.ok()) {
-      *failure = Status::InvalidArgument("malformed payload: " +
-                                         id.status().message());
-      return StatusOnlyResponse(*failure, 0);
-    }
-    const Status cancelled = engine_.Unsubscribe(conn->id, *id);
-    if (!cancelled.ok()) *failure = cancelled;
-    return StatusOnlyResponse(cancelled, 0);
-  }
-
-  if (IsMutatingType(request.type)) {
-    auto token = DecodeIdempotencyToken(&reader);
-    if (!token.ok()) {
-      *failure = Status::InvalidArgument("malformed idempotency token: " +
-                                         token.status().message());
-      return StatusOnlyResponse(*failure, 0);
-    }
-    return DispatchMutating(type, *token, &reader, failure);
-  }
-  return ExecuteRequest(type, &reader, failure);
 }
 
 std::string Server::DispatchMutating(MsgType type,
@@ -720,12 +387,12 @@ std::string Server::DispatchMutating(MsgType type,
             // refused too (never acked off a retried fsync).
             RecordDiskFault(durable, /*from_fsync=*/true, /*counted=*/false);
             *failure = durable;
-            return StatusOnlyResponse(*failure, 0);
+            return StatusOnlyResponse(*failure);
           }
           if (options_.sync_replication) {
             if (Status shipped = WaitShipped(cached.lsn); !shipped.ok()) {
               *failure = shipped;
-              return StatusOnlyResponse(*failure, 0);
+              return StatusOnlyResponse(*failure);
             }
           }
         }
@@ -738,7 +405,7 @@ std::string Server::DispatchMutating(MsgType type,
             "duplicate sequence " + std::to_string(token.sequence) +
             " is older than the dedup window; exactly-once cannot be "
             "guaranteed");
-        return StatusOnlyResponse(*failure, 0);
+        return StatusOnlyResponse(*failure);
       }
       if (session->executing.count(token.sequence) != 0) {
         // The original is still running (the client timed out and retried
@@ -794,7 +461,7 @@ std::string Server::DispatchMutating(MsgType type,
         RecordDiskFault(appended.status(), /*from_fsync=*/false,
                         /*counted=*/false);
         *failure = appended.status();
-        response = StatusOnlyResponse(*failure, 0);
+        response = StatusOnlyResponse(*failure);
       } else {
         lsn = *appended;
       }
@@ -821,12 +488,12 @@ std::string Server::DispatchMutating(MsgType type,
       // acked — refuse it and flip the server read-only.
       RecordDiskFault(durable, /*from_fsync=*/true, /*counted=*/false);
       *failure = durable;
-      return StatusOnlyResponse(*failure, 0);
+      return StatusOnlyResponse(*failure);
     }
     if (options_.sync_replication) {
       if (Status shipped = WaitShipped(lsn); !shipped.ok()) {
         *failure = shipped;
-        return StatusOnlyResponse(*failure, 0);
+        return StatusOnlyResponse(*failure);
       }
     }
   }
@@ -914,28 +581,10 @@ std::string Server::ExecuteRequest(MsgType type, io::BinaryReader* reader_ptr,
   auto malformed = [&](const Status& status) {
     *failure = Status::InvalidArgument("malformed payload: " +
                                        status.message());
-    return StatusOnlyResponse(*failure, 0);
+    return StatusOnlyResponse(*failure);
   };
 
   switch (type) {
-    case MsgType::kCameraStart:
-    case MsgType::kCameraTerminate:
-    case MsgType::kIngestFrame:
-    case MsgType::kIngestBatch:
-    case MsgType::kFlush:
-    case MsgType::kSnapshotSave:
-    case MsgType::kSnapshotLoad:
-    case MsgType::kAdminTune: {
-      // Mutating RPCs normally arrive through DispatchMutating (which
-      // holds the state lock across execute + log); this path only serves
-      // callers that bypass the token preamble.
-      std::unique_lock<std::shared_mutex> lock(state_mu_);
-      return ExecuteMutating(type, &reader, failure);
-    }
-    case MsgType::kPing: {
-      pings_served_.fetch_add(1);
-      return StatusOnlyResponse(Status::OK(), 0);
-    }
     case MsgType::kDirectQuery: {
       auto feature = DecodeFeatureVector(&reader);
       if (!feature.ok()) return malformed(feature.status());
@@ -1069,7 +718,7 @@ std::string Server::ExecuteRequest(MsgType type, io::BinaryReader* reader_ptr,
       if (wal_ == nullptr) {
         *failure = Status::FailedPrecondition(
             "server runs without a WAL; nothing to ship");
-        return StatusOnlyResponse(*failure, 0);
+        return StatusOnlyResponse(*failure);
       }
       // Fencing: a caller announcing a NEWER epoch proves a failover
       // happened that this server never saw — it has been demoted, and
@@ -1083,7 +732,7 @@ std::string Server::ExecuteRequest(MsgType type, io::BinaryReader* reader_ptr,
             std::to_string(request->epoch) + " but this server is at " +
             std::to_string(server_epoch) +
             " — it was demoted by a failover it never saw");
-        return StatusOnlyResponse(*failure, 0);
+        return StatusOnlyResponse(*failure);
       }
       // The from LSN is a windowed ack: the caller has durably applied
       // everything at or below it. Release sync-replication waiters.
@@ -1159,7 +808,7 @@ std::string Server::ExecuteRequest(MsgType type, io::BinaryReader* reader_ptr,
       if (wal_ == nullptr) {
         *failure = Status::FailedPrecondition(
             "server runs without a WAL; no checkpoints to fetch");
-        return StatusOnlyResponse(*failure, 0);
+        return StatusOnlyResponse(*failure);
       }
       // The shared state lock excludes a concurrent CheckpointLocked (which
       // runs under the exclusive lock), so the pair we validate cannot be
@@ -1168,7 +817,7 @@ std::string Server::ExecuteRequest(MsgType type, io::BinaryReader* reader_ptr,
       auto lsns = io::ListWalCheckpointLsns(options_.wal_dir, env_);
       if (!lsns.ok()) {
         *failure = lsns.status();
-        return StatusOnlyResponse(*failure, 0);
+        return StatusOnlyResponse(*failure);
       }
       for (auto it = lsns->rbegin(); it != lsns->rend(); ++it) {
         // Validate through the same loaders recovery uses: only a pair the
@@ -1198,18 +847,14 @@ std::string Server::ExecuteRequest(MsgType type, io::BinaryReader* reader_ptr,
         return writer.buffer();
       }
       *failure = Status::NotFound("no valid checkpoint pair to fetch");
-      return StatusOnlyResponse(*failure, 0);
+      return StatusOnlyResponse(*failure);
     }
-    case MsgType::kHello:
-    case MsgType::kSubscribe:
-    case MsgType::kUnsubscribe:
-      break;  // handled before dispatch (they need connection identity)
-    case MsgType::kPushEvent:
-      break;  // server->client only; rejected before dispatch
+    default:
+      break;
   }
   *failure = Status::Unimplemented("unhandled message type " +
                                    std::to_string(static_cast<uint32_t>(type)));
-  return StatusOnlyResponse(*failure, 0);
+  return StatusOnlyResponse(*failure);
 }
 
 std::string Server::ExecuteMutating(MsgType type, io::BinaryReader* reader_ptr,
@@ -1218,7 +863,7 @@ std::string Server::ExecuteMutating(MsgType type, io::BinaryReader* reader_ptr,
   auto malformed = [&](const Status& status) {
     *failure = Status::InvalidArgument("malformed payload: " +
                                        status.message());
-    return StatusOnlyResponse(*failure, 0);
+    return StatusOnlyResponse(*failure);
   };
 
   switch (type) {
@@ -1226,19 +871,19 @@ std::string Server::ExecuteMutating(MsgType type, io::BinaryReader* reader_ptr,
       auto camera = reader.ReadString();
       if (!camera.ok()) return malformed(camera.status());
       *failure = system_->CameraStart(*camera);
-      return StatusOnlyResponse(*failure, 0);
+      return StatusOnlyResponse(*failure);
     }
     case MsgType::kCameraTerminate: {
       auto camera = reader.ReadString();
       if (!camera.ok()) return malformed(camera.status());
       *failure = system_->CameraTerminate(*camera);
-      return StatusOnlyResponse(*failure, 0);
+      return StatusOnlyResponse(*failure);
     }
     case MsgType::kIngestFrame: {
       auto frame = DecodeFrameObservation(&reader);
       if (!frame.ok()) return malformed(frame.status());
       *failure = system_->IngestFrame(*frame);
-      return StatusOnlyResponse(*failure, 0);
+      return StatusOnlyResponse(*failure);
     }
     case MsgType::kIngestBatch: {
       // N frames per RPC, one token, one WAL record. Per-frame failures
@@ -1271,12 +916,12 @@ std::string Server::ExecuteMutating(MsgType type, io::BinaryReader* reader_ptr,
               static_cast<uint32_t>(core::IndexMode::kFlat)) {
         *failure = Status::InvalidArgument(
             "unknown index mode " + std::to_string(*request->index_mode));
-        return StatusOnlyResponse(*failure, 0);
+        return StatusOnlyResponse(*failure);
       }
       if (request->boundary_scale.has_value() &&
           !(*request->boundary_scale > 0.0)) {
         *failure = Status::InvalidArgument("boundary scale must be > 0");
-        return StatusOnlyResponse(*failure, 0);
+        return StatusOnlyResponse(*failure);
       }
       // Validation above, application below: a refused request changes
       // nothing (the knobs apply atomically as a set or not at all, except
@@ -1301,7 +946,7 @@ std::string Server::ExecuteMutating(MsgType type, io::BinaryReader* reader_ptr,
         }
         if (Status s = system_->SetInterGroupCount(k); !s.ok()) {
           *failure = s;
-          return StatusOnlyResponse(*failure, 0);
+          return StatusOnlyResponse(*failure);
         }
       }
       if (request->intra_cluster_count.has_value()) {
@@ -1311,7 +956,7 @@ std::string Server::ExecuteMutating(MsgType type, io::BinaryReader* reader_ptr,
         }
         if (Status s = system_->SetIntraClusterCount(k); !s.ok()) {
           *failure = s;
-          return StatusOnlyResponse(*failure, 0);
+          return StatusOnlyResponse(*failure);
         }
       }
       AdminTuneReply reply;
@@ -1330,7 +975,7 @@ std::string Server::ExecuteMutating(MsgType type, io::BinaryReader* reader_ptr,
     }
     case MsgType::kFlush: {
       *failure = system_->Flush();
-      return StatusOnlyResponse(*failure, 0);
+      return StatusOnlyResponse(*failure);
     }
     case MsgType::kSnapshotSave: {
       auto path = reader.ReadString();
@@ -1340,7 +985,7 @@ std::string Server::ExecuteMutating(MsgType type, io::BinaryReader* reader_ptr,
                              failure->code() == StatusCode::kResourceExhausted)) {
         RecordDiskFault(*failure, /*from_fsync=*/false);
       }
-      return StatusOnlyResponse(*failure, 0);
+      return StatusOnlyResponse(*failure);
     }
     case MsgType::kSnapshotLoad: {
       auto path = reader.ReadString();
@@ -1361,7 +1006,7 @@ std::string Server::ExecuteMutating(MsgType type, io::BinaryReader* reader_ptr,
   *failure = Status::Unimplemented(
       "not a mutating message type " +
       std::to_string(static_cast<uint32_t>(type)));
-  return StatusOnlyResponse(*failure, 0);
+  return StatusOnlyResponse(*failure);
 }
 
 // --- Durability: recovery, checkpointing, replication. ---

@@ -2,10 +2,8 @@
 #define VZ_NET_SERVER_H_
 
 #include <atomic>
-#include <chrono>
 #include <condition_variable>
 #include <cstdint>
-#include <future>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -16,11 +14,11 @@
 #include <unordered_map>
 #include <vector>
 
-#include "common/socket.h"
 #include "common/status.h"
 #include "common/thread_pool.h"
 #include "core/videozilla.h"
 #include "io/wal.h"
+#include "net/rpc_endpoint.h"
 #include "net/subscription.h"
 #include "net/wire.h"
 
@@ -203,9 +201,10 @@ struct ServerStats {
   bool read_only = false;
 };
 
-/// TCP front end over one `VideoZilla` instance: an accept loop plus
-/// per-connection handlers running on the shared `ThreadPool` (the system's
-/// query pool when it has workers, otherwise a pool owned by the server).
+/// TCP front end over one `VideoZilla` instance: the RPC handlers of an
+/// `RpcEndpoint` whose connection loops run on the shared `ThreadPool` (the
+/// system's query pool when it has workers, otherwise a pool owned by the
+/// server).
 ///
 /// Request handling preserves the library's concurrency contract: queries
 /// and stats reads from different connections run concurrently (shared
@@ -277,7 +276,7 @@ class Server {
   ServerRole role() const;
 
   /// The bound port (valid after a successful `Start`).
-  uint16_t port() const { return port_; }
+  uint16_t port() const { return endpoint_.port(); }
 
   ServerStats stats() const;
 
@@ -285,40 +284,6 @@ class Server {
   std::vector<ConnectionInfo> connection_stats() const;
 
  private:
-  using SteadyClock = std::chrono::steady_clock;
-
-  /// State shared between a connection's handler thread and the delivery
-  /// thread (protocol v5 push path). Held by `shared_ptr` so the delivery
-  /// thread can outlive the registry entry safely: the handler marks
-  /// `closed` under `write_mu` before its socket is destroyed, and every
-  /// delivery write re-checks `closed` under the same lock — a push can
-  /// never land on a recycled fd number.
-  struct ConnShared {
-    uint64_t id = 0;
-    int fd = -1;
-    /// Serializes response writes (handler) against push writes (delivery
-    /// thread). Never held while blocking on anything but the socket.
-    std::mutex write_mu;
-    /// Set once the v5 Hello response has been written; all subsequent
-    /// frames on this connection use v5 framing.
-    std::atomic<bool> v5{false};
-    /// Set by the Hello dispatch; ServeOneRequest flips `v5` after writing
-    /// the Hello response (which itself always uses legacy framing).
-    bool negotiated_v5 = false;
-    std::atomic<bool> closed{false};
-  };
-
-  /// Registry entry of one live connection.
-  struct ConnState {
-    uint64_t id = 0;
-    SteadyClock::time_point connected_at;
-    SteadyClock::time_point last_activity;
-    uint64_t bytes_in = 0;
-    uint64_t bytes_out = 0;
-    uint64_t rpcs = 0;
-    std::shared_ptr<ConnShared> shared;
-  };
-
   /// A cached mutating response plus the WAL LSN that made it durable (0
   /// when the server runs without a WAL, or when the entry was rebuilt
   /// during recovery — then the log already holds it). A duplicate replayed
@@ -347,25 +312,15 @@ class Server {
     uint64_t last_used_tick = 0;
   };
 
-  /// Binds `options().port` and spawns the accept thread.
+  /// Registers the RPC handlers on `endpoint_`.
+  void RegisterHandlers();
+  /// Shutdown (`drain`) and Kill.
+  void Stop(bool drain);
+  /// Starts `endpoint_` on `options().port` and the push-delivery thread.
   Status StartListener();
-  void AcceptLoop();
-  void HandleConnection(UniqueFd fd, std::shared_ptr<ConnShared> conn);
-  /// Serves one already-readable request; false when the connection should
-  /// close (clean disconnect, torn frame, protocol violation, eviction).
-  bool ServeOneRequest(const std::shared_ptr<ConnShared>& conn,
-                       bool* hello_done);
-  /// Builds the response payload for one decoded request. `correlation` is
-  /// the v5 request's correlation id (0 on v4 connections); Subscribe
-  /// registers it as the push-routing key.
-  std::string DispatchRequest(const WireFrame& request, ConnShared* conn,
-                              uint64_t correlation, bool* hello_done,
-                              Status* failure);
-  /// The delivery thread: waits on the subscription engine, probes each
-  /// pending connection for writability (a non-writable socket is simply
-  /// skipped — its queues drop oldest), and writes drained pushes as
-  /// gathered v5 frames. A write that overruns `write_timeout_ms` evicts
-  /// the subscriber as a slow client.
+  /// The delivery thread: waits on the subscription engine and hands each
+  /// pending connection's events to `RpcEndpoint::Push` (a non-writable
+  /// socket is simply skipped — its queues drop oldest).
   void DeliveryLoop();
   /// Runs a tokened mutating request exactly once: replays from the session
   /// window, waits out a concurrent execution of the same sequence, or
@@ -374,7 +329,7 @@ class Server {
   /// is positioned past the token.
   std::string DispatchMutating(MsgType type, const IdempotencyToken& token,
                                io::BinaryReader* reader, Status* failure);
-  /// The RPC switch for token-free requests (queries, stats, ping, ship).
+  /// The RPC switch for token-free requests (queries, stats, ship).
   std::string ExecuteRequest(MsgType type, io::BinaryReader* reader,
                              Status* failure);
   /// The mutating RPC switch proper. Caller holds `state_mu_` exclusively;
@@ -389,8 +344,6 @@ class Server {
   /// duplicate waiters.
   void CacheSessionResponse(Session* session, uint64_t sequence,
                             const std::string& response, uint64_t lsn);
-  void TouchConnection(int fd, uint64_t bytes_in, uint64_t bytes_out,
-                       bool completed_rpc);
 
   // --- Durability. ---
 
@@ -444,11 +397,7 @@ class Server {
   const ServerOptions options_;
   std::unique_ptr<ThreadPool> owned_pool_;  // when the system runs serial
   ThreadPool* pool_ = nullptr;
-  size_t connection_cap_ = 0;
-
-  UniqueFd listen_fd_;
-  uint16_t port_ = 0;
-  std::thread accept_thread_;
+  RpcEndpoint endpoint_;
   std::atomic<bool> stopping_{false};
   bool started_ = false;
 
@@ -462,25 +411,10 @@ class Server {
   std::unordered_map<uint64_t, std::shared_ptr<Session>> sessions_;
   uint64_t session_tick_ = 0;
 
-  mutable std::mutex mu_;  // guards everything below
-  std::condition_variable drained_cv_;
-  std::vector<std::future<void>> connection_futures_;
-  std::unordered_map<int, ConnState> active_conns_;
-  /// Connection id -> shared state, for the delivery thread (which routes
-  /// by the engine's connection ids, not fds).
-  std::unordered_map<uint64_t, std::shared_ptr<ConnShared>> conns_by_id_;
-  uint64_t next_connection_id_ = 0;
-  uint64_t connections_accepted_ = 0;
-  uint64_t connections_shed_ = 0;
-  std::atomic<uint64_t> requests_served_{0};
-  std::atomic<uint64_t> request_errors_{0};
-  std::atomic<uint64_t> evicted_idle_{0};
-  std::atomic<uint64_t> evicted_slow_{0};
   std::atomic<uint64_t> duplicates_replayed_{0};
-  std::atomic<uint64_t> pings_served_{0};
   std::atomic<uint64_t> sessions_evicted_{0};
 
-  // --- Standing-query push state (protocol v5). ---
+  // --- Standing-query push state. ---
 
   SubscriptionEngine engine_;
   std::thread delivery_thread_;

@@ -176,14 +176,16 @@ StatusOr<WireStatus> DecodeWireStatus(io::BinaryReader* reader) {
   return status;
 }
 
-std::string EncodeFrame(uint32_t type, const std::string& payload) {
+std::string EncodeFrame(uint32_t type, uint64_t correlation,
+                        const std::string& payload) {
   io::BinaryWriter writer;
   writer.WriteU32(kWireMagic);
   writer.WriteU32(type);
+  writer.WriteU64(correlation);
   writer.WriteLengthPrefixedBytes(payload);
-  // The CRC covers everything after the magic: type, length and payload.
-  // A flipped bit in the framing fields is then as detectable as one in the
-  // payload.
+  // The CRC covers everything after the magic — type, correlation, length
+  // and payload — so a flipped bit in any framing field is as detectable as
+  // one in the payload.
   writer.WriteU32(
       Crc32(writer.buffer().data() + sizeof(uint32_t),
             writer.buffer().size() - sizeof(uint32_t)));
@@ -199,6 +201,8 @@ StatusOr<WireFrame> DecodeFrame(io::BinaryReader* reader) {
   const size_t crc_begin = reader->position();
   auto type = reader->ReadU32();
   if (!type.ok()) return Status::DataLoss("truncated frame header");
+  auto correlation = reader->ReadU64();
+  if (!correlation.ok()) return Status::DataLoss("truncated frame header");
   auto length = reader->ReadU64();
   if (!length.ok()) return Status::DataLoss("truncated frame header");
   if (*length > kMaxPayloadBytes) {
@@ -223,13 +227,14 @@ StatusOr<WireFrame> DecodeFrame(io::BinaryReader* reader) {
   }
   WireFrame frame;
   frame.type = *type;
+  frame.correlation = *correlation;
   frame.payload = reader->data().substr(payload_begin, *length);
   return frame;
 }
 
-Status WriteFrame(int fd, uint32_t type, const std::string& payload,
-                  int64_t timeout_ms) {
-  const std::string bytes = EncodeFrame(type, payload);
+Status WriteFrame(int fd, uint32_t type, uint64_t correlation,
+                  const std::string& payload, int64_t timeout_ms) {
+  const std::string bytes = EncodeFrame(type, correlation, payload);
   return SendAll(fd, bytes.data(), bytes.size(), timeout_ms);
 }
 
@@ -245,14 +250,15 @@ StatusOr<WireFrame> ReadFrame(int fd, int64_t timeout_ms) {
             .count();
     return std::max<int64_t>(0, timeout_ms - elapsed);
   };
-  // Fixed-size prologue first: magic, type, payload length.
-  char header[sizeof(uint32_t) * 2 + sizeof(uint64_t)];
+  // Fixed-size prologue: magic, type, correlation, payload length.
+  char header[sizeof(uint32_t) * 2 + sizeof(uint64_t) * 2];
   VZ_RETURN_IF_ERROR(RecvExact(fd, header, sizeof(header), remaining()));
   uint32_t magic, type;
-  uint64_t length;
+  uint64_t correlation, length;
   std::memcpy(&magic, header, sizeof(magic));
   std::memcpy(&type, header + 4, sizeof(type));
-  std::memcpy(&length, header + 8, sizeof(length));
+  std::memcpy(&correlation, header + 8, sizeof(correlation));
+  std::memcpy(&length, header + 16, sizeof(length));
   if (magic != kWireMagic) {
     return Status::InvalidArgument("bad frame magic");
   }
@@ -285,125 +291,6 @@ StatusOr<WireFrame> ReadFrame(int fd, int64_t timeout_ms) {
                                    std::to_string(type));
   }
   WireFrame frame;
-  frame.type = type;
-  frame.payload = std::move(payload);
-  return frame;
-}
-
-std::string EncodeFrameV5(uint32_t type, uint64_t correlation,
-                          const std::string& payload) {
-  io::BinaryWriter writer;
-  writer.WriteU32(kWireMagicV5);
-  writer.WriteU32(type);
-  writer.WriteU64(correlation);
-  writer.WriteLengthPrefixedBytes(payload);
-  // As in the legacy layout, the CRC covers everything after the magic —
-  // type, correlation, length and payload — so a flipped bit in any framing
-  // field is detected.
-  writer.WriteU32(
-      Crc32(writer.buffer().data() + sizeof(uint32_t),
-            writer.buffer().size() - sizeof(uint32_t)));
-  return writer.buffer();
-}
-
-StatusOr<WireFrameV5> DecodeFrameV5(io::BinaryReader* reader) {
-  auto magic = reader->ReadU32();
-  if (!magic.ok()) return Status::DataLoss("truncated frame header");
-  if (*magic != kWireMagicV5) {
-    return Status::InvalidArgument("bad frame magic");
-  }
-  const size_t crc_begin = reader->position();
-  auto type = reader->ReadU32();
-  if (!type.ok()) return Status::DataLoss("truncated frame header");
-  auto correlation = reader->ReadU64();
-  if (!correlation.ok()) return Status::DataLoss("truncated frame header");
-  auto length = reader->ReadU64();
-  if (!length.ok()) return Status::DataLoss("truncated frame header");
-  if (*length > kMaxPayloadBytes) {
-    return Status::InvalidArgument("oversized frame payload");
-  }
-  if (*length > reader->remaining()) {
-    return Status::DataLoss("truncated frame payload");
-  }
-  const size_t payload_begin = reader->position();
-  (void)reader->Skip(*length);  // bounds just checked
-  auto expected_crc = reader->ReadU32();
-  if (!expected_crc.ok()) return Status::DataLoss("truncated frame checksum");
-  const uint32_t actual_crc =
-      Crc32(reader->data().data() + crc_begin,
-            payload_begin - crc_begin + *length);
-  if (actual_crc != *expected_crc) {
-    return Status::DataLoss("frame checksum mismatch");
-  }
-  if (!IsKnownMessageType(*type)) {
-    return Status::InvalidArgument("unknown message type " +
-                                   std::to_string(*type));
-  }
-  WireFrameV5 frame;
-  frame.type = *type;
-  frame.correlation = *correlation;
-  frame.payload = reader->data().substr(payload_begin, *length);
-  return frame;
-}
-
-Status WriteFrameV5(int fd, uint32_t type, uint64_t correlation,
-                    const std::string& payload, int64_t timeout_ms) {
-  const std::string bytes = EncodeFrameV5(type, correlation, payload);
-  return SendAll(fd, bytes.data(), bytes.size(), timeout_ms);
-}
-
-StatusOr<WireFrameV5> ReadFrameV5(int fd, int64_t timeout_ms) {
-  // One deadline for the whole frame, exactly as in ReadFrame.
-  const auto start = std::chrono::steady_clock::now();
-  auto remaining = [&]() -> int64_t {
-    if (timeout_ms < 0) return -1;
-    const int64_t elapsed =
-        std::chrono::duration_cast<std::chrono::milliseconds>(
-            std::chrono::steady_clock::now() - start)
-            .count();
-    return std::max<int64_t>(0, timeout_ms - elapsed);
-  };
-  // Fixed-size prologue: magic, type, correlation, payload length.
-  char header[sizeof(uint32_t) * 2 + sizeof(uint64_t) * 2];
-  VZ_RETURN_IF_ERROR(RecvExact(fd, header, sizeof(header), remaining()));
-  uint32_t magic, type;
-  uint64_t correlation, length;
-  std::memcpy(&magic, header, sizeof(magic));
-  std::memcpy(&type, header + 4, sizeof(type));
-  std::memcpy(&correlation, header + 8, sizeof(correlation));
-  std::memcpy(&length, header + 16, sizeof(length));
-  if (magic != kWireMagicV5) {
-    return Status::InvalidArgument("bad frame magic");
-  }
-  if (length > kMaxPayloadBytes) {
-    return Status::InvalidArgument("oversized frame payload");
-  }
-  std::string payload(length, '\0');
-  if (length > 0) {
-    Status s = RecvExact(fd, payload.data(), payload.size(), remaining());
-    if (!s.ok()) {
-      return s.code() == StatusCode::kNotFound
-                 ? Status::DataLoss("connection closed mid-frame")
-                 : s;
-    }
-  }
-  uint32_t expected_crc;
-  Status s = RecvExact(fd, &expected_crc, sizeof(expected_crc), remaining());
-  if (!s.ok()) {
-    return s.code() == StatusCode::kNotFound
-               ? Status::DataLoss("connection closed mid-frame")
-               : s;
-  }
-  uint32_t crc = Crc32Update(0, header + 4, sizeof(header) - 4);
-  crc = Crc32Update(crc, payload.data(), payload.size());
-  if (crc != expected_crc) {
-    return Status::DataLoss("frame checksum mismatch");
-  }
-  if (!IsKnownMessageType(type)) {
-    return Status::InvalidArgument("unknown message type " +
-                                   std::to_string(type));
-  }
-  WireFrameV5 frame;
   frame.type = type;
   frame.correlation = correlation;
   frame.payload = std::move(payload);

@@ -25,12 +25,19 @@ namespace vz::net {
 /// service"). Every message travels as one length-prefixed, CRC32-framed
 /// frame:
 ///
-///   u32 magic ("VZRP") | u32 type | u64+bytes payload (length-prefixed) |
-///   u32 crc
+///   u32 magic ("VZR5") | u32 type | u64 correlation |
+///   u64+bytes payload (length-prefixed) | u32 crc
 ///
-/// The CRC covers type, payload length and payload bytes, so a bit flip
-/// anywhere in a frame (including in the framing fields themselves) is
-/// detected. Payloads are encoded with `io::BinaryWriter` — the same
+/// The correlation id ties a response to its request, so one connection can
+/// carry concurrent in-flight RPCs; `kPushEvent` frames arrive
+/// asynchronously, tagged with the correlation id of the `kSubscribe` call
+/// that registered the standing query. Correlation 0 is reserved for
+/// connection-level frames: the Hello and its reply, a connection-level
+/// shed, and the reply to a frame the server could not read.
+///
+/// The CRC covers type, correlation, payload length and payload bytes, so a
+/// bit flip anywhere in a frame (including in the framing fields themselves)
+/// is detected. Payloads are encoded with `io::BinaryWriter` — the same
 /// little-endian primitives as the snapshot format — and decoded by
 /// overflow-safe `io::BinaryReader` accessors, so a corrupted length can
 /// never turn into a wild read or a giant allocation.
@@ -44,15 +51,9 @@ namespace vz::net {
 /// Neither case may crash, hang, or desync subsequent frames sharing the
 /// buffer: a successful decode always consumes exactly one frame.
 
-inline constexpr uint32_t kWireMagic = 0x565A5250;  // "VZRP"
+inline constexpr uint32_t kWireMagic = 0x565A5235;  // "VZR5"
 
-/// Magic of the v5 multiplexed frame layout (see below). A distinct magic
-/// keeps the two layouts unambiguous at the byte level: a buffer can never
-/// parse as both, so the fuzzer and any frame-level tooling need no
-/// out-of-band framing hint.
-inline constexpr uint32_t kWireMagicV5 = 0x565A5235;  // "VZR5"
-
-/// Protocol version, negotiated by the Hello exchange: the client announces
+/// Protocol version, checked by the Hello exchange: the client announces
 /// its version, the server accepts only an exact match and always reports
 /// its own version in the HelloAck so mismatched clients can print a useful
 /// error.
@@ -75,25 +76,16 @@ inline constexpr uint32_t kWireMagicV5 = 0x565A5235;  // "VZR5"
 /// primary — and the Monitor reply's serving stats carry a coordinator's
 /// per-shard health table.
 ///
-/// v5: multiplexed framing and server push. After a v5 Hello (which still
-/// travels in the legacy layout, so negotiation itself is
-/// version-independent) both sides switch to the v5 frame layout:
+/// v5: multiplexed framing (the correlation-id layout above, then used only
+/// after a Hello in an older lock-step layout) and server push. New RPCs:
+/// `kSubscribe` / `kUnsubscribe` (standing queries with server-push match
+/// and stats delivery), `kIngestBatch` (N frames per RPC), and `kAdminTune`
+/// (live index-mode administration).
 ///
-///   u32 magic ("VZR5") | u32 type | u64 correlation | u64+bytes payload |
-///   u32 crc
-///
-/// The correlation id ties a response to its request, so one connection can
-/// carry concurrent in-flight RPCs; `kPushEvent` frames arrive
-/// asynchronously, tagged with the correlation id of the `kSubscribe` call
-/// that registered the standing query. New RPCs: `kSubscribe` /
-/// `kUnsubscribe` (standing queries with server-push match and stats
-/// delivery), `kIngestBatch` (N frames per RPC), and `kAdminTune` (live
-/// index-mode administration). A server accepts v4 *or* v5 Hellos and keeps
-/// the legacy one-frame-at-a-time layout for v4 peers.
-inline constexpr uint32_t kProtocolVersion = 5;
-
-/// The oldest client protocol version a v5 server still serves.
-inline constexpr uint32_t kMinProtocolVersion = 4;
+/// v6: one frame layout. The Hello and every connection-level frame use the
+/// correlation-id layout too, and the lock-step layout is gone; every frame
+/// other than the Hello is byte-identical to v5.
+inline constexpr uint32_t kProtocolVersion = 6;
 
 /// Upper bound on a frame payload; a length field beyond this is rejected
 /// before any allocation (it is either corruption the CRC would also catch
@@ -159,7 +151,7 @@ enum class MsgType : uint32_t {
   /// are operator state, not corpus state, and must not replay into a
   /// recovered server that the operator never retuned.
   kAdminTune = 23,
-  /// Asynchronous server→client push (v5 only): a match, stats update, or
+  /// Asynchronous server→client push (v5): a match, stats update, or
   /// gap marker for one subscription. Never a request; never acknowledged.
   kPushEvent = 24,
 };
@@ -208,14 +200,19 @@ struct WireStatus {
 void EncodeWireStatus(io::BinaryWriter* writer, const WireStatus& status);
 StatusOr<WireStatus> DecodeWireStatus(io::BinaryReader* reader);
 
-/// One decoded frame.
+/// One decoded frame: type, correlation id, payload. For responses the
+/// correlation id echoes the request's; for `kPushEvent` it names the
+/// subscription's originating `kSubscribe` call.
 struct WireFrame {
   uint32_t type = 0;
+  uint64_t correlation = 0;
   std::string payload;
 };
 
-/// Encodes one frame (header, length-prefixed payload, CRC).
-std::string EncodeFrame(uint32_t type, const std::string& payload);
+/// Encodes one frame (magic, type, correlation, length-prefixed payload,
+/// CRC over everything after the magic).
+std::string EncodeFrame(uint32_t type, uint64_t correlation,
+                        const std::string& payload);
 
 /// Decodes exactly one frame from `reader` (which may hold a whole stream of
 /// concatenated frames). See the failure taxonomy above.
@@ -228,54 +225,22 @@ StatusOr<WireFrame> DecodeFrame(io::BinaryReader* reader);
 /// the supervision signal for slow, stalled or blackholed peers. A trickled
 /// header counts against the same budget as the payload, so a slow-loris
 /// sender cannot hold a connection open indefinitely.
-Status WriteFrame(int fd, uint32_t type, const std::string& payload,
-                  int64_t timeout_ms = -1);
+Status WriteFrame(int fd, uint32_t type, uint64_t correlation,
+                  const std::string& payload, int64_t timeout_ms = -1);
 StatusOr<WireFrame> ReadFrame(int fd, int64_t timeout_ms = -1);
 
-/// Bytes `EncodeFrame` produces for a payload of `payload_bytes`: magic,
-/// type, length prefix, payload, CRC. Used by the serving layer's
-/// per-connection byte accounting.
-inline constexpr uint64_t WireFrameBytes(uint64_t payload_bytes) {
-  return sizeof(uint32_t) * 2 + sizeof(uint64_t) + payload_bytes +
-         sizeof(uint32_t);
-}
-
-// --- v5 multiplexed framing. ---
-
-/// One decoded v5 frame: type, correlation id, payload. For responses the
-/// correlation id echoes the request's; for `kPushEvent` it names the
-/// subscription's originating `kSubscribe` call.
-struct WireFrameV5 {
-  uint32_t type = 0;
-  uint64_t correlation = 0;
-  std::string payload;
-};
-
-/// Encodes one v5 frame (magic "VZR5", type, correlation, length-prefixed
-/// payload, CRC over everything after the magic).
-std::string EncodeFrameV5(uint32_t type, uint64_t correlation,
-                          const std::string& payload);
-
-/// Decodes exactly one v5 frame from `reader`. Same failure taxonomy as
-/// `DecodeFrame`; a legacy "VZRP" magic is `kInvalidArgument` (whole but
-/// alien), not data loss.
-StatusOr<WireFrameV5> DecodeFrameV5(io::BinaryReader* reader);
-
-/// Socket-level v5 frame I/O, with the same deadline and error semantics as
-/// `WriteFrame`/`ReadFrame`.
-Status WriteFrameV5(int fd, uint32_t type, uint64_t correlation,
-                    const std::string& payload, int64_t timeout_ms = -1);
-StatusOr<WireFrameV5> ReadFrameV5(int fd, int64_t timeout_ms = -1);
-
-/// Gathered write of pre-encoded frames (v4 or v5 — the bytes already carry
-/// their layout): one sendmsg-backed burst instead of one syscall per frame.
-/// The push-delivery path drains a subscriber's queue through this.
+/// Gathered write of pre-encoded frames: one sendmsg-backed burst instead
+/// of one syscall per frame. The push-delivery path drains a subscriber's
+/// queue through this.
 Status WriteEncodedFrames(int fd, const std::vector<std::string>& frames,
                           int64_t timeout_ms = -1);
 
-/// Bytes `EncodeFrameV5` produces for a payload of `payload_bytes`.
-inline constexpr uint64_t WireFrameBytesV5(uint64_t payload_bytes) {
-  return WireFrameBytes(payload_bytes) + sizeof(uint64_t);
+/// Bytes `EncodeFrame` produces for a payload of `payload_bytes`: magic,
+/// type, correlation, length prefix, payload, CRC. Used by the serving
+/// layer's per-connection byte accounting.
+inline constexpr uint64_t WireFrameBytes(uint64_t payload_bytes) {
+  return sizeof(uint32_t) * 2 + sizeof(uint64_t) * 2 + payload_bytes +
+         sizeof(uint32_t);
 }
 
 // --- Payload codecs. Every request/response body used by the RPCs. ---

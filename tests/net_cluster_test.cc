@@ -446,5 +446,31 @@ TEST(NetClusterTest, CoordinatorRefusesMutatingAndReplicationRpcs) {
   client.Close();
 }
 
+// The coordinator's Monitor reply describes its own front end — the pings
+// it answered and the client connections it supervises — not the edges'.
+TEST(NetClusterTest, CoordinatorMonitorReportsItsOwnFrontEnd) {
+  sim::Deployment deployment(SmallDeployment());
+  deployment.observations();
+
+  TestCluster cluster(&deployment, 2, SmallSystemOptions());
+  ASSERT_TRUE(cluster.StartEdges().ok());
+  ASSERT_TRUE(cluster.StartCoordinator().ok());
+  auto connected = cluster.Connect(700);
+  ASSERT_TRUE(connected.ok());
+  Client client = std::move(*connected);
+
+  ASSERT_TRUE(client.Ping().ok());
+  auto monitor = client.MonitorStats();
+  ASSERT_TRUE(monitor.ok()) << monitor.status().ToString();
+  EXPECT_GE(monitor->serving.pings_served, 1u);
+  EXPECT_EQ(monitor->serving.connections_accepted, 1u);
+  // This client's connection is the only one, with its Hello and Ping.
+  ASSERT_EQ(monitor->serving.connections.size(), 1u);
+  EXPECT_GE(monitor->serving.connections[0].rpcs, 2u);
+  EXPECT_GT(monitor->serving.connections[0].bytes_in, 0u);
+
+  client.Close();
+}
+
 }  // namespace
 }  // namespace vz::net

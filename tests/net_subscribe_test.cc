@@ -13,8 +13,6 @@
 //   - batched ingest (`kIngestBatch`) is bit-identical to per-frame ingest;
 //   - `kAdminTune` applies the monitor's adjustment ladder live and echoes
 //     the post-apply settings;
-//   - v4 interop: a client pinned to protocol v4 keeps working (legacy
-//     framing, Subscribe refused with kFailedPrecondition);
 //   - coordinator fan-out: a subscription against the coordinator spans
 //     every shard, pushes arrive with global svs ids in dense coordinator
 //     sequences, and an edge index push wakes rep-sync before its interval.
@@ -704,67 +702,6 @@ TEST(SubscribeTest, AdminTuneAppliesAndEchoesSettings) {
   server.Shutdown();
 }
 
-// --- v4 interop: old clients keep working, Subscribe is refused. ---
-
-TEST(SubscribeTest, V4ClientInteroperatesAndSubscribeIsRefused) {
-  sim::Deployment deployment(SmallDeployment());
-  (void)deployment.observations();
-
-  // Control: the same ingest in process.
-  VideoZilla control(SmallSystemOptions());
-  for (const auto& info : deployment.cameras()) {
-    ASSERT_TRUE(control.CameraStart(info.camera).ok());
-  }
-  for (const auto& observation : deployment.observations()) {
-    ASSERT_TRUE(control.IngestFrame(observation).ok());
-  }
-  ASSERT_TRUE(control.Flush().ok());
-
-  VideoZilla system(SmallSystemOptions());
-  Server server(&system, {});
-  ASSERT_TRUE(server.Start().ok());
-
-  ClientOptions v4_options;
-  v4_options.protocol_version = 4;
-  auto v4 = Client::Connect("127.0.0.1", server.port(), v4_options);
-  ASSERT_TRUE(v4.ok()) << v4.status().ToString();
-  EXPECT_EQ(v4->server_protocol_version(), kProtocolVersion);
-
-  // A v4 connection has no demux loop, so push delivery is impossible:
-  // Subscribe is refused locally, before any bytes move.
-  EventSink sink;
-  auto refused = v4->Subscribe(MatchAllQuery(),
-                               [&sink](const PushEvent& e) { sink.Push(e); });
-  ASSERT_FALSE(refused.ok());
-  EXPECT_EQ(refused.status().code(), StatusCode::kFailedPrecondition);
-
-  // Everything else works over legacy framing, bit-identical to in-process.
-  IngestOverWire(&deployment, &*v4);
-  EXPECT_EQ(system.ingest_stats().frames_offered,
-            control.ingest_stats().frames_offered);
-  EXPECT_EQ(system.svs_store().size(), control.svs_store().size());
-
-  // And a v5 client against the same server sees the same corpus.
-  auto v5 = Client::Connect("127.0.0.1", server.port());
-  ASSERT_TRUE(v5.ok());
-  Rng rng(13);
-  const FeatureVector query = deployment.MakeQueryFeature(0, &rng);
-  auto expected = control.DirectQuery(query);
-  ASSERT_TRUE(expected.ok());
-  auto from_v4 = v4->DirectQuery(query);
-  auto from_v5 = v5->DirectQuery(query);
-  ASSERT_TRUE(from_v4.ok());
-  ASSERT_TRUE(from_v5.ok());
-  EXPECT_EQ(from_v4->candidate_svss, expected->candidate_svss);
-  EXPECT_EQ(from_v5->candidate_svss, expected->candidate_svss);
-  EXPECT_EQ(from_v4->matched_svss, expected->matched_svss);
-  EXPECT_EQ(from_v5->matched_svss, expected->matched_svss);
-
-  v4->Close();
-  v5->Close();
-  server.Shutdown();
-}
-
 // --- Coordinator: subscriptions fan out over every shard. ---
 
 /// Frames appended past the deployment's feed end for one camera — new
@@ -848,25 +785,6 @@ TEST(CoordinatorSubscribeTest, FanOutPushesArriveWithGlobalIds) {
   client.Close();
 }
 
-TEST(CoordinatorSubscribeTest, SubscribeRequiresV5AtTheCoordinatorToo) {
-  sim::Deployment deployment(SmallDeployment());
-  (void)deployment.observations();
-  TestCluster cluster(&deployment, 2, SmallSystemOptions());
-  ASSERT_TRUE(cluster.StartEdges().ok());
-  ASSERT_TRUE(cluster.StartCoordinator().ok());
-
-  ClientOptions options;
-  options.protocol_version = 4;
-  auto v4 = Client::Connect("127.0.0.1", cluster.coordinator().port(),
-                            options);
-  ASSERT_TRUE(v4.ok());
-  auto refused =
-      v4->Subscribe(MatchAllQuery(), [](const PushEvent&) {});
-  ASSERT_FALSE(refused.ok());
-  EXPECT_EQ(refused.status().code(), StatusCode::kFailedPrecondition);
-  v4->Close();
-}
-
 TEST(CoordinatorSubscribeTest, AdminTuneFansOutToEveryEdge) {
   sim::Deployment deployment(SmallDeployment());
   (void)deployment.observations();
@@ -905,7 +823,6 @@ TEST(CoordinatorSubscribeTest, RepPushWakesSyncBeforeTheInterval) {
   options.edges = {{"127.0.0.1", edge_server.port()}};
   options.sync_interval_ms = 30'000;  // the interval alone would sleep past
                                       // the whole test
-  options.rep_push = true;
   options.omd = SmallSystemOptions().omd;
   options.inter = SmallSystemOptions().inter;
   Coordinator coordinator(options);

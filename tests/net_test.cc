@@ -3,8 +3,9 @@
 // ingest-then-query round trip must be bit-identical to the same operations
 // in process — plus the serving-specific behaviours: concurrent clients,
 // deadline expiry over the wire, connection- and admission-level shedding
-// with client backoff, protocol-version negotiation, and graceful-shutdown
-// draining of in-flight requests.
+// with client backoff, the Hello version check, and graceful-shutdown
+// draining of in-flight requests. The front-end protocol cases run against
+// an edge server and against a coordinator over one edge.
 #include <gtest/gtest.h>
 
 #include <condition_variable>
@@ -19,6 +20,7 @@
 #include "common/socket.h"
 #include "core/videozilla.h"
 #include "net/client.h"
+#include "net/coordinator.h"
 #include "net/server.h"
 #include "net/wire.h"
 #include "sim/dataset.h"
@@ -477,96 +479,6 @@ TEST(NetTest, GracefulShutdownDrainsInFlightRequest) {
       Client::Connect("127.0.0.1", server.port(), no_retry).ok());
 }
 
-TEST(NetTest, HelloVersionMismatchRejectedWithServerVersion) {
-  Rig rig;
-  Server server(rig.system.get(), {});
-  ASSERT_TRUE(server.Start().ok());
-
-  auto fd = TcpConnect("127.0.0.1", server.port(), 2'000);
-  ASSERT_TRUE(fd.ok());
-  io::BinaryWriter hello;
-  hello.WriteU32(kProtocolVersion + 7);
-  ASSERT_TRUE(WriteFrame(fd->get(), static_cast<uint32_t>(MsgType::kHello),
-                         hello.buffer())
-                  .ok());
-  auto response = ReadFrame(fd->get());
-  ASSERT_TRUE(response.ok());
-  io::BinaryReader reader(response->payload);
-  auto wire_status = DecodeWireStatus(&reader);
-  ASSERT_TRUE(wire_status.ok());
-  EXPECT_EQ(wire_status->status.code(), StatusCode::kFailedPrecondition);
-  // The refusal still reports the server's own version for diagnostics.
-  auto server_version = reader.ReadU32();
-  ASSERT_TRUE(server_version.ok());
-  EXPECT_EQ(*server_version, kProtocolVersion);
-  // The connection is closed after the refusal.
-  auto next = ReadFrame(fd->get());
-  EXPECT_FALSE(next.ok());
-  server.Shutdown();
-}
-
-TEST(NetTest, RpcBeforeHelloRejectedAndConnectionClosed) {
-  Rig rig;
-  Server server(rig.system.get(), {});
-  ASSERT_TRUE(server.Start().ok());
-  auto fd = TcpConnect("127.0.0.1", server.port(), 2'000);
-  ASSERT_TRUE(fd.ok());
-  ASSERT_TRUE(
-      WriteFrame(fd->get(), static_cast<uint32_t>(MsgType::kFlush), "").ok());
-  auto response = ReadFrame(fd->get());
-  ASSERT_TRUE(response.ok());
-  io::BinaryReader reader(response->payload);
-  auto wire_status = DecodeWireStatus(&reader);
-  ASSERT_TRUE(wire_status.ok());
-  EXPECT_EQ(wire_status->status.code(), StatusCode::kFailedPrecondition);
-  EXPECT_FALSE(ReadFrame(fd->get()).ok());
-  server.Shutdown();
-}
-
-TEST(NetTest, MalformedPayloadKeepsConnectionUsable) {
-  Rig rig;
-  ASSERT_TRUE(rig.deployment->IngestAll(rig.system.get()).ok());
-  Server server(rig.system.get(), {});
-  ASSERT_TRUE(server.Start().ok());
-
-  auto fd = TcpConnect("127.0.0.1", server.port(), 2'000);
-  ASSERT_TRUE(fd.ok());
-  // This test speaks legacy framing throughout, so it must negotiate the
-  // lock-step v4 protocol — advertising v5 would switch the server to
-  // correlation-id framing after the Hello.
-  io::BinaryWriter hello;
-  hello.WriteU32(kMinProtocolVersion);
-  ASSERT_TRUE(WriteFrame(fd->get(), static_cast<uint32_t>(MsgType::kHello),
-                         hello.buffer())
-                  .ok());
-  ASSERT_TRUE(ReadFrame(fd->get()).ok());
-
-  // A well-framed request whose payload is garbage: answered with
-  // kInvalidArgument, connection stays open.
-  ASSERT_TRUE(WriteFrame(fd->get(),
-                         static_cast<uint32_t>(MsgType::kDirectQuery),
-                         "\x01garbage")
-                  .ok());
-  auto bad = ReadFrame(fd->get());
-  ASSERT_TRUE(bad.ok());
-  io::BinaryReader bad_reader(bad->payload);
-  auto bad_status = DecodeWireStatus(&bad_reader);
-  ASSERT_TRUE(bad_status.ok());
-  EXPECT_EQ(bad_status->status.code(), StatusCode::kInvalidArgument);
-
-  // The same connection still serves a valid request afterwards.
-  ASSERT_TRUE(
-      WriteFrame(fd->get(), static_cast<uint32_t>(MsgType::kMonitorStats), "")
-          .ok());
-  auto good = ReadFrame(fd->get());
-  ASSERT_TRUE(good.ok());
-  io::BinaryReader good_reader(good->payload);
-  auto good_status = DecodeWireStatus(&good_reader);
-  ASSERT_TRUE(good_status.ok());
-  EXPECT_TRUE(good_status->status.ok());
-  server.Shutdown();
-}
-
 TEST(NetTest, SnapshotSaveAndLoadRoundTripOverWire) {
   const std::string path = TempPath("net_snapshot.vzss");
   Rig source;
@@ -652,14 +564,11 @@ TEST(BackoffTest, JitterShrinksWithinBoundsAndIsSeedDeterministic) {
 
 // --- Idempotency tokens: exactly-once over raw sockets. ---
 
-// Performs the client side of the Hello exchange on a raw socket. The raw
-// tests speak legacy framing throughout, so they negotiate the lock-step
-// v4 protocol — advertising v5 would switch the server to correlation-id
-// framing after the Hello.
+// Performs the client side of the Hello exchange on a raw socket.
 void RawHello(int fd) {
   io::BinaryWriter hello;
-  hello.WriteU32(kMinProtocolVersion);
-  ASSERT_TRUE(WriteFrame(fd, static_cast<uint32_t>(MsgType::kHello),
+  hello.WriteU32(kProtocolVersion);
+  ASSERT_TRUE(WriteFrame(fd, static_cast<uint32_t>(MsgType::kHello), 0,
                          hello.buffer())
                   .ok());
   auto ack = ReadFrame(fd);
@@ -676,7 +585,7 @@ StatusOr<WireFrame> RawTokenedCall(int fd, MsgType type, uint64_t session,
                                    const std::string& body = "") {
   io::BinaryWriter payload;
   EncodeIdempotencyToken(&payload, {session, sequence});
-  VZ_RETURN_IF_ERROR(WriteFrame(fd, static_cast<uint32_t>(type),
+  VZ_RETURN_IF_ERROR(WriteFrame(fd, static_cast<uint32_t>(type), sequence,
                                 payload.buffer() + body));
   return ReadFrame(fd);
 }
@@ -782,7 +691,8 @@ TEST(NetTest, MutatingRpcWithoutTokenRejectedButConnectionSurvives) {
   // v2 requires a token on every mutating request; a bare payload decodes
   // as a malformed token.
   ASSERT_TRUE(
-      WriteFrame(fd->get(), static_cast<uint32_t>(MsgType::kFlush), "").ok());
+      WriteFrame(fd->get(), static_cast<uint32_t>(MsgType::kFlush), 1, "")
+          .ok());
   auto bare = ReadFrame(fd->get());
   ASSERT_TRUE(bare.ok());
   EXPECT_EQ(RawStatusOf(*bare).code(), StatusCode::kInvalidArgument);
@@ -843,29 +753,6 @@ TEST(NetTest, PingKeepsIdleConnectionAliveAndIdleOnesGetEvicted) {
   server.Shutdown();
 }
 
-TEST(NetTest, SlowClientTricklingAFrameIsEvicted) {
-  Rig rig;
-  ServerOptions options;
-  options.read_timeout_ms = 60;
-  options.idle_poll_ms = 5;
-  Server server(rig.system.get(), options);
-  ASSERT_TRUE(server.Start().ok());
-  auto fd = TcpConnect("127.0.0.1", server.port(), 2'000);
-  ASSERT_TRUE(fd.ok());
-  RawHello(fd->get());
-
-  // Send only the first bytes of a valid frame, then stall. Once the first
-  // byte arrived, the whole frame must land within read_timeout_ms; a
-  // slow-loris trickle must not hold the connection open.
-  const std::string frame =
-      EncodeFrame(static_cast<uint32_t>(MsgType::kMonitorStats), "");
-  ASSERT_TRUE(SendAll(fd->get(), frame.data(), 6).ok());
-  auto next = ReadFrame(fd->get(), 2'000);
-  EXPECT_FALSE(next.ok());  // server hung up on us without a response
-  EXPECT_GE(server.stats().connections_evicted_slow, 1u);
-  server.Shutdown();
-}
-
 TEST(NetTest, ConnectionRegistryTracksTrafficAndTravelsInMonitorStats) {
   Rig rig;
   ServerOptions options;
@@ -895,6 +782,148 @@ TEST(NetTest, ConnectionRegistryTracksTrafficAndTravelsInMonitorStats) {
   EXPECT_GT(monitor->serving.connections[0].bytes_in, 0u);
   server.Shutdown();
   EXPECT_EQ(server.stats().connections_active, 0u);
+}
+
+// --- The front-end protocol, against both front ends. ---
+
+enum class FrontEnd { kServer, kCoordinator };
+
+// The rig served through the front end under test: an edge server alone, or
+// a coordinator over that one edge.
+class FrontEndTest : public ::testing::TestWithParam<FrontEnd> {
+ protected:
+  // The read deadline and idle poll apply to the front end under test; an
+  // edge behind the coordinator keeps its defaults.
+  void StartFrontEnd(int64_t read_timeout_ms = 10'000,
+                     int64_t idle_poll_ms = 50) {
+    ServerOptions server_options;
+    if (GetParam() == FrontEnd::kServer) {
+      server_options.read_timeout_ms = read_timeout_ms;
+      server_options.idle_poll_ms = idle_poll_ms;
+    }
+    server_ = std::make_unique<Server>(rig_.system.get(), server_options);
+    ASSERT_TRUE(server_->Start().ok());
+    if (GetParam() == FrontEnd::kServer) return;
+    CoordinatorOptions options;
+    options.edges = {{"127.0.0.1", server_->port()}};
+    options.read_timeout_ms = read_timeout_ms;
+    options.idle_poll_ms = idle_poll_ms;
+    options.sync_interval_ms = 0;
+    options.omd = SmallSystemOptions().omd;
+    options.inter = SmallSystemOptions().inter;
+    coordinator_ = std::make_unique<Coordinator>(options);
+    ASSERT_TRUE(coordinator_->Start().ok());
+  }
+
+  uint16_t port() const {
+    return coordinator_ != nullptr ? coordinator_->port() : server_->port();
+  }
+
+  Rig rig_;
+  std::unique_ptr<Server> server_;
+  // Declared last: shuts down before the edge it talks to.
+  std::unique_ptr<Coordinator> coordinator_;
+};
+
+INSTANTIATE_TEST_SUITE_P(
+    BothFrontEnds, FrontEndTest,
+    ::testing::Values(FrontEnd::kServer, FrontEnd::kCoordinator),
+    [](const ::testing::TestParamInfo<FrontEnd>& info) {
+      return info.param == FrontEnd::kServer ? "Server" : "Coordinator";
+    });
+
+TEST_P(FrontEndTest, HelloVersionMismatchRejectedWithServerVersion) {
+  StartFrontEnd();
+  auto fd = TcpConnect("127.0.0.1", port(), 2'000);
+  ASSERT_TRUE(fd.ok());
+  io::BinaryWriter hello;
+  hello.WriteU32(kProtocolVersion + 7);
+  ASSERT_TRUE(WriteFrame(fd->get(), static_cast<uint32_t>(MsgType::kHello),
+                         0, hello.buffer())
+                  .ok());
+  auto response = ReadFrame(fd->get());
+  ASSERT_TRUE(response.ok());
+  io::BinaryReader reader(response->payload);
+  auto wire_status = DecodeWireStatus(&reader);
+  ASSERT_TRUE(wire_status.ok());
+  EXPECT_EQ(wire_status->status.code(), StatusCode::kFailedPrecondition);
+  // The refusal still reports the server's own version for diagnostics.
+  auto server_version = reader.ReadU32();
+  ASSERT_TRUE(server_version.ok());
+  EXPECT_EQ(*server_version, kProtocolVersion);
+  // The connection is closed after the refusal.
+  auto next = ReadFrame(fd->get());
+  EXPECT_FALSE(next.ok());
+}
+
+TEST_P(FrontEndTest, RpcBeforeHelloRejectedAndConnectionClosed) {
+  StartFrontEnd();
+  auto fd = TcpConnect("127.0.0.1", port(), 2'000);
+  ASSERT_TRUE(fd.ok());
+  ASSERT_TRUE(
+      WriteFrame(fd->get(), static_cast<uint32_t>(MsgType::kFlush), 1, "")
+          .ok());
+  auto response = ReadFrame(fd->get());
+  ASSERT_TRUE(response.ok());
+  io::BinaryReader reader(response->payload);
+  auto wire_status = DecodeWireStatus(&reader);
+  ASSERT_TRUE(wire_status.ok());
+  EXPECT_EQ(wire_status->status.code(), StatusCode::kFailedPrecondition);
+  EXPECT_FALSE(ReadFrame(fd->get()).ok());
+}
+
+TEST_P(FrontEndTest, MalformedPayloadKeepsConnectionUsable) {
+  ASSERT_TRUE(rig_.deployment->IngestAll(rig_.system.get()).ok());
+  StartFrontEnd();
+  auto fd = TcpConnect("127.0.0.1", port(), 2'000);
+  ASSERT_TRUE(fd.ok());
+  RawHello(fd->get());
+
+  // A well-framed request whose payload is garbage: answered with
+  // kInvalidArgument, connection stays open.
+  ASSERT_TRUE(WriteFrame(fd->get(),
+                         static_cast<uint32_t>(MsgType::kDirectQuery), 1,
+                         "\x01garbage")
+                  .ok());
+  auto bad = ReadFrame(fd->get());
+  ASSERT_TRUE(bad.ok());
+  io::BinaryReader bad_reader(bad->payload);
+  auto bad_status = DecodeWireStatus(&bad_reader);
+  ASSERT_TRUE(bad_status.ok());
+  EXPECT_EQ(bad_status->status.code(), StatusCode::kInvalidArgument);
+
+  // The same connection still serves a valid request afterwards.
+  ASSERT_TRUE(WriteFrame(fd->get(),
+                         static_cast<uint32_t>(MsgType::kMonitorStats), 2, "")
+                  .ok());
+  auto good = ReadFrame(fd->get());
+  ASSERT_TRUE(good.ok());
+  io::BinaryReader good_reader(good->payload);
+  auto good_status = DecodeWireStatus(&good_reader);
+  ASSERT_TRUE(good_status.ok());
+  EXPECT_TRUE(good_status->status.ok());
+}
+
+TEST_P(FrontEndTest, SlowClientTricklingAFrameIsEvicted) {
+  StartFrontEnd(/*read_timeout_ms=*/60, /*idle_poll_ms=*/5);
+  auto fd = TcpConnect("127.0.0.1", port(), 2'000);
+  ASSERT_TRUE(fd.ok());
+  RawHello(fd->get());
+
+  // Send only the first bytes of a valid frame, then stall. Once the first
+  // byte arrived, the whole frame must land within read_timeout_ms; a
+  // slow-loris trickle must not hold the connection open.
+  const std::string frame =
+      EncodeFrame(static_cast<uint32_t>(MsgType::kMonitorStats), 1, "");
+  ASSERT_TRUE(SendAll(fd->get(), frame.data(), 6).ok());
+  auto next = ReadFrame(fd->get(), 2'000);
+  EXPECT_FALSE(next.ok());  // the front end hung up without a response
+  // The eviction is visible to remote operators.
+  auto client = Client::Connect("127.0.0.1", port());
+  ASSERT_TRUE(client.ok());
+  auto monitor = client->MonitorStats();
+  ASSERT_TRUE(monitor.ok()) << monitor.status().ToString();
+  EXPECT_GE(monitor->serving.connections_evicted_slow, 1u);
 }
 
 }  // namespace

@@ -157,6 +157,50 @@ TEST(ParallelQueryTest, ClusteringQueryByMapMatchesSerial) {
   EXPECT_EQ(serial_result->similar_svss, parallel_result->similar_svss);
 }
 
+// Queries from different callers run concurrently (the serving layer holds
+// only a shared lock around them), and the hierarchical clustering path
+// searches one inter-camera tree for all of them. Concurrent callers must
+// neither corrupt each other nor the heap, and every answer must equal the
+// one the same system gives a lone caller afterwards.
+TEST(ParallelQueryTest, ConcurrentClusteringQueriesMatchALoneCaller) {
+  // The library defaults ingest this deployment in well under a second.
+  sim::Deployment deployment(SmallDeployment());
+  VideoZillaOptions options;
+  options.num_threads = 4;
+  VideoZilla system(options);
+  ASSERT_TRUE(deployment.IngestAll(&system).ok());
+  ASSERT_EQ(system.index_mode(), IndexMode::kHierarchical);
+  const std::vector<SvsId> targets = {0, 1, 2, 3};
+  ASSERT_GT(system.svs_store().size(), targets.size());
+  constexpr size_t kCallers = 4;
+  constexpr size_t kCallsPerCaller = 10;
+  // results[c][i] answers caller c's i-th call, on target (c + i) % 4.
+  std::vector<std::vector<StatusOr<ClusteringQueryResult>>> results(kCallers);
+  std::vector<std::thread> callers;
+  for (size_t c = 0; c < kCallers; ++c) {
+    callers.emplace_back([&, c] {
+      for (size_t i = 0; i < kCallsPerCaller; ++i) {
+        results[c].push_back(
+            system.ClusteringQuery(targets[(c + i) % targets.size()]));
+      }
+    });
+  }
+  for (std::thread& caller : callers) caller.join();
+  for (size_t t = 0; t < targets.size(); ++t) {
+    auto alone = system.ClusteringQuery(targets[t]);
+    ASSERT_TRUE(alone.ok()) << alone.status().ToString();
+    for (size_t c = 0; c < kCallers; ++c) {
+      for (size_t i = 0; i < kCallsPerCaller; ++i) {
+        if ((c + i) % targets.size() != t) continue;
+        const auto& result = results[c][i];
+        ASSERT_TRUE(result.ok()) << result.status().ToString();
+        EXPECT_EQ(result->similar_svss, alone->similar_svss);
+        EXPECT_EQ(result->cameras_contributing, alone->cameras_contributing);
+      }
+    }
+  }
+}
+
 // The deadline/admission drills only need a corpus big enough to have
 // multi-camera candidates — a quarter of SmallDeployment keeps the many
 // rigs these tests build affordable under ThreadSanitizer on small CI
