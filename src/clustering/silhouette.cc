@@ -7,6 +7,39 @@
 
 namespace vz::clustering {
 
+namespace {
+
+// Members per cluster of a flat clustering.
+std::vector<size_t> ClusterSizes(const std::vector<size_t>& assignments) {
+  size_t num_clusters = 0;
+  for (size_t a : assignments) num_clusters = std::max(num_clusters, a + 1);
+  std::vector<size_t> sizes(num_clusters, 0);
+  for (size_t a : assignments) sizes[a]++;
+  return sizes;
+}
+
+size_t CountPopulated(const std::vector<size_t>& sizes) {
+  size_t populated = 0;
+  for (size_t s : sizes) populated += (s > 0);
+  return populated;
+}
+
+// s(i) of an item in cluster `ci` (of size >= 2), given the sums of its
+// distances to every cluster: (b - a) / max(a, b), or 0 when both are 0.
+double SilhouetteOf(const std::vector<double>& sum_to,
+                    const std::vector<size_t>& sizes, size_t ci) {
+  const double a = sum_to[ci] / static_cast<double>(sizes[ci] - 1);
+  double b = std::numeric_limits<double>::infinity();
+  for (size_t c = 0; c < sizes.size(); ++c) {
+    if (c == ci || sizes[c] == 0) continue;
+    b = std::min(b, sum_to[c] / static_cast<double>(sizes[c]));
+  }
+  const double denom = std::max(a, b);
+  return denom > 0.0 ? (b - a) / denom : 0.0;
+}
+
+}  // namespace
+
 StatusOr<double> SilhouetteScore(size_t num_items,
                                  const std::vector<size_t>& assignments,
                                  const ItemDistanceFn& distance) {
@@ -14,32 +47,20 @@ StatusOr<double> SilhouetteScore(size_t num_items,
     return Status::InvalidArgument("assignments size mismatch");
   }
   if (num_items == 0) return Status::InvalidArgument("no items");
-  size_t num_clusters = 0;
-  for (size_t a : assignments) num_clusters = std::max(num_clusters, a + 1);
-  std::vector<size_t> sizes(num_clusters, 0);
-  for (size_t a : assignments) sizes[a]++;
-  size_t populated = 0;
-  for (size_t s : sizes) populated += (s > 0);
-  if (populated < 2) return 0.0;
+  const std::vector<size_t> sizes = ClusterSizes(assignments);
+  if (CountPopulated(sizes) < 2) return 0.0;
 
   double total = 0.0;
   for (size_t i = 0; i < num_items; ++i) {
     const size_t ci = assignments[i];
     if (sizes[ci] <= 1) continue;  // singleton contributes s(i) = 0
     // Mean distance from i to every cluster.
-    std::vector<double> sum_to(num_clusters, 0.0);
+    std::vector<double> sum_to(sizes.size(), 0.0);
     for (size_t j = 0; j < num_items; ++j) {
       if (j == i) continue;
       sum_to[assignments[j]] += distance(i, j);
     }
-    const double a = sum_to[ci] / static_cast<double>(sizes[ci] - 1);
-    double b = std::numeric_limits<double>::infinity();
-    for (size_t c = 0; c < num_clusters; ++c) {
-      if (c == ci || sizes[c] == 0) continue;
-      b = std::min(b, sum_to[c] / static_cast<double>(sizes[c]));
-    }
-    const double denom = std::max(a, b);
-    if (denom > 0.0) total += (b - a) / denom;
+    total += SilhouetteOf(sum_to, sizes, ci);
   }
   return total / static_cast<double>(num_items);
 }
@@ -65,14 +86,59 @@ StatusOr<SilhouetteSweepResult> ChooseKBySilhouette(
   max_k = std::min(max_k, points.size() - 1);
   if (min_k > max_k) max_k = min_k;
 
-  SilhouetteSweepResult sweep;
-  sweep.best_score = -std::numeric_limits<double>::infinity();
+  // Fit every k first: the k-means runs consume `rng` in ascending k, exactly
+  // as a fit-then-score loop would (scoring never reads it).
+  std::vector<std::vector<size_t>> assignments;
+  assignments.reserve(max_k - min_k + 1);
   for (size_t k = min_k; k <= max_k; ++k) {
     KMeansOptions options;
     options.k = k;
     VZ_ASSIGN_OR_RETURN(KMeansResult km, KMeans(points, options, rng));
-    VZ_ASSIGN_OR_RETURN(double score,
-                        SilhouetteScore(points, km.assignments));
+    assignments.push_back(std::move(km.assignments));
+  }
+
+  // Score every k from one distance pass: each point's distance row is
+  // computed once, with the batched kernel (bit-identical to
+  // `EuclideanDistance`), and feeds the per-cluster sums of every k. Per k,
+  // the sums accumulate in ascending j and s(i) in ascending i, as in
+  // `SilhouetteScore`, so every score is bit-identical to scoring that k on
+  // its own. Memory stays O(n) per k: no n x n matrix is kept.
+  struct KScore {
+    std::vector<size_t> sizes;
+    bool scored = false;  // false: fewer than two populated clusters, s = 0
+    double total = 0.0;
+  };
+  std::vector<KScore> per_k;
+  per_k.reserve(assignments.size());
+  for (const std::vector<size_t>& assigned : assignments) {
+    std::vector<size_t> sizes = ClusterSizes(assigned);
+    const bool scored = CountPopulated(sizes) >= 2;
+    per_k.push_back({std::move(sizes), scored});
+  }
+  const size_t n = points.size();
+  std::vector<double> row(n);
+  std::vector<double> sum_to;
+  for (size_t i = 0; i < n; ++i) {
+    EuclideanDistancesTo(points[i], points, row.data());
+    for (size_t f = 0; f < per_k.size(); ++f) {
+      const std::vector<size_t>& assigned = assignments[f];
+      KScore& ks = per_k[f];
+      const size_t ci = assigned[i];
+      if (!ks.scored || ks.sizes[ci] <= 1) continue;
+      sum_to.assign(ks.sizes.size(), 0.0);
+      for (size_t j = 0; j < n; ++j) {
+        if (j == i) continue;
+        sum_to[assigned[j]] += row[j];
+      }
+      ks.total += SilhouetteOf(sum_to, ks.sizes, ci);
+    }
+  }
+
+  SilhouetteSweepResult sweep;
+  sweep.best_score = -std::numeric_limits<double>::infinity();
+  for (size_t f = 0; f < per_k.size(); ++f) {
+    const size_t k = min_k + f;
+    const double score = per_k[f].total / static_cast<double>(n);
     sweep.scores.emplace_back(k, score);
     if (score > sweep.best_score) {
       sweep.best_score = score;

@@ -42,6 +42,11 @@ struct SilhouetteSweepResult {
 /// Chooses k for k-means over `points` by maximizing the mean silhouette over
 /// k in [min_k, max_k] (the silhouette method of Sec. 3.3). `max_k` is
 /// clamped to `points.size() - 1`. Errors on fewer than 2 points.
+///
+/// Every k is fitted first, in ascending order (the only use of `rng`); all
+/// candidates are then scored from one pass over the point distances, each
+/// point's row computed once. Every score is bit-identical to
+/// `SilhouetteScore(points, assignments)` of that k.
 StatusOr<SilhouetteSweepResult> ChooseKBySilhouette(
     const std::vector<FeatureVector>& points, size_t min_k, size_t max_k,
     Rng* rng);

@@ -1,11 +1,41 @@
 #include "core/feature_map_metric.h"
 
 #include <algorithm>
+#include <functional>
 #include <limits>
+#include <unordered_set>
 
 #include "common/logging.h"
 
 namespace vz::core {
+
+size_t PairDistanceMemo::KeyHash::operator()(const Key& key) const {
+  return std::hash<uint64_t>()(key.first * 0x9E3779B97F4A7C15ULL ^ key.second);
+}
+
+std::optional<double> PairDistanceMemo::Lookup(uint64_t a, uint64_t b) const {
+  auto it = distances_.find({a, b});
+  if (it == distances_.end()) return std::nullopt;
+  return it->second;
+}
+
+void PairDistanceMemo::Insert(uint64_t a, uint64_t b, double distance) {
+  distances_.emplace(Key{a, b}, distance);
+}
+
+void PairDistanceMemo::Prune(const std::vector<uint64_t>& live,
+                             const OmdOptions& options) {
+  if (options_ != options) {
+    distances_.clear();
+    options_ = options;
+    return;
+  }
+  const std::unordered_set<uint64_t> alive(live.begin(), live.end());
+  std::erase_if(distances_, [&alive](const auto& entry) {
+    return alive.count(entry.first.first) == 0 ||
+           alive.count(entry.first.second) == 0;
+  });
+}
 
 double FeatureMapListMetric::Distance(int a, int b) {
   if (a == b) return 0.0;
@@ -16,6 +46,16 @@ double FeatureMapListMetric::Distance(int a, int b) {
     VZ_LOG(Error) << "FeatureMapListMetric: id out of range";
     failed_distances_.fetch_add(1, std::memory_order_relaxed);
     return std::numeric_limits<double>::infinity();
+  }
+  const bool keyed = pair_memo_ != nullptr &&
+                     static_cast<size_t>(a) < pair_ids_->size() &&
+                     static_cast<size_t>(b) < pair_ids_->size();
+  uint64_t id_a = 0;
+  uint64_t id_b = 0;
+  if (keyed) {
+    id_a = (*pair_ids_)[static_cast<size_t>(a)];
+    id_b = (*pair_ids_)[static_cast<size_t>(b)];
+    if (auto hit = pair_memo_->Lookup(id_a, id_b)) return *hit;
   }
   int64_t key = 0;
   if (memoize_) {
@@ -34,6 +74,7 @@ double FeatureMapListMetric::Distance(int a, int b) {
     return std::numeric_limits<double>::infinity();
   }
   if (memoize_) memo_.emplace(key, *result);
+  if (keyed) pair_memo_->Insert(id_a, id_b, *result);
   return *result;
 }
 

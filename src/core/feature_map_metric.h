@@ -3,7 +3,9 @@
 
 #include <atomic>
 #include <cstdint>
+#include <optional>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "core/omd.h"
@@ -11,6 +13,38 @@
 #include "vector/feature_map.h"
 
 namespace vz::core {
+
+/// OMD values keyed by the *ordered* pair of caller-assigned map identities.
+///
+/// The solver is not bit-symmetric, so (a, b) and (b, a) are separate
+/// entries, and a hit returns exactly the bits a fresh solve of that
+/// orientation returns. The memo outlives the metrics that consult it (see
+/// `FeatureMapListMetric::set_pair_memo`): a caller that renumbers its items
+/// on every rebuild keeps the solves of the items it kept by giving each map
+/// an identity for as long as it holds the map. Not thread-safe.
+class PairDistanceMemo {
+ public:
+  std::optional<double> Lookup(uint64_t a, uint64_t b) const;
+  void Insert(uint64_t a, uint64_t b, double distance);
+
+  /// Readies the memo for solves under `options` over the maps `live`:
+  /// drops every pair with an identity not in `live`, and every pair when
+  /// `options` differ from those of the previous call (the monitor may
+  /// retune the solver between rebuilds).
+  void Prune(const std::vector<uint64_t>& live, const OmdOptions& options);
+
+  void Clear() { distances_.clear(); }
+  size_t size() const { return distances_.size(); }
+
+ private:
+  using Key = std::pair<uint64_t, uint64_t>;
+  struct KeyHash {
+    size_t operator()(const Key& key) const;
+  };
+
+  std::unordered_map<Key, double, KeyHash> distances_;
+  std::optional<OmdOptions> options_;
+};
 
 /// OMD metric over an externally owned list of feature maps; item ids are
 /// indices into the list. Used by the inter-camera index, whose items are
@@ -43,6 +77,15 @@ class FeatureMapListMetric : public index::ItemMetric {
   }
   void ResetCounters() { num_evals_ = 0; }
 
+  /// Routes every pair of items below `ids->size()` through `memo`, keyed by
+  /// `((*ids)[a], (*ids)[b])` in the order asked. Items past the end of `ids`
+  /// (a query's scratch slot) are solved and never looked up or stored.
+  /// Failed solves are not memoized. Both must outlive the metric.
+  void set_pair_memo(const std::vector<uint64_t>* ids, PairDistanceMemo* memo) {
+    pair_ids_ = ids;
+    pair_memo_ = memo;
+  }
+
   /// Drops the cached centroid for slot `i`; callers that replace a map at
   /// an existing index (e.g. a popped-then-reused scratch slot) must call
   /// this or lower bounds would read the stale centroid.
@@ -55,6 +98,8 @@ class FeatureMapListMetric : public index::ItemMetric {
   OmdCalculator* calculator_;
   bool memoize_;
   bool quantized_prune_;
+  const std::vector<uint64_t>* pair_ids_ = nullptr;
+  PairDistanceMemo* pair_memo_ = nullptr;
   std::unordered_map<int64_t, double> memo_;
   std::vector<FeatureVector> centroids_;  // lazily filled, index-aligned
   uint64_t num_evals_ = 0;

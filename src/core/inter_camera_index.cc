@@ -22,13 +22,7 @@ InterCameraIndex::InterCameraIndex(OmdCalculator* calculator,
     : calculator_(calculator), options_(options), rng_(rng) {}
 
 Status InterCameraIndex::UpdateCamera(const IntraCameraIndex& intra) {
-  // Drop the camera's previous representatives.
-  std::vector<RepEntry> kept;
-  kept.reserve(entries_.size());
-  for (RepEntry& e : entries_) {
-    if (e.camera != intra.camera()) kept.push_back(std::move(e));
-  }
-  entries_ = std::move(kept);
+  DropCamera(intra.camera());
   // Import the fresh ones.
   const auto& clusters = intra.clusters();
   for (size_t c = 0; c < clusters.size(); ++c) {
@@ -40,30 +34,46 @@ Status InterCameraIndex::UpdateCamera(const IntraCameraIndex& intra) {
     entry.rep = clusters[c].representative;
     rep_bytes_received_ += WireBytes(entry.map);
     entries_.push_back(std::move(entry));
+    entry_ids_.push_back(next_entry_id_++);
   }
   return Rebuild();
 }
 
 Status InterCameraIndex::SetEntries(std::vector<RepEntry> entries) {
   entries_ = std::move(entries);
+  entry_ids_.clear();
+  for (size_t i = 0; i < entries_.size(); ++i) {
+    entry_ids_.push_back(next_entry_id_++);
+  }
   return Rebuild();
 }
 
 Status InterCameraIndex::Reset(Rng rng) {
   rng_ = std::move(rng);
   entries_.clear();
+  entry_ids_.clear();
+  distance_memo_.Clear();
   rep_bytes_received_ = 0;
   return Rebuild();
 }
 
 Status InterCameraIndex::RemoveCamera(const CameraId& camera) {
+  DropCamera(camera);
+  return Rebuild();
+}
+
+void InterCameraIndex::DropCamera(const CameraId& camera) {
   std::vector<RepEntry> kept;
+  std::vector<uint64_t> kept_ids;
   kept.reserve(entries_.size());
-  for (RepEntry& e : entries_) {
-    if (e.camera != camera) kept.push_back(std::move(e));
+  kept_ids.reserve(entries_.size());
+  for (size_t i = 0; i < entries_.size(); ++i) {
+    if (entries_[i].camera == camera) continue;
+    kept.push_back(std::move(entries_[i]));
+    kept_ids.push_back(entry_ids_[i]);
   }
   entries_ = std::move(kept);
-  return Rebuild();
+  entry_ids_ = std::move(kept_ids);
 }
 
 Status InterCameraIndex::Rebuild() {
@@ -73,8 +83,12 @@ Status InterCameraIndex::Rebuild() {
   if (metric_ != nullptr) {
     failed_distances_accum_ += metric_->failed_distances();
   }
+  // PERCH's insertions and masking checks re-ask the same entry pairs on
+  // every rebuild; the memo answers each pair an earlier rebuild solved.
+  distance_memo_.Prune(entry_ids_, calculator_->options());
   metric_ = std::make_unique<FeatureMapListMetric>(
       &entry_maps_, calculator_, /*memoize=*/false, options_.quantized_prune);
+  metric_->set_pair_memo(&entry_ids_, &distance_memo_);
   tree_ = std::make_unique<index::PerchTree>(metric_.get(), options_.perch);
   tree_->Reserve(entries_.size());
   for (size_t i = 0; i < entries_.size(); ++i) {

@@ -111,6 +111,9 @@ class InterCameraIndex {
   /// Read access to the underlying tree.
   const index::PerchTree& tree() const { return *tree_; }
 
+  /// Entry pairs whose OMD is memoized across rebuilds; at most size()^2.
+  size_t memoized_pairs() const { return distance_memo_.size(); }
+
   /// Cumulative poisoned (+inf) OMD evaluations across all rebuilds of the
   /// internal metric; folded into `QueryLoadStats::omd_failures`.
   uint64_t omd_failures() const {
@@ -119,6 +122,9 @@ class InterCameraIndex {
   }
 
  private:
+  /// Removes `camera`'s entries (and their identities), keeping the order
+  /// of the rest.
+  void DropCamera(const CameraId& camera);
   Status Rebuild();
   Status Regroup();
   size_t ChooseGroupCount();
@@ -127,6 +133,16 @@ class InterCameraIndex {
   InterIndexOptions options_;
   Rng rng_;
   std::vector<RepEntry> entries_;
+  /// Identity of each entry, index-aligned with `entries_`: assigned on
+  /// import, kept while the entry is kept, never sent anywhere. Keys
+  /// `distance_memo_`.
+  std::vector<uint64_t> entry_ids_;
+  uint64_t next_entry_id_ = 0;
+  /// OMDs between entries, keyed by ordered identity pair. It survives
+  /// `Rebuild`, so no rebuild re-solves a pair an earlier one solved. Only
+  /// the mutating calls (which callers run exclusively) read or write it;
+  /// `GroupOfNearest` never does, as its scratch slot has no identity.
+  PairDistanceMemo distance_memo_;
   std::vector<FeatureMap> entry_maps_;  // tree items index into this
   /// Serializes `GroupOfNearest`, which appends the query to `entry_maps_`
   /// as a scratch tree item and fills the metric's lazy caches.

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <utility>
 
 #include "common/logging.h"
 #include "core/omd_cache.h"
@@ -271,6 +272,11 @@ const FeatureVector& SvsMetric::CentroidOf(int id) {
 double SvsMetric::Distance(int a, int b) {
   if (a == b) return 0.0;
   const bool cacheable = options_.memoize && a >= 0 && b >= 0;
+  // The solver is not bit-symmetric, and the memo (like the shared cache)
+  // holds one value per unordered pair. Solve every cacheable pair lower id
+  // first, so the memoized bits never depend on which orientation was asked
+  // first.
+  if (cacheable && a > b) std::swap(a, b);
   const OmdOptions& omd_options = calculator_->options();
   int64_t key = 0;
   if (cacheable) {
@@ -279,9 +285,8 @@ double SvsMetric::Distance(int a, int b) {
                                        omd_options.threshold_alpha);
       if (hit.has_value()) return *hit;
     } else {
-      const auto lo = static_cast<uint32_t>(std::min(a, b));
-      const auto hi = static_cast<uint32_t>(std::max(a, b));
-      key = static_cast<int64_t>((static_cast<uint64_t>(lo) << 32) | hi);
+      key = static_cast<int64_t>((static_cast<uint64_t>(a) << 32) |
+                                 static_cast<uint32_t>(b));
       auto it = memo_.find(key);
       if (it != memo_.end()) return it->second;
     }

@@ -35,6 +35,8 @@ struct OmdOptions {
   /// Each side is subsampled (deterministic, evenly spaced) to at most this
   /// many vectors before solving, bounding the O(n^3 log n) worst case.
   size_t max_vectors = 256;
+
+  bool operator==(const OmdOptions&) const = default;
 };
 
 /// Computes the Object Mover's Distance between feature maps (Sec. 3.2).

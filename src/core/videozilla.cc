@@ -851,8 +851,13 @@ StatusOr<ClusteringQueryResult> VideoZilla::ClusteringQueryImpl(
           }
           auto svs = store_.Get(id);
           if (!svs.ok()) return;
-          auto d = omd_.DistanceWithOptions(target, (*svs)->features(),
-                                            effective, cancel);
+          // A cached pair is solved lower id first, as `SvsMetric` solves
+          // it: the solver is not bit-symmetric, and the cache must hold
+          // the same bits whichever side asked first.
+          const bool swap = target_id >= 0 && id < target_id;
+          const FeatureMap& left = swap ? (*svs)->features() : target;
+          const FeatureMap& right = swap ? target : (*svs)->features();
+          auto d = omd_.DistanceWithOptions(left, right, effective, cancel);
           if (!d.ok()) return;
           distances[i] = *d;
           if (target_id >= 0) {

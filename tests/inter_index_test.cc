@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
+#include <limits>
+#include <string>
+
 #include "test_util.h"
 
 namespace vz::core {
@@ -124,6 +129,111 @@ TEST_F(InterIndexTest, GroupOfNearestFindsRightGroup) {
     found_harbor |= inter.entries()[idx].camera == "harbor-a";
   }
   EXPECT_TRUE(found_harbor);
+}
+
+// Every rebuild inserts all entries into a fresh tree, and PERCH asks the
+// same entry pairs again and again (re-solving them costs thousands of
+// solves for a dozen entries). With the pair memo a rebuild solves each
+// ordered pair at most once, and re-importing a camera solves little more
+// than the pairs involving its new entries: at most 2 x (its entries) x
+// (live entries). A kept pair that no earlier tree compared may still be
+// solved, so steps that import nothing are held to the per-rebuild bound.
+TEST_F(InterIndexTest, RebuildsSolveOnlyPairsOfNewEntries) {
+  InterCameraIndex inter(&calc_, InterIndexOptions{}, Rng(30));
+  auto a = MakeIntra("cam-a", {0.0, 0.2, 10.0, 10.2, 20.0, 20.2}, 31);
+  auto b = MakeIntra("cam-b", {0.1, 0.3, 10.1, 10.3, 20.1, 20.3}, 32);
+  auto c = MakeIntra("cam-c", {5.0, 5.2, 15.0, 15.2}, 33);
+  auto d = MakeIntra("cam-d", {2.0, 2.2, 12.0, 12.2, 25.0, 25.2}, 34);
+
+  // Runs `step` and checks its solves: at most once per ordered pair of
+  // live entries, and, when it imports `imported` entries, at most the
+  // ordered pairs that involve one of them.
+  auto expect_bounded = [&](const std::string& what, size_t imported,
+                            const std::function<Status()>& step) {
+    SCOPED_TRACE(what);
+    const uint64_t before = calc_.num_computations();
+    ASSERT_TRUE(step().ok());
+    const uint64_t solves = calc_.num_computations() - before;
+    const size_t n = inter.size();
+    EXPECT_LE(solves, n * (n - 1));
+    if (imported > 0) {
+      EXPECT_LE(solves, 2 * imported * n);
+    }
+    EXPECT_LE(inter.memoized_pairs(), n * n);
+  };
+  auto update = [&](const IntraCameraIndex& intra) {
+    return [&inter, &intra] { return inter.UpdateCamera(intra); };
+  };
+
+  for (const auto* intra : {a.get(), b.get(), c.get(), d.get()}) {
+    ASSERT_GE(intra->clusters().size(), 2u);
+    expect_bounded("import " + intra->camera(), intra->clusters().size(),
+                   update(*intra));
+  }
+  ASSERT_GE(inter.size(), 8u);
+  for (const auto* intra : {d.get(), d.get(), b.get(), b.get(), a.get()}) {
+    expect_bounded("re-import " + intra->camera(), intra->clusters().size(),
+                   update(*intra));
+  }
+  expect_bounded("remove cam-c", 0,
+                 [&inter] { return inter.RemoveCamera("cam-c"); });
+
+  // SetEntries imports everything afresh; the identities it assigns then
+  // carry the next rebuild like any other.
+  const std::vector<InterCameraIndex::RepEntry> synced = inter.entries();
+  expect_bounded("set entries", synced.size(),
+                 [&inter, &synced] { return inter.SetEntries(synced); });
+  expect_bounded("import cam-c after set entries", c->clusters().size(),
+                 update(*c));
+
+  ASSERT_TRUE(inter.Reset(Rng(35)).ok());
+  EXPECT_EQ(inter.size(), 0u);
+  EXPECT_EQ(inter.memoized_pairs(), 0u);
+  for (const auto* intra : {a.get(), d.get(), a.get()}) {
+    expect_bounded("import after reset " + intra->camera(),
+                   intra->clusters().size(), update(*intra));
+  }
+}
+
+// The query's scratch slot has no identity, so a search never reads a
+// distance memoized for another query: each answer is the group of the
+// entry a brute-force OMD scan finds nearest.
+TEST_F(InterIndexTest, GroupOfNearestNeverReusesAnotherQuerysDistances) {
+  InterIndexOptions options;
+  options.forced_num_groups = 3;
+  InterCameraIndex inter(&calc_, options, Rng(36));
+  auto a = MakeIntra("lot-a", {0.0, 0.2, 1.5, 1.7}, 37);
+  auto b = MakeIntra("road-a", {5.0, 5.2, 6.5, 6.7}, 38);
+  auto c = MakeIntra("harbor-a", {10.0, 10.2, 11.5, 11.7}, 39);
+  for (const auto* intra : {a.get(), b.get(), c.get()}) {
+    ASSERT_TRUE(inter.UpdateCamera(*intra).ok());
+  }
+  auto brute_force_nearest = [&](const FeatureMap& query) {
+    size_t best = 0;
+    double best_d = std::numeric_limits<double>::infinity();
+    for (size_t i = 0; i < inter.entries().size(); ++i) {
+      auto dist = calc_.Distance(query, inter.entries()[i].map);
+      EXPECT_TRUE(dist.ok());
+      if (dist.ok() && *dist < best_d) {
+        best_d = *dist;
+        best = i;
+      }
+    }
+    return best;
+  };
+  const std::vector<FeatureMap> queries = {
+      MakeMap(8, 4, 11.6, 0.3, 40), MakeMap(8, 4, 0.1, 0.3, 41),
+      MakeMap(8, 4, 6.6, 0.3, 42), MakeMap(8, 4, 5.1, 0.3, 43),
+      MakeMap(8, 4, 11.6, 0.3, 40)};
+  for (size_t q = 0; q < queries.size(); ++q) {
+    SCOPED_TRACE("query " + std::to_string(q));
+    const size_t nearest = brute_force_nearest(queries[q]);
+    auto group = inter.GroupOfNearest(queries[q]);
+    ASSERT_TRUE(group.ok());
+    const std::vector<size_t>& members = (*group)->entry_indices;
+    EXPECT_NE(std::find(members.begin(), members.end(), nearest),
+              members.end());
+  }
 }
 
 TEST_F(InterIndexTest, EmptyIndexQueriesFail) {

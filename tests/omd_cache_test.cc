@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "core/monitor.h"
 #include "core/omd.h"
 #include "core/videozilla.h"
@@ -199,6 +201,43 @@ TEST(SvsMetricSharedCacheTest, InvalidateCacheClearsSharedCache) {
   EXPECT_EQ(metric.num_distance_evals(), 2u);
 }
 
+// The solver is not bit-symmetric: OMD(a, b) and OMD(b, a) may differ in the
+// last bits. A memoizing metric must return the same bits for a pair no
+// matter which orientation was asked first — those of a cold metric.
+void ExpectOrientationIndependent(bool shared) {
+  SvsStore store;
+  for (int i = 0; i < 6; ++i) {
+    store.Create("cam", i * 10, i * 10 + 10,
+                 MakeMap(5 + 3 * static_cast<size_t>(i), 6, 0.4 * i, 0.5,
+                         60 + static_cast<uint64_t>(i)));
+  }
+  OmdCalculator calc;
+  const int n = static_cast<int>(store.size());
+  for (int a = 0; a < n; ++a) {
+    for (int b = 0; b < n; ++b) {
+      if (a == b) continue;
+      SCOPED_TRACE(std::to_string(a) + ", " + std::to_string(b));
+      OmdDistanceCache warm_cache(64);
+      SvsMetric warm(&store, &calc);
+      if (shared) warm.set_shared_cache(&warm_cache);
+      (void)warm.Distance(b, a);
+      const double memoized = warm.Distance(a, b);
+      OmdDistanceCache cold_cache(64);
+      SvsMetric cold(&store, &calc);
+      if (shared) cold.set_shared_cache(&cold_cache);
+      EXPECT_EQ(memoized, cold.Distance(a, b));
+    }
+  }
+}
+
+TEST(SvsMetricOrientationTest, PrivateMemoIgnoresAskingOrder) {
+  ExpectOrientationIndependent(/*shared=*/false);
+}
+
+TEST(SvsMetricOrientationTest, SharedCacheIgnoresAskingOrder) {
+  ExpectOrientationIndependent(/*shared=*/true);
+}
+
 // --- System-level behaviour through VideoZilla / PerformanceMonitor. ---
 
 sim::DeploymentOptions SmallDeployment() {
@@ -253,6 +292,35 @@ TEST_F(OmdCacheSystemTest, RepeatedClusteringQueryHitsTheCache) {
   // Cached answers change nothing about the result.
   EXPECT_EQ(first->similar_svss, second->similar_svss);
   EXPECT_EQ(first->cameras_contributing, second->cameras_contributing);
+}
+
+// The flat fallback memoizes (target, candidate) pairs into the cache the
+// intra indices read. It must store the bits a cold metric computes, lower
+// id first, or a later insert would read different bits than a replica that
+// never served the query.
+TEST_F(OmdCacheSystemTest, FlatFallbackCachesPairsLowerIdFirst) {
+  ASSERT_GT(system_.svs_store().size(), 2u);
+  system_.SetIndexMode(IndexMode::kIntraOnly);
+  system_.omd_cache().Clear();
+  const SvsId target = static_cast<SvsId>(system_.svs_store().size() - 1);
+  auto result = system_.ClusteringQuery(target);
+  ASSERT_TRUE(result.ok());
+  ASSERT_FALSE(result->fast_omd_routed);
+  const OmdOptions& omd = system_.omd().options();
+  for (SvsId id = 0; id < target; ++id) {
+    SCOPED_TRACE("candidate " + std::to_string(id));
+    auto cached = system_.omd_cache().Lookup(target, id, omd.mode,
+                                             omd.threshold_alpha);
+    ASSERT_TRUE(cached.has_value());
+    // Whichever orientation a cold metric is asked, it solves the pair
+    // lower id first.
+    SvsMetric forward(&system_.svs_store(), &system_.omd());
+    SvsMetric backward(&system_.svs_store(), &system_.omd());
+    EXPECT_EQ(*cached, forward.Distance(static_cast<int>(id),
+                                        static_cast<int>(target)));
+    EXPECT_EQ(*cached, backward.Distance(static_cast<int>(target),
+                                         static_cast<int>(id)));
+  }
 }
 
 TEST_F(OmdCacheSystemTest, IngestingAnSvsInvalidatesItsCachedPairs) {

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
+#include "clustering/kmeans.h"
 #include "test_util.h"
 
 namespace vz::clustering {
@@ -61,6 +64,43 @@ TEST(ChooseKTest, RecoversTrueClusterCount) {
   EXPECT_EQ(sweep->best_k, 4u);
   EXPECT_GT(sweep->best_score, 0.8);
   EXPECT_EQ(sweep->scores.size(), 7u);
+}
+
+// The sweep scores every k from one shared distance pass; each score must
+// equal, bit for bit, scoring that k's fit on its own.
+void ExpectSweepMatchesPerKScores(size_t dim) {
+  SCOPED_TRACE("dim " + std::to_string(dim));
+  // Overlapping clusters, so the scores differ across k and are not all
+  // near 1.
+  auto data = testing::MakeClusteredPoints(4, 15, dim, 3.0, 1.0, 40 + dim);
+  const size_t min_k = 2;
+  const size_t max_k = 10;
+  Rng rng(41);
+  auto sweep = ChooseKBySilhouette(data.points, min_k, max_k, &rng);
+  ASSERT_TRUE(sweep.ok());
+  ASSERT_EQ(sweep->scores.size(), max_k - min_k + 1);
+
+  Rng reference_rng(41);
+  for (size_t k = min_k; k <= max_k; ++k) {
+    KMeansOptions options;
+    options.k = k;
+    auto km = KMeans(data.points, options, &reference_rng);
+    ASSERT_TRUE(km.ok());
+    auto score = SilhouetteScore(data.points, km->assignments);
+    ASSERT_TRUE(score.ok());
+    EXPECT_EQ(sweep->scores[k - min_k].first, k);
+    EXPECT_EQ(sweep->scores[k - min_k].second, *score) << "k = " << k;
+  }
+  // The sweep left the stream where the per-k fits leave it.
+  EXPECT_EQ(rng.NextUint64(), reference_rng.NextUint64());
+}
+
+TEST(ChooseKTest, SweepScoresEqualPerKSilhouette) {
+  ExpectSweepMatchesPerKScores(48);
+}
+
+TEST(ChooseKTest, SweepScoresEqualPerKSilhouetteOnSimdTail) {
+  ExpectSweepMatchesPerKScores(13);  // not a multiple of the 8-lane width
 }
 
 TEST(ChooseKTest, RejectsTinyInput) {
