@@ -65,7 +65,7 @@ int64_t BackoffDelayMs(const ClientOptions& options, int64_t hint_ms,
   return delay;
 }
 
-struct Client::PendingCall {
+struct Client::ReplySlot {
   bool done = false;
   uint32_t type = 0;
   std::string payload;
@@ -83,7 +83,7 @@ struct Client::ConnCore {
   /// current and future call on this connection fails with it.
   Status broken = Status::OK();
   uint64_t next_correlation = 1;
-  std::unordered_map<uint64_t, std::shared_ptr<PendingCall>> pending;
+  std::unordered_map<uint64_t, std::shared_ptr<ReplySlot>> pending;
   /// Correlation id of a Subscribe RPC -> its push callback.
   std::unordered_map<uint64_t, PushCallback> push_callbacks;
   /// Subscription id -> owning correlation, for Unsubscribe cleanup.
@@ -348,81 +348,13 @@ StatusOr<std::shared_ptr<Client::ConnCore>> Client::EnsureConn() {
   return conn();
 }
 
-StatusOr<std::string> Client::CallOnce(const std::shared_ptr<ConnCore>& core,
-                                       MsgType type,
-                                       const std::string& payload,
-                                       WireStatus* wire_status,
-                                       const PushCallback* push_callback,
-                                       uint64_t* correlation_out) {
-  if (!core->fd.valid()) return Status::FailedPrecondition("not connected");
-  auto slot = std::make_shared<PendingCall>();
-  uint64_t correlation = 0;
-  {
-    std::lock_guard<std::mutex> lock(core->mu);
-    if (!core->broken.ok()) return core->broken;
-    correlation = core->next_correlation++;
-    core->pending.emplace(correlation, slot);
-    // Registered before the request is on the wire, so the first push can
-    // never outrun the registration.
-    if (push_callback != nullptr) {
-      core->push_callbacks.emplace(correlation, *push_callback);
-    }
-  }
-  if (correlation_out != nullptr) *correlation_out = correlation;
-  auto abandon_pending = [&] {
-    std::lock_guard<std::mutex> lock(core->mu);
-    core->pending.erase(correlation);
-  };
-  {
-    std::lock_guard<std::mutex> write_lock(core->write_mu);
-    if (Status s = WriteFrame(core->fd.get(), static_cast<uint32_t>(type),
-                              correlation, payload, core->io_timeout_ms);
-        !s.ok()) {
-      abandon_pending();
-      return s;
-    }
-  }
-  {
-    std::unique_lock<std::mutex> lock(core->mu);
-    auto ready = [&] { return slot->done || !core->broken.ok(); };
-    if (core->io_timeout_ms > 0) {
-      core->cv.wait_for(lock, std::chrono::milliseconds(core->io_timeout_ms),
-                        ready);
-    } else {
-      core->cv.wait(lock, ready);
-    }
-    if (!slot->done) {
-      const Status broken = core->broken;
-      core->pending.erase(correlation);
-      // Same contract as a blocking-read deadline: a response that missed
-      // its deadline is a transport failure.
-      return broken.ok() ? Status::Unavailable("response deadline expired")
-                         : broken;
-    }
-  }
-  const uint32_t expected = static_cast<uint32_t>(type) | kResponseFlag;
-  const uint32_t hello_error =
-      static_cast<uint32_t>(MsgType::kHello) | kResponseFlag;
-  if (slot->type == hello_error && type != MsgType::kHello) {
-    // Correlated hello-typed error: the server read the frame (correlation
-    // intact) but refused to dispatch its payload. Never processed —
-    // reconnect-retry safe.
-    io::BinaryReader error_reader(slot->payload);
-    auto error_status = DecodeWireStatus(&error_reader);
-    return Status::Unavailable(
-        "server rejected the request frame: " +
-        (error_status.ok() ? error_status->status.message()
-                           : "unreadable error response"));
-  }
-  if (slot->type != expected) {
-    return Status::DataLoss("response type mismatch");
-  }
-  io::BinaryReader reader(slot->payload);
-  VZ_ASSIGN_OR_RETURN(*wire_status, DecodeWireStatus(&reader));
-  return slot->payload.substr(reader.position());
+Client::Pending::~Pending() {
+  if (core_ == nullptr || outcome_ != Outcome::kInFlight) return;
+  std::lock_guard<std::mutex> lock(core_->mu);
+  core_->pending.erase(correlation_);
 }
 
-StatusOr<std::string> Client::Call(MsgType type, const std::string& payload) {
+Client::Pending Client::Start(MsgType type, const std::string& payload) {
   // One token per logical call: retries re-send the same (session, sequence)
   // pair, which is what lets the server recognise and deduplicate them.
   std::string wire_payload;
@@ -438,89 +370,225 @@ StatusOr<std::string> Client::Call(MsgType type, const std::string& payload) {
   } else {
     wire_payload = payload;
   }
+  Pending pending(type, std::move(wire_payload));
+  Send(pending);
+  return pending;
+}
 
-  // The reconnect budget is per call and covers both mid-call transport
-  // drops and failed re-handshakes (a server mid-restart refuses connects
-  // for a while).
-  size_t reconnects_used = 0;
-  size_t shed_attempt = 0;
-  for (;;) {
-    auto ensured = EnsureConn();
-    if (!ensured.ok()) {
-      const Status status = ensured.status();
-      if (status.code() == StatusCode::kResourceExhausted &&
-          shed_attempt < options_.max_shed_retries) {
-        int64_t hint = 0;
-        {
-          std::lock_guard<std::mutex> lock(shared_->mu);
-          shared_->stats.shed_retries++;
-          hint = shared_->last_shed_hint_ms;
-        }
-        SleepBackoff(hint, shed_attempt++);
-        continue;
-      }
-      if (IsTransportFailure(status.code()) &&
-          reconnects_used < options_.max_reconnects) {
-        {
-          std::lock_guard<std::mutex> lock(shared_->mu);
-          shared_->stats.transport_failures++;
-        }
-        SleepBackoff(0, reconnects_used);
-        ++reconnects_used;
-        continue;
-      }
-      return status;
+void Client::Send(Pending& pending) {
+  auto ensured = EnsureConn();
+  if (!ensured.ok()) {
+    pending.outcome_ = Pending::Outcome::kNotConnected;
+    pending.failure_ = ensured.status();
+    return;
+  }
+  {
+    std::lock_guard<std::mutex> lock(shared_->mu);
+    shared_->stats.requests_sent++;
+  }
+  pending.core_ = std::move(*ensured);
+  if (Status sent = SendOn(pending, nullptr); !sent.ok()) {
+    FailTransport(pending, std::move(sent));
+  }
+}
+
+Status Client::SendOn(Pending& pending, const PushCallback* push_callback) {
+  ConnCore& core = *pending.core_;
+  if (!core.fd.valid()) return Status::FailedPrecondition("not connected");
+  pending.slot_ = std::make_shared<ReplySlot>();
+  {
+    std::lock_guard<std::mutex> lock(core.mu);
+    if (!core.broken.ok()) return core.broken;
+    pending.correlation_ = core.next_correlation++;
+    core.pending.emplace(pending.correlation_, pending.slot_);
+    // Registered before the request is on the wire, so the first push can
+    // never outrun the registration.
+    if (push_callback != nullptr) {
+      core.push_callbacks.emplace(pending.correlation_, *push_callback);
     }
-    std::shared_ptr<ConnCore> core = *ensured;
-    WireStatus wire_status;
-    {
-      std::lock_guard<std::mutex> lock(shared_->mu);
-      shared_->stats.requests_sent++;
+  }
+  {
+    std::lock_guard<std::mutex> write_lock(core.write_mu);
+    if (Status s = WriteFrame(core.fd.get(),
+                              static_cast<uint32_t>(pending.type_),
+                              pending.correlation_, pending.payload_,
+                              core.io_timeout_ms);
+        !s.ok()) {
+      std::lock_guard<std::mutex> lock(core.mu);
+      core.pending.erase(pending.correlation_);
+      return s;
     }
-    auto body = CallOnce(core, type, wire_payload, &wire_status);
-    if (!body.ok()) {
-      // Transport failure: the connection is unusable; reconnect within
-      // budget. The retry is exactly-once for mutating requests (same
-      // token) and inherently safe for read-only ones.
-      {
-        std::lock_guard<std::mutex> lock(shared_->mu);
-        shared_->stats.transport_failures++;
-      }
-      DropConn(core);
-      if (reconnects_used < options_.max_reconnects) {
-        ++reconnects_used;
-        continue;
-      }
-      return body.status();
+  }
+  // The reply deadline runs from this attempt's own send, so a caller
+  // awaiting several attempts in turn gives each its full budget.
+  pending.deadline_ = std::chrono::steady_clock::now() +
+                      std::chrono::milliseconds(core.io_timeout_ms);
+  pending.outcome_ = Pending::Outcome::kInFlight;
+  return Status::OK();
+}
+
+StatusOr<std::string> Client::AwaitReply(Pending& pending) {
+  ConnCore& core = *pending.core_;
+  const ReplySlot& slot = *pending.slot_;
+  auto resolve = [&](Pending::Outcome outcome, Status failure) {
+    pending.outcome_ = outcome;
+    pending.failure_ = std::move(failure);
+    return pending.failure_;
+  };
+  {
+    std::unique_lock<std::mutex> lock(core.mu);
+    auto ready = [&] { return slot.done || !core.broken.ok(); };
+    if (core.io_timeout_ms > 0) {
+      core.cv.wait_until(lock, pending.deadline_, ready);
+    } else {
+      core.cv.wait(lock, ready);
     }
-    if (wire_status.status.ok()) return body;
-    if (wire_status.status.code() == StatusCode::kResourceExhausted &&
-        shed_attempt < options_.max_shed_retries) {
-      {
-        std::lock_guard<std::mutex> lock(shared_->mu);
-        shared_->stats.shed_retries++;
-      }
-      SleepBackoff(wire_status.retry_after_ms, shed_attempt++);
-      continue;
+    if (!slot.done) {
+      const Status broken = core.broken;
+      core.pending.erase(pending.correlation_);
+      // Same contract as a blocking-read deadline: a response that missed
+      // its deadline is a transport failure.
+      return resolve(Pending::Outcome::kTransport,
+                     broken.ok()
+                         ? Status::Unavailable("response deadline expired")
+                         : broken);
     }
-    if (wire_status.status.code() == StatusCode::kUnavailable &&
-        reconnects_used < options_.max_reconnects) {
+  }
+  const uint32_t expected = static_cast<uint32_t>(pending.type_) |
+                            kResponseFlag;
+  const uint32_t hello_error =
+      static_cast<uint32_t>(MsgType::kHello) | kResponseFlag;
+  if (slot.type == hello_error && pending.type_ != MsgType::kHello) {
+    // Correlated hello-typed error: the server read the frame (correlation
+    // intact) but refused to dispatch its payload. Never processed —
+    // reconnect-retry safe.
+    io::BinaryReader error_reader(slot.payload);
+    auto error_status = DecodeWireStatus(&error_reader);
+    return resolve(Pending::Outcome::kTransport,
+                   Status::Unavailable(
+                       "server rejected the request frame: " +
+                       (error_status.ok() ? error_status->status.message()
+                                          : "unreadable error response")));
+  }
+  if (slot.type != expected) {
+    return resolve(Pending::Outcome::kTransport,
+                   Status::DataLoss("response type mismatch"));
+  }
+  io::BinaryReader reader(slot.payload);
+  auto wire_status = DecodeWireStatus(&reader);
+  if (!wire_status.ok()) {
+    return resolve(Pending::Outcome::kTransport, wire_status.status());
+  }
+  pending.retry_after_ms_ = wire_status->retry_after_ms;
+  if (!wire_status->status.ok()) {
+    return resolve(Pending::Outcome::kRefused, wire_status->status);
+  }
+  pending.outcome_ = Pending::Outcome::kAnswered;
+  return slot.payload.substr(reader.position());
+}
+
+void Client::FailTransport(Pending& pending, Status failure) {
+  pending.outcome_ = Pending::Outcome::kTransport;
+  pending.failure_ = std::move(failure);
+  // The connection is unusable; the next attempt reconnects.
+  {
+    std::lock_guard<std::mutex> lock(shared_->mu);
+    shared_->stats.transport_failures++;
+  }
+  DropConn(pending.core_);
+}
+
+StatusOr<std::string> Client::Await(Pending& pending) {
+  if (pending.outcome_ != Pending::Outcome::kInFlight) {
+    if (pending.outcome_ == Pending::Outcome::kAnswered) {
+      return Status::FailedPrecondition("reply already awaited");
+    }
+    return pending.failure_;
+  }
+  auto reply = AwaitReply(pending);
+  if (pending.outcome_ == Pending::Outcome::kTransport) {
+    FailTransport(pending, reply.status());
+  }
+  return reply;
+}
+
+bool Client::Retryable(const Pending& pending) const {
+  const StatusCode code = pending.failure_.code();
+  const bool shed_left = pending.shed_attempts_ < options_.max_shed_retries;
+  const bool reconnect_left =
+      pending.reconnects_used_ < options_.max_reconnects;
+  switch (pending.outcome_) {
+    case Pending::Outcome::kNotConnected:
+      // A connection-level shed or a refused/failed dial (server
+      // mid-restart).
+      return (code == StatusCode::kResourceExhausted && shed_left) ||
+             (IsTransportFailure(code) && reconnect_left);
+    case Pending::Outcome::kTransport:
+      // Exactly-once for mutating requests (same token) and inherently
+      // safe for read-only ones.
+      return reconnect_left;
+    case Pending::Outcome::kRefused:
       // A response-carried kUnavailable (a server stopping while the call
       // waited on durability or a standby ack) is as retryable as a dropped
       // connection, and never an ack: the op may or may not have applied,
       // and the resend carries the same token, so it is exactly-once either
-      // way. Reconnect — the endpoint may come back as a promoted standby.
-      {
-        std::lock_guard<std::mutex> lock(shared_->mu);
-        shared_->stats.transport_failures++;
-      }
-      DropConn(core);
-      SleepBackoff(0, reconnects_used);
-      ++reconnects_used;
-      continue;
-    }
-    return wire_status.status;
+      // way.
+      return (code == StatusCode::kResourceExhausted && shed_left) ||
+             (code == StatusCode::kUnavailable && reconnect_left);
+    case Pending::Outcome::kInFlight:
+    case Pending::Outcome::kAnswered:
+      return false;
   }
+  return false;
+}
+
+void Client::SpendRetry(Pending& pending) {
+  const StatusCode code = pending.failure_.code();
+  if (pending.outcome_ == Pending::Outcome::kTransport) {
+    // Counted and dropped when it failed; reconnect at once.
+    ++pending.reconnects_used_;
+    return;
+  }
+  if (code == StatusCode::kResourceExhausted) {
+    int64_t hint = pending.retry_after_ms_;
+    {
+      std::lock_guard<std::mutex> lock(shared_->mu);
+      shared_->stats.shed_retries++;
+      // A shed connection carries its hint in the Hello reply.
+      if (pending.outcome_ == Pending::Outcome::kNotConnected) {
+        hint = shared_->last_shed_hint_ms;
+      }
+    }
+    SleepBackoff(hint, pending.shed_attempts_++);
+    return;
+  }
+  {
+    std::lock_guard<std::mutex> lock(shared_->mu);
+    shared_->stats.transport_failures++;
+  }
+  // Reconnect: the endpoint may come back as a promoted standby.
+  if (pending.outcome_ == Pending::Outcome::kRefused) {
+    DropConn(pending.core_);
+  }
+  SleepBackoff(0, pending.reconnects_used_++);
+}
+
+StatusOr<std::string> Client::Finish(Pending& pending) {
+  // The reconnect budget is per call and covers both mid-call transport
+  // drops and failed re-handshakes (a server mid-restart refuses connects
+  // for a while).
+  StatusOr<std::string> reply = Await(pending);
+  while (!reply.ok() && Retryable(pending)) {
+    SpendRetry(pending);
+    Send(pending);
+    reply = Await(pending);
+  }
+  return reply;
+}
+
+StatusOr<std::string> Client::Call(MsgType type, const std::string& payload) {
+  Pending pending = Start(type, payload);
+  return Finish(pending);
 }
 
 Status Client::CameraStart(const core::CameraId& camera) {
@@ -567,34 +635,29 @@ StatusOr<uint64_t> Client::Subscribe(const SubscribeRequest& request,
                                      PushCallback callback) {
   auto ensured = EnsureConn();
   if (!ensured.ok()) return ensured.status();
-  std::shared_ptr<ConnCore> core = *ensured;
   io::BinaryWriter writer;
   EncodeSubscribeRequest(&writer, request);
   {
     std::lock_guard<std::mutex> lock(shared_->mu);
     shared_->stats.requests_sent++;
   }
-  WireStatus wire_status;
-  uint64_t correlation = 0;
-  auto body = CallOnce(core, MsgType::kSubscribe, writer.buffer(),
-                       &wire_status, &callback, &correlation);
-  const Status failure = !body.ok() ? body.status() : wire_status.status;
-  if (!failure.ok()) {
-    std::lock_guard<std::mutex> lock(core->mu);
-    core->push_callbacks.erase(correlation);
-    return failure;
-  }
-  io::BinaryReader reader(std::move(*body));
-  auto subscription_id = reader.ReadU64();
+  // One attempt on this connection: a retry on a new one would leave the
+  // callback registered where no push can reach it.
+  Pending pending(MsgType::kSubscribe, writer.buffer());
+  pending.core_ = std::move(*ensured);
+  ConnCore& core = *pending.core_;
+  auto subscription_id = [&]() -> StatusOr<uint64_t> {
+    VZ_RETURN_IF_ERROR(SendOn(pending, &callback));
+    VZ_ASSIGN_OR_RETURN(std::string body, AwaitReply(pending));
+    io::BinaryReader reader(std::move(body));
+    return reader.ReadU64();
+  }();
+  std::lock_guard<std::mutex> lock(core.mu);
   if (!subscription_id.ok()) {
-    std::lock_guard<std::mutex> lock(core->mu);
-    core->push_callbacks.erase(correlation);
+    core.push_callbacks.erase(pending.correlation_);
     return subscription_id.status();
   }
-  {
-    std::lock_guard<std::mutex> lock(core->mu);
-    core->subscription_corr.emplace(*subscription_id, correlation);
-  }
+  core.subscription_corr.emplace(*subscription_id, pending.correlation_);
   return *subscription_id;
 }
 
@@ -610,11 +673,10 @@ Status Client::Unsubscribe(uint64_t subscription_id) {
     std::lock_guard<std::mutex> lock(shared_->mu);
     shared_->stats.requests_sent++;
   }
-  WireStatus wire_status;
-  auto body =
-      CallOnce(core, MsgType::kUnsubscribe, writer.buffer(), &wire_status);
-  if (!body.ok()) return body.status();
-  if (!wire_status.status.ok()) return wire_status.status;
+  Pending pending(MsgType::kUnsubscribe, writer.buffer());
+  pending.core_ = core;
+  VZ_RETURN_IF_ERROR(SendOn(pending, nullptr));
+  VZ_RETURN_IF_ERROR(AwaitReply(pending).status());
   std::lock_guard<std::mutex> lock(core->mu);
   auto it = core->subscription_corr.find(subscription_id);
   if (it != core->subscription_corr.end()) {

@@ -1,6 +1,7 @@
 #ifndef VZ_NET_CLIENT_H_
 #define VZ_NET_CLIENT_H_
 
+#include <chrono>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -93,6 +94,12 @@ using PushCallback = std::function<void(const PushEvent&)>;
 /// corresponding `VideoZilla` method, so call sites can swap between
 /// in-process and remote execution.
 ///
+/// Every RPC is one call path: `Start` sends the request, `Await` collects
+/// that attempt's reply, and `Finish` retries within the budget below. The
+/// blocking methods are `Start` + `Finish`; a caller with several requests
+/// in flight (the coordinator's fan-out) starts them all and awaits each,
+/// so one thread drives them without a thread per request.
+///
 /// Overload handling: a `kResourceExhausted` response (a shed query or a
 /// shed connection) is retried up to `max_shed_retries` times with capped,
 /// jittered exponential backoff seeded by the server's retry-after hint.
@@ -109,6 +116,14 @@ using PushCallback = std::function<void(const PushEvent&)>;
 /// them on disconnect). A subscriber that needs continuity re-subscribes
 /// after a drop and treats the discontinuity like a gap marker.
 class Client {
+  // Defined in client.cc; declared ahead of `Pending`, which holds them.
+  /// Per-connection state, shared with the reader thread. Lives behind a
+  /// `shared_ptr` so the reader can outlive a `Close` racing a call, and so
+  /// the Client object itself stays movable while the thread runs.
+  struct ConnCore;
+  /// One attempt's completion slot, filled by the reader thread.
+  struct ReplySlot;
+
  public:
   /// Connects, negotiates the protocol version, and returns a ready client.
   static StatusOr<Client> Connect(const std::string& host, uint16_t port,
@@ -117,6 +132,77 @@ class Client {
   ~Client();
   Client(Client&&) noexcept;
   Client& operator=(Client&&) noexcept;
+
+  // --- Asynchronous calls. ---
+
+  /// One call between `Start` and its final reply: the request as sent (a
+  /// mutating request carries its idempotency token, which every retry
+  /// re-sends unchanged), its current attempt's connection, correlation
+  /// and deadline, and what is left of its retry budget. Drive it only
+  /// through the client that started it, while that client lives.
+  /// Destroying it with an attempt in flight abandons the attempt: a late
+  /// reply is dropped.
+  class Pending {
+   public:
+    Pending(Pending&&) noexcept = default;
+    Pending& operator=(Pending&&) = delete;
+    ~Pending();
+
+   private:
+    friend class Client;
+    enum class Outcome {
+      kInFlight,      // sent; the reply is not yet awaited
+      kNotConnected,  // no connection could be made for the attempt
+      kTransport,     // the connection failed under the attempt
+      kRefused,       // the server answered with an error status
+      kAnswered,      // the server answered OK (reply handed out)
+    };
+
+    Pending(MsgType type, std::string payload)
+        : type_(type), payload_(std::move(payload)) {}
+
+    MsgType type_;
+    std::string payload_;
+    std::shared_ptr<ConnCore> core_;  // the current attempt's connection
+    std::shared_ptr<ReplySlot> slot_;
+    uint64_t correlation_ = 0;
+    /// `io_timeout_ms` after the attempt's send (unused without a budget).
+    std::chrono::steady_clock::time_point deadline_;
+    Outcome outcome_ = Outcome::kNotConnected;
+    /// The attempt's failure (transport or server status) once resolved.
+    Status failure_ = Status::OK();
+    int64_t retry_after_ms_ = 0;  // the server's hint on a shed reply
+    size_t reconnects_used_ = 0;
+    size_t shed_attempts_ = 0;
+  };
+
+  /// Sends a `type` request carrying `payload` (the body the typed method
+  /// would encode) and returns without waiting for the reply. Stamps the
+  /// idempotency token for mutating types exactly as the blocking methods
+  /// do. Reconnects first if the connection was dropped — the one step
+  /// that can block. Never retries: a failure to connect or send is
+  /// reported by the next `Await`.
+  Pending Start(MsgType type, const std::string& payload);
+
+  /// Waits for the reply to `pending`'s current attempt, until
+  /// `io_timeout_ms` after that attempt was sent (not after this call
+  /// began), so requests awaited one after another each keep their own
+  /// budget. Returns the reply body after its wire status, the server's
+  /// error status, or the transport failure (the connection is then
+  /// dropped; the next attempt reconnects). Never retries.
+  StatusOr<std::string> Await(Pending& pending);
+
+  /// True when `pending`'s attempt failed, at `Start` or in `Await`, in a
+  /// way `Finish` retries and the call's budget still covers: a shed (up to
+  /// `max_shed_retries`), or a lost connection or server-reported
+  /// `kUnavailable` (up to `max_reconnects`). Never blocks.
+  bool Retryable(const Pending& pending) const;
+
+  /// Completes `pending` as every blocking method does: awaits the attempt
+  /// in flight and, while the outcome is `Retryable`, backs off or
+  /// reconnects, re-sends the same request and awaits again. Returns the
+  /// final outcome. Blocks for the backoff sleeps and any reconnect.
+  StatusOr<std::string> Finish(Pending& pending);
 
   // --- Ingestion (mirrors VideoZilla). ---
   Status CameraStart(const core::CameraId& camera);
@@ -217,12 +303,6 @@ class Client {
   void Close();
 
  private:
-  /// Per-connection state, shared with the reader thread. Lives behind a
-  /// `shared_ptr` so the reader can outlive a `Close` racing a call, and so
-  /// the Client object itself stays movable while the thread runs.
-  struct ConnCore;
-  /// One in-flight call's completion slot.
-  struct PendingCall;
   /// Client-lifetime mutable state (token sequence, stats, jitter stream)
   /// behind a pointer so concurrent calls synchronize on stable addresses
   /// and the Client stays movable.
@@ -245,21 +325,27 @@ class Client {
   /// The current connection, handshaking first if disconnected (one
   /// attempt, no retry loop).
   StatusOr<std::shared_ptr<ConnCore>> EnsureConn();
-  /// Sends one request and returns the response payload with its wire
-  /// status decoded; handles shed-backoff and reconnects. Mutating requests
-  /// get an idempotency token prepended (the same token across retries of
-  /// one call).
+  /// The blocking RPC behind every typed method: `Start` + `Finish`.
   StatusOr<std::string> Call(MsgType type, const std::string& payload);
-  /// One multiplexed send/await. When `push_callback` is
-  /// non-null it is registered under the call's correlation id BEFORE the
-  /// request is sent (so no push can outrun the registration); the caller
-  /// unregisters it if the call fails. `correlation_out` reports the
-  /// correlation id used.
-  StatusOr<std::string> CallOnce(const std::shared_ptr<ConnCore>& core,
-                                 MsgType type, const std::string& payload,
-                                 WireStatus* wire_status,
-                                 const PushCallback* push_callback = nullptr,
-                                 uint64_t* correlation_out = nullptr);
+  /// Sends `pending`'s next attempt over the current connection
+  /// (reconnecting if there is none); a failure resolves the attempt.
+  void Send(Pending& pending);
+  /// Registers `pending`'s attempt on `pending.core_` and writes its frame.
+  /// When `push_callback` is non-null it is registered under the attempt's
+  /// correlation id BEFORE the request is sent (so no push can outrun the
+  /// registration); the caller unregisters it if the call fails. Returns
+  /// the write failure without resolving the attempt.
+  Status SendOn(Pending& pending, const PushCallback* push_callback);
+  /// Waits out `pending`'s attempt on its connection and resolves it:
+  /// the reply body, or the server's status or the transport failure.
+  /// Leaves the connection to the caller.
+  StatusOr<std::string> AwaitReply(Pending& pending);
+  /// Resolves `pending`'s attempt as a transport failure: counts it and
+  /// drops the connection.
+  void FailTransport(Pending& pending, Status failure);
+  /// Spends the budget of the retry `Retryable` allowed: backoff sleep,
+  /// counters, and dropping a connection the server reported unavailable.
+  void SpendRetry(Pending& pending);
   void SleepBackoff(int64_t hint_ms, size_t attempt);
 
   std::string host_;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <optional>
 #include <thread>
 #include <utility>
 
@@ -354,9 +355,10 @@ std::string Coordinator::HandleAdminTune(io::BinaryReader* reader,
                                        request.status().message());
     return StatusOnlyResponse(*failure);
   }
-  auto legs = FanOut<AdminTuneReply>(
-      EligibleSet(),
-      [&](Client* client) { return client->AdminTune(*request); });
+  io::BinaryWriter leg_request;
+  EncodeAdminTuneRequest(&leg_request, *request);
+  auto legs = FanOut(EligibleSet(), MsgType::kAdminTune, leg_request.buffer(),
+                     &DecodeAdminTuneReply);
   // Every shard gets the same knobs, so any echo serves; a shard that
   // refused (invalid knob) surfaces its error rather than being papered
   // over by a quieter sibling.
@@ -505,16 +507,15 @@ void Coordinator::ForwardLoop() {
 
 // --- Edge connection pool. ---
 
-StatusOr<std::unique_ptr<Client>> Coordinator::CheckoutClient(size_t edge) {
-  {
-    std::lock_guard<std::mutex> lock(pool_mu_);
-    if (!idle_clients_[edge].empty()) {
-      std::unique_ptr<Client> client =
-          std::move(idle_clients_[edge].back());
-      idle_clients_[edge].pop_back();
-      return client;
-    }
-  }
+std::unique_ptr<Client> Coordinator::TakeIdleClient(size_t edge) {
+  std::lock_guard<std::mutex> lock(pool_mu_);
+  if (idle_clients_[edge].empty()) return nullptr;
+  std::unique_ptr<Client> client = std::move(idle_clients_[edge].back());
+  idle_clients_[edge].pop_back();
+  return client;
+}
+
+StatusOr<std::unique_ptr<Client>> Coordinator::DialClient(size_t edge) {
   const EdgeEndpoint endpoint = registry_.endpoint(edge);
   ClientOptions client_options;
   client_options.connect_timeout_ms = options_.edge_connect_timeout_ms;
@@ -527,12 +528,30 @@ StatusOr<std::unique_ptr<Client>> Coordinator::CheckoutClient(size_t edge) {
   return std::make_unique<Client>(std::move(*connected));
 }
 
+StatusOr<std::unique_ptr<Client>> Coordinator::CheckoutClient(size_t edge) {
+  std::unique_ptr<Client> idle = TakeIdleClient(edge);
+  if (idle != nullptr) return idle;
+  return DialClient(edge);
+}
+
 void Coordinator::CheckinClient(size_t edge, std::unique_ptr<Client> client) {
   std::lock_guard<std::mutex> lock(pool_mu_);
   // Bound the pool to a handful per edge; extras just close.
   if (idle_clients_[edge].size() < 4) {
     idle_clients_[edge].push_back(std::move(client));
   }
+}
+
+bool Coordinator::SettleEdgeCall(size_t edge, const Status& status,
+                                 std::unique_ptr<Client> client) {
+  if (IsEdgeTransportFailure(status.code())) {
+    registry_.RecordFailure(edge, NowMs());
+    return true;  // the broken connection closes with `client`
+  }
+  // An RPC-level error still means the shard is alive and answering.
+  registry_.RecordSuccess(edge, NowMs());
+  CheckinClient(edge, std::move(client));
+  return false;
 }
 
 // --- Fan-out plumbing. ---
@@ -549,44 +568,85 @@ core::QueryConstraints Coordinator::ShardConstraints(
 }
 
 template <typename Result>
+void Coordinator::SettleLeg(size_t edge, std::unique_ptr<Client> client,
+                            StatusOr<std::string> reply,
+                            StatusOr<Result> (*decode)(io::BinaryReader*),
+                            Leg<Result>* leg) {
+  Status status = reply.status();
+  if (status.ok()) {
+    io::BinaryReader reader(std::move(*reply));
+    StatusOr<Result> result = decode(&reader);
+    status = result.status();
+    if (result.ok()) leg->result = std::move(*result);
+  }
+  leg->status = status;
+  if (SettleEdgeCall(edge, status, std::move(client))) {
+    fanout_failures_.fetch_add(1);
+  }
+}
+
+template <typename Result>
 std::vector<Coordinator::Leg<Result>> Coordinator::FanOut(
-    const std::vector<bool>& consult,
-    const std::function<StatusOr<Result>(Client*)>& call) {
+    const std::vector<bool>& consult, MsgType type, const std::string& payload,
+    StatusOr<Result> (*decode)(io::BinaryReader*)) {
   const size_t n = registry_.size();
   std::vector<Leg<Result>> legs(n);
-  std::vector<std::thread> threads;
+  // A leg that must dial (no idle pooled connection) or retry (stale
+  // connection, shed) finishes through the blocking call path on a thread
+  // of its own, so its dial or backoff never holds up another shard's.
+  std::vector<std::thread> slow;
+  auto finish_on_thread = [&](size_t i, std::unique_ptr<Client> client,
+                              std::optional<Client::Pending> call) {
+    slow.emplace_back([this, i, type, decode, &payload, leg = &legs[i],
+                       client = std::move(client),
+                       call = std::move(call)]() mutable {
+      if (client == nullptr) {
+        auto dialed = DialClient(i);
+        if (!dialed.ok()) {
+          fanout_failures_.fetch_add(1);
+          registry_.RecordFailure(i, NowMs());
+          leg->status = dialed.status();
+          return;
+        }
+        client = std::move(*dialed);
+        call.emplace(client->Start(type, payload));
+      }
+      StatusOr<std::string> reply = client->Finish(*call);
+      SettleLeg(i, std::move(client), std::move(reply), decode, leg);
+    });
+  };
+  // Start every leg that has a pooled connection from this thread...
+  std::vector<std::unique_ptr<Client>> clients(n);
+  std::vector<std::optional<Client::Pending>> calls(n);
   for (size_t i = 0; i < n; ++i) {
     if (!consult[i]) continue;
     legs[i].consulted = true;
-    threads.emplace_back([this, i, &legs, &call] {
-      fanout_legs_.fetch_add(1);
-      auto checkout = CheckoutClient(i);
-      if (!checkout.ok()) {
-        fanout_failures_.fetch_add(1);
-        registry_.RecordFailure(i, NowMs());
-        legs[i].status = checkout.status();
-        return;
-      }
-      std::unique_ptr<Client> client = std::move(*checkout);
-      auto result = call(client.get());
-      if (!result.ok()) {
-        if (IsEdgeTransportFailure(result.status().code())) {
-          fanout_failures_.fetch_add(1);
-          registry_.RecordFailure(i, NowMs());
-        } else {
-          registry_.RecordSuccess(i, NowMs());
-          CheckinClient(i, std::move(client));
-        }
-        legs[i].status = result.status();
-        return;
-      }
-      registry_.RecordSuccess(i, NowMs());
-      legs[i].status = Status::OK();
-      legs[i].result = std::move(*result);
-      CheckinClient(i, std::move(client));
-    });
+    fanout_legs_.fetch_add(1);
+    std::unique_ptr<Client> client = TakeIdleClient(i);
+    if (client == nullptr) {
+      finish_on_thread(i, nullptr, std::nullopt);
+      continue;
+    }
+    Client::Pending call = client->Start(type, payload);
+    if (client->Retryable(call)) {  // the send itself failed
+      finish_on_thread(i, std::move(client), std::move(call));
+      continue;
+    }
+    clients[i] = std::move(client);
+    calls[i].emplace(std::move(call));
   }
-  for (std::thread& t : threads) t.join();
+  // ...then collect the replies in shard order. Each attempt's deadline
+  // runs from its own send, so waiting on one leg never shortens another.
+  for (size_t i = 0; i < n; ++i) {
+    if (!calls[i].has_value()) continue;
+    StatusOr<std::string> reply = clients[i]->Await(*calls[i]);
+    if (!reply.ok() && clients[i]->Retryable(*calls[i])) {
+      finish_on_thread(i, std::move(clients[i]), std::move(calls[i]));
+      continue;
+    }
+    SettleLeg(i, std::move(clients[i]), std::move(reply), decode, &legs[i]);
+  }
+  for (std::thread& thread : slow) thread.join();
   return legs;
 }
 
@@ -654,13 +714,11 @@ std::string Coordinator::HandleDirectQuery(io::BinaryReader* reader,
     return StatusOnlyResponse(*failure);
   }
 
-  const std::vector<bool> consult = DirectQueryConsultSet(*feature);
-  const core::QueryConstraints shard_constraints =
-      ShardConstraints(*constraints);
-  auto legs = FanOut<core::DirectQueryResult>(
-      consult, [&](Client* client) {
-        return client->DirectQuery(*feature, shard_constraints);
-      });
+  io::BinaryWriter leg_request;
+  EncodeFeatureVector(&leg_request, *feature);
+  EncodeQueryConstraints(&leg_request, ShardConstraints(*constraints));
+  auto legs = FanOut(DirectQueryConsultSet(*feature), MsgType::kDirectQuery,
+                     leg_request.buffer(), &DecodeDirectQueryResult);
 
   // Merge strictly in shard-index order: the answer is a pure function of
   // the per-shard results, never of their completion order.
@@ -760,19 +818,14 @@ std::string Coordinator::HandleClusteringQuery(MsgType type,
       } else {
         std::unique_ptr<Client> client = std::move(*checkout);
         auto map = client->SvsFeatureMap(LocalSvsId(*id));
-        if (map.ok()) {
-          registry_.RecordSuccess(owner, NowMs());
-          CheckinClient(owner, std::move(client));
-          target = std::move(*map);
-        } else if (IsEdgeTransportFailure(map.status().code())) {
-          registry_.RecordFailure(owner, NowMs());
+        if (SettleEdgeCall(owner, map.status(), std::move(client))) {
           target_shard_down = true;
-        } else {
+        } else if (!map.ok()) {
           // The shard answered: the id genuinely does not resolve.
-          registry_.RecordSuccess(owner, NowMs());
-          CheckinClient(owner, std::move(client));
           *failure = map.status();
           return StatusOnlyResponse(*failure);
+        } else {
+          target = std::move(*map);
         }
       }
     }
@@ -816,13 +869,11 @@ std::string Coordinator::HandleClusteringQuery(MsgType type,
     return writer.buffer();
   }
 
-  const std::vector<bool> consult = EligibleSet();
-  const core::QueryConstraints shard_constraints =
-      ShardConstraints(constraints);
-  auto legs = FanOut<core::ClusteringQueryResult>(
-      consult, [&](Client* client) {
-        return client->ClusteringQuery(target, shard_constraints);
-      });
+  io::BinaryWriter leg_request;
+  EncodeFeatureMap(&leg_request, target);
+  EncodeQueryConstraints(&leg_request, ShardConstraints(constraints));
+  auto legs = FanOut(EligibleSet(), MsgType::kClusteringQueryByMap,
+                     leg_request.buffer(), &DecodeClusteringQueryResult);
 
   merged.completed_fraction = 0.0;
   size_t consulted = 0;
@@ -893,18 +944,11 @@ std::string Coordinator::HandleGetMetaData(io::BinaryReader* reader,
   }
   std::unique_ptr<Client> client = std::move(*checkout);
   auto meta = client->GetMetaData(LocalSvsId(*id));
+  SettleEdgeCall(owner, meta.status(), std::move(client));
   if (!meta.ok()) {
-    if (IsEdgeTransportFailure(meta.status().code())) {
-      registry_.RecordFailure(owner, NowMs());
-    } else {
-      registry_.RecordSuccess(owner, NowMs());
-      CheckinClient(owner, std::move(client));
-    }
     *failure = meta.status();
     return StatusOnlyResponse(*failure);
   }
-  registry_.RecordSuccess(owner, NowMs());
-  CheckinClient(owner, std::move(client));
   meta->id = *id;  // back to the global id space
   io::BinaryWriter writer;
   EncodeWireStatus(&writer, {Status::OK(), 0});
@@ -935,18 +979,11 @@ std::string Coordinator::HandleSvsFeatureMap(io::BinaryReader* reader,
   }
   std::unique_ptr<Client> client = std::move(*checkout);
   auto map = client->SvsFeatureMap(LocalSvsId(*id));
+  SettleEdgeCall(owner, map.status(), std::move(client));
   if (!map.ok()) {
-    if (IsEdgeTransportFailure(map.status().code())) {
-      registry_.RecordFailure(owner, NowMs());
-    } else {
-      registry_.RecordSuccess(owner, NowMs());
-      CheckinClient(owner, std::move(client));
-    }
     *failure = map.status();
     return StatusOnlyResponse(*failure);
   }
-  registry_.RecordSuccess(owner, NowMs());
-  CheckinClient(owner, std::move(client));
   io::BinaryWriter writer;
   EncodeWireStatus(&writer, {Status::OK(), 0});
   EncodeFeatureMap(&writer, *map);
@@ -955,8 +992,8 @@ std::string Coordinator::HandleSvsFeatureMap(io::BinaryReader* reader,
 
 std::string Coordinator::HandleMonitorStats(Status* failure) {
   (void)failure;
-  auto legs = FanOut<MonitorStatsReply>(
-      EligibleSet(), [](Client* client) { return client->MonitorStats(); });
+  auto legs = FanOut(EligibleSet(), MsgType::kMonitorStats, "",
+                     &DecodeMonitorStats);
 
   MonitorStatsReply merged;
   for (const auto& leg : legs) {
@@ -1015,9 +1052,8 @@ std::string Coordinator::HandleMonitorStats(Status* failure) {
 
 std::string Coordinator::HandleCameraHealth(Status* failure) {
   (void)failure;
-  auto legs = FanOut<std::vector<CameraHealthEntry>>(
-      EligibleSet(),
-      [](Client* client) { return client->CameraHealthReport(); });
+  auto legs = FanOut(EligibleSet(), MsgType::kCameraHealth, "",
+                     &DecodeCameraHealthReport);
   std::vector<CameraHealthEntry> merged;
   for (const auto& leg : legs) {
     if (!leg.consulted || !leg.status.ok()) continue;
@@ -1031,8 +1067,8 @@ std::string Coordinator::HandleCameraHealth(Status* failure) {
 
 std::string Coordinator::HandleQueryLoadStats(Status* failure) {
   (void)failure;
-  auto legs = FanOut<core::QueryLoadStats>(
-      EligibleSet(), [](Client* client) { return client->QueryLoadStats(); });
+  auto legs = FanOut(EligibleSet(), MsgType::kQueryLoadStats, "",
+                     &DecodeQueryLoadStats);
   core::QueryLoadStats merged;
   for (const auto& leg : legs) {
     if (!leg.consulted || !leg.status.ok()) continue;

@@ -5,7 +5,6 @@
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <shared_mutex>
@@ -293,18 +292,41 @@ class Coordinator {
   core::QueryConstraints ShardConstraints(
       const core::QueryConstraints& constraints) const;
 
-  /// Runs `call` against every shard whose slot in `consult` is true, one
-  /// thread per consulted shard, recording each outcome into the registry.
-  /// Results come back slotted by shard index — merge order never depends
-  /// on completion order.
+  /// Sends the `type` request `payload` (encoded once) to every shard
+  /// whose slot in `consult` is true and decodes each reply with `decode`,
+  /// recording every outcome into the registry. No thread per leg: this
+  /// thread starts every leg that has an idle pooled connection, then
+  /// awaits them in shard order, each attempt's deadline counted from its
+  /// own send. Only a leg that must dial a connection or retry (stale
+  /// connection, shed) finishes on a short-lived thread of its own, joined
+  /// before returning, so one leg's dial or backoff never delays
+  /// another's. Results come back slotted by shard index — merge order
+  /// never depends on completion order.
   template <typename Result>
   std::vector<Leg<Result>> FanOut(
-      const std::vector<bool>& consult,
-      const std::function<StatusOr<Result>(Client*)>& call);
+      const std::vector<bool>& consult, MsgType type,
+      const std::string& payload,
+      StatusOr<Result> (*decode)(io::BinaryReader*));
+  /// Decodes one leg's reply into `leg` and settles its edge call (see
+  /// `SettleEdgeCall`), counting a transport failure.
+  template <typename Result>
+  void SettleLeg(size_t edge, std::unique_ptr<Client> client,
+                 StatusOr<std::string> reply,
+                 StatusOr<Result> (*decode)(io::BinaryReader*),
+                 Leg<Result>* leg);
 
+  /// Pops an idle pooled connection to `edge` (null when there is none).
+  std::unique_ptr<Client> TakeIdleClient(size_t edge);
+  /// Dials a new connection to `edge`.
+  StatusOr<std::unique_ptr<Client>> DialClient(size_t edge);
   /// Pops a pooled connection to `edge` or dials a new one.
   StatusOr<std::unique_ptr<Client>> CheckoutClient(size_t edge);
   void CheckinClient(size_t edge, std::unique_ptr<Client> client);
+  /// Records one edge RPC's outcome on the health ladder and returns
+  /// `client` to the pool, unless the transport failed (the broken
+  /// connection closes with `client`). Returns whether it did.
+  bool SettleEdgeCall(size_t edge, const Status& status,
+                      std::unique_ptr<Client> client);
 
   /// One sync/probe pass (the body of `PollEdgesNow` and the background
   /// thread). With `respect_backoff`, unreachable edges whose probe is not

@@ -204,6 +204,11 @@ ServerRole Server::role() const {
 }
 
 ServerStats Server::stats() const {
+  std::shared_lock<std::shared_mutex> lock(state_mu_);
+  return StatsLocked();
+}
+
+ServerStats Server::StatsLocked() const {
   ServerStats stats;
   const RpcEndpoint::Stats front = endpoint_.stats();
   stats.connections_accepted = front.connections_accepted;
@@ -654,7 +659,7 @@ std::string Server::ExecuteRequest(MsgType type, io::BinaryReader* reader_ptr,
       stats.svs_count = system_->svs_store().size();
       stats.camera_count = system_->cameras().size();
       stats.now_ms = system_->now_ms();
-      const ServerStats serving = this->stats();
+      const ServerStats serving = StatsLocked();
       stats.serving.connections_accepted = serving.connections_accepted;
       stats.serving.connections_shed = serving.connections_shed;
       stats.serving.connections_evicted_idle =

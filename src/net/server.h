@@ -278,6 +278,8 @@ class Server {
   /// The bound port (valid after a successful `Start`).
   uint16_t port() const { return endpoint_.port(); }
 
+  /// Lifetime counters. Takes the state lock shared: a standby's
+  /// checkpoint re-seed replaces the WAL under it.
   ServerStats stats() const;
 
   /// Snapshot of the per-connection registry (age/idle/bytes/RPCs).
@@ -332,6 +334,8 @@ class Server {
   /// The RPC switch for token-free requests (queries, stats, ship).
   std::string ExecuteRequest(MsgType type, io::BinaryReader* reader,
                              Status* failure);
+  /// `stats()` for a caller already holding `state_mu_` (shared suffices).
+  ServerStats StatsLocked() const;
   /// The mutating RPC switch proper. Caller holds `state_mu_` exclusively;
   /// shared by the client path, WAL replay and replication apply — the one
   /// dispatch that regenerates byte-identical state from logged bytes.
@@ -403,7 +407,7 @@ class Server {
 
   /// Serializes mutating RPCs against concurrent queries (see class
   /// comment).
-  std::shared_mutex state_mu_;
+  mutable std::shared_mutex state_mu_;
 
   /// Guards the session registry. Never held while executing an RPC — the
   /// per-session lock takes over.

@@ -13,10 +13,14 @@
 //      merged answer is bit-identical across response orders and edge
 //      thread counts;
 //   4. the coordinator is a read-only query plane: mutating and replication
-//      RPCs are refused with kFailedPrecondition.
+//      RPCs are refused with kFailedPrecondition;
+//   5. fan-out timing: legs to healthy edges overlap, legs that must dial
+//      blackholed edges do so side by side, and a stale pooled connection
+//      is absorbed by the leg's own reconnect.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cstdlib>
 #include <memory>
 #include <optional>
@@ -468,6 +472,161 @@ TEST(NetClusterTest, CoordinatorMonitorReportsItsOwnFrontEnd) {
   ASSERT_EQ(monitor->serving.connections.size(), 1u);
   EXPECT_GE(monitor->serving.connections[0].rpcs, 2u);
   EXPECT_GT(monitor->serving.connections[0].bytes_in, 0u);
+
+  client.Close();
+}
+
+// Drill 5a: every leg's first attempt is on the wire before any reply is
+// awaited. Behind delay-only proxies each round trip costs ~2 x 100 ms, so
+// legs sent one after another would take at least three times one edge's
+// round trip; overlapping legs take about one.
+TEST(NetClusterTest, FanOutLegsOverlap) {
+  sim::Deployment deployment(SmallDeployment());
+  deployment.observations();
+  const size_t kEdges = 3;
+
+  TestCluster cluster(&deployment, kEdges, SmallSystemOptions());
+  ASSERT_TRUE(cluster.StartEdges().ok());
+  std::vector<std::unique_ptr<ChaosProxy>> proxies;
+  std::vector<EdgeEndpoint> endpoints;
+  for (size_t i = 0; i < kEdges; ++i) {
+    ChaosProxyOptions proxy_options;
+    proxy_options.upstream_port = cluster.edge_port(i);
+    proxy_options.faults.seed = 7'000 + i;
+    proxy_options.faults.delay_probability = 1.0;
+    proxy_options.faults.delay_ms = 100;
+    proxies.push_back(std::make_unique<ChaosProxy>(proxy_options));
+    ASSERT_TRUE(proxies.back()->Start().ok());
+    endpoints.push_back({"127.0.0.1", proxies.back()->port()});
+  }
+  ASSERT_TRUE(
+      cluster.StartCoordinator(DrillCoordinatorOptions(), endpoints).ok());
+  auto connected = cluster.Connect(800);
+  ASSERT_TRUE(connected.ok());
+  Client client = std::move(*connected);
+
+  Rng query_rng(17);
+  const FeatureVector query = deployment.MakeQueryFeature(0, &query_rng);
+  auto warm_up = client.DirectQuery(query);
+  ASSERT_TRUE(warm_up.ok()) << warm_up.status().ToString();
+  ASSERT_FALSE(warm_up->degraded);
+
+  // The same query straight to each edge through its proxy.
+  std::chrono::steady_clock::duration slowest_edge{};
+  for (size_t i = 0; i < kEdges; ++i) {
+    auto edge = Client::Connect("127.0.0.1", proxies[i]->port());
+    ASSERT_TRUE(edge.ok()) << edge.status().ToString();
+    const auto sent = std::chrono::steady_clock::now();
+    ASSERT_TRUE(edge->DirectQuery(query).ok());
+    slowest_edge =
+        std::max(slowest_edge, std::chrono::steady_clock::now() - sent);
+  }
+
+  const auto sent = std::chrono::steady_clock::now();
+  auto fanned = client.DirectQuery(query);
+  const auto elapsed = std::chrono::steady_clock::now() - sent;
+  ASSERT_TRUE(fanned.ok()) << fanned.status().ToString();
+  EXPECT_FALSE(fanned->degraded);
+  EXPECT_EQ(fanned->candidate_svss, warm_up->candidate_svss);
+  EXPECT_LT(elapsed, slowest_edge * 3 / 2);
+
+  client.Close();
+  for (auto& proxy : proxies) proxy->Shutdown();
+}
+
+// Drill 5b: with a cold pool, every leg must dial, and a blackholed edge
+// holds each of its two handshake attempts (the dial's one reconnect) for
+// the full 300 ms I/O budget. Dials side by side answer in ~600 ms; dials
+// one after another would take at least 1,200 ms.
+TEST(NetClusterTest, LegsDialBlackholedEdgesSideBySide) {
+  sim::Deployment deployment(SmallDeployment());
+  deployment.observations();
+  const size_t kEdges = 2;
+
+  TestCluster cluster(&deployment, kEdges, SmallSystemOptions());
+  ASSERT_TRUE(cluster.StartEdges().ok());
+  std::vector<std::unique_ptr<ChaosProxy>> proxies;
+  std::vector<EdgeEndpoint> endpoints;
+  for (size_t i = 0; i < kEdges; ++i) {
+    ChaosProxyOptions proxy_options;
+    proxy_options.upstream_port = cluster.edge_port(i);
+    proxy_options.faults.seed = 9'000 + i;
+    proxy_options.faults.blackhole_probability = 1.0;
+    proxies.push_back(std::make_unique<ChaosProxy>(proxy_options));
+    ASSERT_TRUE(proxies.back()->Start().ok());
+    endpoints.push_back({"127.0.0.1", proxies.back()->port()});
+  }
+  CoordinatorOptions options = DrillCoordinatorOptions();
+  options.edge_io_timeout_ms = 300;
+  // The start-up sync fails once per edge: both stay eligible (one failure
+  // short of eviction) with nothing pooled.
+  ASSERT_TRUE(cluster.StartCoordinator(options, endpoints).ok());
+  Coordinator& coordinator = cluster.coordinator();
+  std::vector<core::CameraId> all_cameras;
+  for (size_t i = 0; i < kEdges; ++i) {
+    ASSERT_TRUE(coordinator.registry().Eligible(i));
+    // No sync ever got through, so hand the registry each shard's cameras
+    // for the degraded answer to list.
+    coordinator.registry().RecordCameras(i, cluster.shard_cameras(i));
+    all_cameras.insert(all_cameras.end(), cluster.shard_cameras(i).begin(),
+                       cluster.shard_cameras(i).end());
+  }
+  std::sort(all_cameras.begin(), all_cameras.end());
+  auto connected = cluster.Connect(900);
+  ASSERT_TRUE(connected.ok());
+  Client client = std::move(*connected);
+
+  Rng query_rng(19);
+  const FeatureVector query = deployment.MakeQueryFeature(0, &query_rng);
+  const uint64_t failures_before = coordinator.stats().fanout_failures;
+  const auto sent = std::chrono::steady_clock::now();
+  auto answer = client.DirectQuery(query);
+  const auto elapsed = std::chrono::steady_clock::now() - sent;
+  ASSERT_TRUE(answer.ok()) << answer.status().ToString();
+  EXPECT_TRUE(answer->degraded);
+  EXPECT_EQ(answer->completed_fraction, 0.0);
+  EXPECT_TRUE(answer->candidate_svss.empty());
+  EXPECT_EQ(answer->excluded_cameras, all_cameras);
+  EXPECT_EQ(coordinator.stats().fanout_failures - failures_before, kEdges);
+  EXPECT_LT(elapsed, std::chrono::milliseconds(900));
+
+  client.Close();
+  for (auto& proxy : proxies) proxy->Shutdown();
+}
+
+// Drill 5c: an edge restarted between two queries leaves the coordinator a
+// pooled connection to its dead incarnation. The leg's one reconnect
+// absorbs it: the answer is whole, and the shard never looks unhealthy.
+TEST(NetClusterTest, StalePooledConnectionIsAbsorbedByTheLegsReconnect) {
+  sim::Deployment deployment(SmallDeployment());
+  deployment.observations();
+  const size_t kEdges = 2;
+
+  TestCluster cluster(&deployment, kEdges, SmallSystemOptions());
+  ASSERT_TRUE(cluster.StartEdges().ok());
+  ASSERT_TRUE(cluster.StartCoordinator(DrillCoordinatorOptions()).ok());
+  auto connected = cluster.Connect(1'000);
+  ASSERT_TRUE(connected.ok());
+  Client client = std::move(*connected);
+
+  Rng query_rng(23);
+  const FeatureVector query = deployment.MakeQueryFeature(0, &query_rng);
+  auto before = client.DirectQuery(query);
+  ASSERT_TRUE(before.ok()) << before.status().ToString();
+  EXPECT_FALSE(before->degraded);
+
+  cluster.KillEdge(0);
+  ASSERT_TRUE(cluster.RestartEdge(0).ok());
+
+  // No PollEdgesNow in between: the query meets the stale connection.
+  const uint64_t failures_before =
+      cluster.coordinator().stats().fanout_failures;
+  auto after = client.DirectQuery(query);
+  ASSERT_TRUE(after.ok()) << after.status().ToString();
+  ExpectDirectEq(*after, *before);
+  EXPECT_EQ(cluster.coordinator().stats().fanout_failures, failures_before);
+  EXPECT_EQ(cluster.coordinator().shard_health()[0].state,
+            ShardState::kHealthy);
 
   client.Close();
 }

@@ -8,6 +8,7 @@
 // an edge server and against a coordinator over one edge.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <condition_variable>
 #include <cstdio>
 #include <memory>
@@ -477,6 +478,112 @@ TEST(NetTest, GracefulShutdownDrainsInFlightRequest) {
   no_retry.max_reconnects = 0;
   EXPECT_FALSE(
       Client::Connect("127.0.0.1", server.port(), no_retry).ok());
+}
+
+// --- Asynchronous calls. ---
+
+io::BinaryWriter DirectQueryRequest(const FeatureVector& feature) {
+  io::BinaryWriter request;
+  EncodeFeatureVector(&request, feature);
+  EncodeQueryConstraints(&request, {});
+  return request;
+}
+
+TEST(NetTest, StartedCallsAwaitedInReverseOrderMatchBlockingAnswers) {
+  Rig rig;
+  ASSERT_TRUE(rig.deployment->IngestAll(rig.system.get()).ok());
+  Server server(rig.system.get(), {});
+  ASSERT_TRUE(server.Start().ok());
+  auto client_or = Client::Connect("127.0.0.1", server.port());
+  ASSERT_TRUE(client_or.ok()) << client_or.status().ToString();
+  Client client = std::move(*client_or);
+
+  // Every request is on the wire before any reply is collected.
+  constexpr size_t kCalls = 8;
+  Rng rng(3);
+  std::vector<FeatureVector> queries;
+  std::vector<Client::Pending> calls;
+  for (size_t i = 0; i < kCalls; ++i) {
+    queries.push_back(
+        rig.deployment->MakeQueryFeature(static_cast<int>(i % 4), &rng));
+    calls.push_back(client.Start(MsgType::kDirectQuery,
+                                 DirectQueryRequest(queries[i]).buffer()));
+  }
+  for (size_t i = kCalls; i-- > 0;) {
+    SCOPED_TRACE("call " + std::to_string(i));
+    auto reply = client.Await(calls[i]);
+    ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+    io::BinaryReader reader(std::move(*reply));
+    auto awaited = DecodeDirectQueryResult(&reader);
+    ASSERT_TRUE(awaited.ok()) << awaited.status().ToString();
+    auto blocking = client.DirectQuery(queries[i]);
+    ASSERT_TRUE(blocking.ok()) << blocking.status().ToString();
+    EXPECT_EQ(awaited->candidate_svss, blocking->candidate_svss);
+    EXPECT_EQ(awaited->matched_svss, blocking->matched_svss);
+    EXPECT_EQ(awaited->total_gpu_ms, blocking->total_gpu_ms);
+    EXPECT_EQ(awaited->per_camera_gpu_ms, blocking->per_camera_gpu_ms);
+    EXPECT_EQ(awaited->frames_processed, blocking->frames_processed);
+    EXPECT_EQ(awaited->cameras_searched, blocking->cameras_searched);
+    EXPECT_EQ(awaited->completed_fraction, blocking->completed_fraction);
+  }
+  const ClientCallStats stats = client.call_stats();
+  EXPECT_EQ(stats.requests_sent, 2 * kCalls);
+  EXPECT_EQ(stats.transport_failures, 0u);
+  // A reply is handed out once.
+  EXPECT_EQ(client.Await(calls[0]).status().code(),
+            StatusCode::kFailedPrecondition);
+  EXPECT_FALSE(client.Retryable(calls[0]));
+  client.Close();
+  server.Shutdown();
+}
+
+TEST(NetTest, AwaitResolvesToATransportFailureWhenTheServerDies) {
+  Rig rig;
+  ASSERT_TRUE(rig.deployment->IngestAll(rig.system.get()).ok());
+  LatchedVerifier latched(rig.verifier.get());
+  rig.system->SetVerifier(&latched);
+  Server server(rig.system.get(), {});
+  ASSERT_TRUE(server.Start().ok());
+
+  // Probe from the store: guarantees candidates, so the query parks in the
+  // latched verifier and cannot be answered before the kill.
+  const auto ids = rig.system->svs_store().AllIds();
+  ASSERT_FALSE(ids.empty());
+  auto probe_svs = rig.system->svs_store().Get(ids[0]);
+  ASSERT_TRUE(probe_svs.ok());
+  const FeatureVector query = (*probe_svs)->features().vector(0);
+  ClientOptions options;
+  options.io_timeout_ms = 30'000;  // far beyond the bound asserted below
+  auto client_or = Client::Connect("127.0.0.1", server.port(), options);
+  ASSERT_TRUE(client_or.ok()) << client_or.status().ToString();
+  Client client = std::move(*client_or);
+
+  Client::Pending call =
+      client.Start(MsgType::kDirectQuery, DirectQueryRequest(query).buffer());
+  latched.WaitEntered();
+  const auto killed_at = std::chrono::steady_clock::now();
+  // Kill tears the connection down under the parked query, then waits for
+  // its handler, which the release below lets finish.
+  std::thread killer([&] { server.Kill(); });
+  auto reply = client.Await(call);
+  const auto waited = std::chrono::steady_clock::now() - killed_at;
+  latched.Release();
+  killer.join();
+
+  ASSERT_FALSE(reply.ok());
+  const StatusCode code = reply.status().code();
+  EXPECT_TRUE(code == StatusCode::kDataLoss ||
+              code == StatusCode::kUnavailable)
+      << reply.status().ToString();
+  EXPECT_LT(waited, std::chrono::seconds(10));
+  EXPECT_EQ(client.call_stats().transport_failures, 1u);
+
+  // The lost connection is within the reconnect budget; Finish spends it
+  // on the dead server and reports that failure instead.
+  EXPECT_TRUE(client.Retryable(call));
+  auto finished = client.Finish(call);
+  EXPECT_FALSE(finished.ok());
+  EXPECT_FALSE(client.Retryable(call));
 }
 
 TEST(NetTest, SnapshotSaveAndLoadRoundTripOverWire) {
