@@ -9,7 +9,7 @@
 
 #include "bench_util.h"
 #include "clustering/dendrogram_purity.h"
-#include "core/feature_map_metric.h"
+#include "core/omd.h"
 #include "index/perch_tree.h"
 
 namespace vz::bench {
@@ -50,7 +50,8 @@ void Run() {
               "balance", "rotations", "OMD computed");
   for (const Config& config : configs) {
     core::OmdCalculator calc(omd_options);
-    core::FeatureMapListMetric metric(&data.svss, &calc, /*memoize=*/true);
+    core::SvsMetric metric(core::ListItems(data.svss), &calc,
+                           core::SvsMetricOptions{.memoize = true});
     index::PerchOptions options;
     options.enable_masking_rotations = config.masking;
     options.enable_balance_rotations = config.balance;

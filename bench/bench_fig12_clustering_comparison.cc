@@ -12,7 +12,7 @@
 #include "clustering/dendrogram_purity.h"
 #include "clustering/hac.h"
 #include "common/sim_clock.h"
-#include "core/feature_map_metric.h"
+#include "core/omd.h"
 #include "index/perch_tree.h"
 
 namespace vz::bench {
@@ -30,13 +30,14 @@ void Run() {
 
   // PERCH-OMD: one incremental tree; its memoized metric counts each
   // distinct pair solved once, as the real system does.
-  core::FeatureMapListMetric perch_metric(&data.svss, &calc,
-                                          /*memoize=*/true);
+  core::SvsMetric perch_metric(core::ListItems(data.svss), &calc,
+                               core::SvsMetricOptions{.memoize = true});
   index::PerchTree perch(&perch_metric, index::PerchOptions{});
 
   // HAC: distances served from a memo shared across attempts (the kindest
   // possible implementation — it still needs every pair at least once).
-  core::FeatureMapListMetric hac_metric(&data.svss, &calc, /*memoize=*/true);
+  core::SvsMetric hac_metric(core::ListItems(data.svss), &calc,
+                             core::SvsMetricOptions{.memoize = true});
 
   std::printf(
       "%-6s | %-9s %-12s %-11s | %-9s %-12s %-11s (per linkage)\n", "size",

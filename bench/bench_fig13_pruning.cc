@@ -10,7 +10,7 @@
 #include <vector>
 
 #include "bench_util.h"
-#include "core/feature_map_metric.h"
+#include "core/omd.h"
 #include "index/perch_tree.h"
 
 namespace vz::bench {
@@ -31,8 +31,10 @@ void Run() {
   omd_options.max_vectors = 40;
   core::OmdCalculator calc(omd_options);
 
-  core::FeatureMapListMetric pruned_metric(&data.svss, &calc, true);
-  core::FeatureMapListMetric full_metric(&data.svss, &calc, true);
+  core::SvsMetric pruned_metric(core::ListItems(data.svss), &calc,
+                                core::SvsMetricOptions{.memoize = true});
+  core::SvsMetric full_metric(core::ListItems(data.svss), &calc,
+                              core::SvsMetricOptions{.memoize = true});
   index::PerchOptions pruned_options;
   pruned_options.enable_pruned_nn = true;
   index::PerchOptions full_options;
@@ -42,7 +44,7 @@ void Run() {
 
   size_t next_probe = 200;
   auto measure = [&](index::PerchTree* tree,
-                     core::FeatureMapListMetric* metric, bool insert) {
+                     core::SvsMetric* metric, bool insert) {
     double evals = 0.0;
     for (size_t p = 0; p < kProbesPerPoint; ++p) {
       const int probe = static_cast<int>(next_probe++);

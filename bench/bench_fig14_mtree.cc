@@ -9,7 +9,7 @@
 #include <vector>
 
 #include "bench_util.h"
-#include "core/feature_map_metric.h"
+#include "core/omd.h"
 #include "index/mtree.h"
 #include "index/perch_tree.h"
 
@@ -54,7 +54,8 @@ void Run() {
   double perch_evals = 0.0;
   double perch_purity = 0.0;
   {
-    core::FeatureMapListMetric metric(&data.svss, &calc, /*memoize=*/false);
+    core::SvsMetric metric(core::ListItems(data.svss), &calc,
+                           core::SvsMetricOptions{.memoize = false});
     index::PerchTree tree(&metric, index::PerchOptions{});
     // Build with a memoized metric to keep construction cheap, then swap in
     // honest per-query counting: rebuild is avoided by building directly
@@ -77,7 +78,8 @@ void Run() {
   std::printf("%-14s %22s %16s\n", "max node size", "OMD computations/query",
               "neighbor purity");
   for (size_t node_size : {4, 8, 16, 32, 64}) {
-    core::FeatureMapListMetric metric(&data.svss, &calc, /*memoize=*/false);
+    core::SvsMetric metric(core::ListItems(data.svss), &calc,
+                           core::SvsMetricOptions{.memoize = false});
     index::MTreeOptions options;
     options.max_node_size = node_size;
     index::MTree tree(&metric, options);

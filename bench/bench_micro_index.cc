@@ -5,7 +5,7 @@
 
 #include <memory>
 
-#include "core/feature_map_metric.h"
+#include "core/omd.h"
 #include "index/perch_tree.h"
 #include "sim/dataset.h"
 
@@ -22,8 +22,9 @@ struct Fixture {
     vz::core::OmdOptions omd_options;
     omd_options.max_vectors = 40;
     calc = std::make_unique<vz::core::OmdCalculator>(omd_options);
-    metric = std::make_unique<vz::core::FeatureMapListMetric>(
-        &data.svss, calc.get(), /*memoize=*/true);
+    metric = std::make_unique<vz::core::SvsMetric>(
+        vz::core::ListItems(data.svss), calc.get(),
+        vz::core::SvsMetricOptions{.memoize = true});
     tree = std::make_unique<vz::index::PerchTree>(
         metric.get(), vz::index::PerchOptions{});
     for (size_t i = 0; i < size; ++i) {
@@ -34,7 +35,7 @@ struct Fixture {
 
   vz::sim::SyntheticDataset data;
   std::unique_ptr<vz::core::OmdCalculator> calc;
-  std::unique_ptr<vz::core::FeatureMapListMetric> metric;
+  std::unique_ptr<vz::core::SvsMetric> metric;
   std::unique_ptr<vz::index::PerchTree> tree;
   size_t next_probe = 0;
 };

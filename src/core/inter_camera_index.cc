@@ -19,7 +19,11 @@ size_t WireBytes(const FeatureMap& map) {
 
 InterCameraIndex::InterCameraIndex(OmdCalculator* calculator,
                                    const InterIndexOptions& options, Rng rng)
-    : calculator_(calculator), options_(options), rng_(rng) {}
+    : options_(options),
+      rng_(rng),
+      metric_(std::vector<OmdItem>(), calculator,
+              SvsMetricOptions{.memoize = true,
+                               .quantized_prune = options.quantized_prune}) {}
 
 Status InterCameraIndex::UpdateCamera(const IntraCameraIndex& intra) {
   DropCamera(intra.camera());
@@ -40,6 +44,7 @@ Status InterCameraIndex::UpdateCamera(const IntraCameraIndex& intra) {
 }
 
 Status InterCameraIndex::SetEntries(std::vector<RepEntry> entries) {
+  metric_.cache().Invalidate(std::move(entry_ids_));
   entries_ = std::move(entries);
   entry_ids_.clear();
   for (size_t i = 0; i < entries_.size(); ++i) {
@@ -50,9 +55,9 @@ Status InterCameraIndex::SetEntries(std::vector<RepEntry> entries) {
 
 Status InterCameraIndex::Reset(Rng rng) {
   rng_ = std::move(rng);
+  metric_.cache().Invalidate(std::move(entry_ids_));
   entries_.clear();
   entry_ids_.clear();
-  distance_memo_.Clear();
   rep_bytes_received_ = 0;
   return Rebuild();
 }
@@ -65,31 +70,34 @@ Status InterCameraIndex::RemoveCamera(const CameraId& camera) {
 void InterCameraIndex::DropCamera(const CameraId& camera) {
   std::vector<RepEntry> kept;
   std::vector<uint64_t> kept_ids;
+  std::vector<uint64_t> dropped_ids;
   kept.reserve(entries_.size());
   kept_ids.reserve(entries_.size());
   for (size_t i = 0; i < entries_.size(); ++i) {
-    if (entries_[i].camera == camera) continue;
+    if (entries_[i].camera == camera) {
+      dropped_ids.push_back(entry_ids_[i]);
+      continue;
+    }
     kept.push_back(std::move(entries_[i]));
     kept_ids.push_back(entry_ids_[i]);
   }
   entries_ = std::move(kept);
   entry_ids_ = std::move(kept_ids);
+  metric_.cache().Invalidate(std::move(dropped_ids));
 }
 
 Status InterCameraIndex::Rebuild() {
-  entry_maps_.clear();
-  entry_maps_.reserve(entries_.size() + 1);
-  for (const RepEntry& e : entries_) entry_maps_.push_back(e.map);
-  if (metric_ != nullptr) {
-    failed_distances_accum_ += metric_->failed_distances();
+  // Centroids are filled here, so a search reads the items without writing.
+  std::vector<OmdItem> items;
+  items.reserve(entries_.size());
+  for (size_t i = 0; i < entries_.size(); ++i) {
+    items.push_back(
+        {&entries_[i].map, entries_[i].map.Centroid(), entry_ids_[i]});
   }
+  metric_.set_items(std::move(items));
   // PERCH's insertions and masking checks re-ask the same entry pairs on
   // every rebuild; the memo answers each pair an earlier rebuild solved.
-  distance_memo_.Prune(entry_ids_, calculator_->options());
-  metric_ = std::make_unique<FeatureMapListMetric>(
-      &entry_maps_, calculator_, /*memoize=*/false, options_.quantized_prune);
-  metric_->set_pair_memo(&entry_ids_, &distance_memo_);
-  tree_ = std::make_unique<index::PerchTree>(metric_.get(), options_.perch);
+  tree_ = std::make_unique<index::PerchTree>(&metric_, options_.perch);
   tree_->Reserve(entries_.size());
   for (size_t i = 0; i < entries_.size(); ++i) {
     VZ_RETURN_IF_ERROR(tree_->Insert(static_cast<int>(i)));
@@ -157,20 +165,17 @@ std::vector<const InterCameraIndex::RepEntry*> InterCameraIndex::FeatureSearch(
 }
 
 StatusOr<const InterCameraIndex::Group*> InterCameraIndex::GroupOfNearest(
-    const FeatureMap& query) {
+    const FeatureMap& query, std::optional<SvsId> query_id) const {
   if (entries_.empty() || tree_ == nullptr || tree_->size() == 0) {
     return Status::NotFound("inter-camera index is empty");
   }
-  // Append the query as a scratch slot, search, then remove it again — one
-  // search at a time, since the slot and the metric's caches are shared.
-  std::lock_guard<std::mutex> lock(search_mu_);
-  entry_maps_.push_back(query);
-  const int scratch = static_cast<int>(entry_maps_.size()) - 1;
-  metric_->InvalidateCentroid(static_cast<size_t>(scratch));
-  auto nearest = tree_->NearestNeighbor(scratch);
-  entry_maps_.pop_back();
-  metric_->InvalidateCentroid(static_cast<size_t>(scratch));
-  VZ_ASSIGN_OR_RETURN(int item, std::move(nearest));
+  // An SvsId sorts below every entry identity, so a memoized pair is solved
+  // (query, entry), the orientation of an unmemoized one.
+  std::optional<uint64_t> identity;
+  if (query_id.has_value()) identity = static_cast<uint64_t>(*query_id);
+  VZ_ASSIGN_OR_RETURN(
+      int item,
+      tree_->NearestNeighbor(SvsMetric::Query(&metric_, &query, identity)));
   for (const Group& group : groups_) {
     for (size_t idx : group.entry_indices) {
       if (static_cast<int>(idx) == item) return &group;

@@ -3,15 +3,14 @@
 
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <vector>
 
 #include "common/rng.h"
 #include "common/statusor.h"
-#include "core/feature_map_metric.h"
 #include "core/intra_camera_index.h"
 #include "core/omd.h"
+#include "core/omd_cache.h"
 #include "core/representative.h"
 #include "index/perch_tree.h"
 
@@ -62,6 +61,12 @@ class InterCameraIndex {
   InterCameraIndex(OmdCalculator* calculator, const InterIndexOptions& options,
                    Rng rng);
 
+  /// Memoizes the index's OMDs in `cache`, shared with other consumers;
+  /// nullptr restores the index's own memo. The cache must outlive the index.
+  void set_shared_cache(OmdDistanceCache* cache) {
+    metric_.set_shared_cache(cache);
+  }
+
   InterCameraIndex(const InterCameraIndex&) = delete;
   InterCameraIndex& operator=(const InterCameraIndex&) = delete;
 
@@ -97,9 +102,13 @@ class InterCameraIndex {
                                              double boundary_scale = 1.0) const;
 
   /// Clustering-query support: the group containing the representative
-  /// nearest (under OMD) to `query` (Sec. 5.2). Errors when empty. Safe to
-  /// call concurrently with itself (queries run under a shared lock).
-  StatusOr<const Group*> GroupOfNearest(const FeatureMap& query);
+  /// nearest (under OMD) to `query` (Sec. 5.2). Errors when empty. When
+  /// `query_id` names the stored SVS `query` belongs to, its solves are
+  /// memoized, so a repeat on an unchanged index solves nothing. The search
+  /// writes nothing shared but the memo: concurrent calls are safe.
+  StatusOr<const Group*> GroupOfNearest(
+      const FeatureMap& query,
+      std::optional<SvsId> query_id = std::nullopt) const;
 
   /// Overrides (or restores) the group count and regroups.
   Status SetForcedGroupCount(std::optional<size_t> k);
@@ -112,46 +121,37 @@ class InterCameraIndex {
   const index::PerchTree& tree() const { return *tree_; }
 
   /// Entry pairs whose OMD is memoized across rebuilds; at most size()^2.
-  size_t memoized_pairs() const { return distance_memo_.size(); }
-
-  /// Cumulative poisoned (+inf) OMD evaluations across all rebuilds of the
-  /// internal metric; folded into `QueryLoadStats::omd_failures`.
-  uint64_t omd_failures() const {
-    return failed_distances_accum_ +
-           (metric_ != nullptr ? metric_->failed_distances() : 0);
+  size_t memoized_pairs() const {
+    return metric_.cache().PairsAtOrAbove(kFirstEntryIdentity);
   }
 
+  /// Cumulative poisoned (+inf) OMD evaluations, rebuilds and searches
+  /// alike; folded into `QueryLoadStats::omd_failures`.
+  uint64_t omd_failures() const { return metric_.failed_distances(); }
+
  private:
-  /// Removes `camera`'s entries (and their identities), keeping the order
-  /// of the rest.
+  /// Removes `camera`'s entries, keeping the order of the rest, and drops
+  /// the memoized pairs of the removed ones.
   void DropCamera(const CameraId& camera);
   Status Rebuild();
   Status Regroup();
   size_t ChooseGroupCount();
 
-  OmdCalculator* calculator_;
   InterIndexOptions options_;
   Rng rng_;
   std::vector<RepEntry> entries_;
-  /// Identity of each entry, index-aligned with `entries_`: assigned on
-  /// import, kept while the entry is kept, never sent anywhere. Keys
-  /// `distance_memo_`.
+  /// Memo identity of each entry, index-aligned with `entries_`: assigned
+  /// on import (from `kFirstEntryIdentity` up), kept while the entry is
+  /// kept, never sent anywhere. Entry pairs memoized under them survive
+  /// `Rebuild`, so no rebuild re-solves a pair an earlier one solved.
   std::vector<uint64_t> entry_ids_;
-  uint64_t next_entry_id_ = 0;
-  /// OMDs between entries, keyed by ordered identity pair. It survives
-  /// `Rebuild`, so no rebuild re-solves a pair an earlier one solved. Only
-  /// the mutating calls (which callers run exclusively) read or write it;
-  /// `GroupOfNearest` never does, as its scratch slot has no identity.
-  PairDistanceMemo distance_memo_;
-  std::vector<FeatureMap> entry_maps_;  // tree items index into this
-  /// Serializes `GroupOfNearest`, which appends the query to `entry_maps_`
-  /// as a scratch tree item and fills the metric's lazy caches.
-  std::mutex search_mu_;
-  std::unique_ptr<FeatureMapListMetric> metric_;
+  uint64_t next_entry_id_ = kFirstEntryIdentity;
+  /// OMD over the entries: `Rebuild` hands it their maps, centroids and
+  /// identities; tree items index `entries_`.
+  SvsMetric metric_;
   std::unique_ptr<index::PerchTree> tree_;
   std::vector<Group> groups_;
   size_t rep_bytes_received_ = 0;
-  uint64_t failed_distances_accum_ = 0;  // from metrics replaced by Rebuild
 };
 
 }  // namespace vz::core

@@ -49,7 +49,7 @@ size_t IntraCameraIndex::ChooseClusterCount() {
   centroids.reserve(n);
   for (int item : tree_.items()) {
     auto svs = store_->Get(item);
-    if (svs.ok()) centroids.push_back((*svs)->features().Centroid());
+    if (svs.ok()) centroids.push_back((*svs)->centroid());
   }
   auto sweep = clustering::ChooseKBySilhouette(
       centroids, options_.min_clusters,
@@ -126,12 +126,10 @@ StatusOr<std::vector<SvsId>> IntraCameraIndex::ClusterMembers(
   return clusters_[cluster_index].members;
 }
 
-StatusOr<SvsId> IntraCameraIndex::NearestSvs(const FeatureMap& query) {
+StatusOr<SvsId> IntraCameraIndex::NearestSvs(const FeatureMap& query) const {
   if (tree_.size() == 0) return Status::NotFound("index is empty");
-  const int temp = metric_->RegisterTemporary(&query);
-  auto nearest = tree_.NearestNeighbor(temp);
-  metric_->UnregisterTemporary(temp);
-  VZ_ASSIGN_OR_RETURN(int item, std::move(nearest));
+  VZ_ASSIGN_OR_RETURN(int item,
+                      tree_.NearestNeighbor(SvsMetric::Query(metric_, &query)));
   return static_cast<SvsId>(item);
 }
 

@@ -82,8 +82,9 @@ class IntraCameraIndex {
   /// All members of the cluster at `cluster_index`.
   StatusOr<std::vector<SvsId>> ClusterMembers(size_t cluster_index) const;
 
-  /// Nearest stored SVS to `query` under OMD ("SVS search", Sec. 4.2).
-  StatusOr<SvsId> NearestSvs(const FeatureMap& query);
+  /// Nearest stored SVS to `query` under OMD ("SVS search", Sec. 4.2). The
+  /// search carries the query itself, so concurrent calls are safe.
+  StatusOr<SvsId> NearestSvs(const FeatureMap& query) const;
 
   /// Representative of the cluster containing `id`, for the segmenter's
   /// reference (Sec. 5.1); NotFound if `id` is in no derived cluster yet.

@@ -6,7 +6,6 @@
 #include <utility>
 
 #include "common/logging.h"
-#include "core/omd_cache.h"
 #include "solver/emd.h"
 #include "vector/simd_kernels.h"
 
@@ -248,113 +247,112 @@ double QuantizedOmdLowerBound(const FeatureMap& a, const FeatureMap& b,
   return std::max(bound_a, bound_b);
 }
 
+std::vector<OmdItem> ListItems(const std::vector<FeatureMap>& maps) {
+  std::vector<OmdItem> items;
+  items.reserve(maps.size());
+  for (size_t i = 0; i < maps.size(); ++i) {
+    items.push_back({&maps[i], maps[i].Centroid(), i});
+  }
+  return items;
+}
+
 SvsMetric::SvsMetric(const SvsStore* store, OmdCalculator* calculator,
                      const SvsMetricOptions& options)
     : store_(store), calculator_(calculator), options_(options) {}
 
-const FeatureMap* SvsMetric::Resolve(int id) const {
-  if (id < 0) {
-    auto it = temporaries_.find(id);
-    return it == temporaries_.end() ? nullptr : it->second;
+SvsMetric::SvsMetric(std::vector<OmdItem> items, OmdCalculator* calculator,
+                     const SvsMetricOptions& options)
+    : items_(std::move(items)), calculator_(calculator), options_(options) {}
+
+SvsMetric::Ref SvsMetric::Resolve(int id) const {
+  if (store_ == nullptr) {
+    if (id < 0 || static_cast<size_t>(id) >= items_.size()) return Ref();
+    const OmdItem& item = items_[static_cast<size_t>(id)];
+    return {item.map, &item.centroid, item.identity};
   }
   auto svs = store_->Get(id);
-  return svs.ok() ? &(*svs)->features() : nullptr;
+  if (!svs.ok()) return Ref();
+  return {&(*svs)->features(), &(*svs)->centroid(), static_cast<uint64_t>(id)};
 }
 
-const FeatureVector& SvsMetric::CentroidOf(int id) {
-  auto it = centroids_.find(id);
-  if (it != centroids_.end()) return it->second;
-  const FeatureMap* map = Resolve(id);
-  FeatureVector centroid = map != nullptr ? map->Centroid() : FeatureVector();
-  return centroids_.emplace(id, std::move(centroid)).first->second;
-}
-
-double SvsMetric::Distance(int a, int b) {
-  if (a == b) return 0.0;
-  const bool cacheable = options_.memoize && a >= 0 && b >= 0;
-  // The solver is not bit-symmetric, and the memo (like the shared cache)
-  // holds one value per unordered pair. Solve every cacheable pair lower id
-  // first, so the memoized bits never depend on which orientation was asked
-  // first.
-  if (cacheable && a > b) std::swap(a, b);
-  const OmdOptions& omd_options = calculator_->options();
-  int64_t key = 0;
-  if (cacheable) {
-    if (shared_cache_ != nullptr) {
-      auto hit = shared_cache_->Lookup(a, b, omd_options.mode,
-                                       omd_options.threshold_alpha);
-      if (hit.has_value()) return *hit;
-    } else {
-      key = static_cast<int64_t>((static_cast<uint64_t>(a) << 32) |
-                                 static_cast<uint32_t>(b));
-      auto it = memo_.find(key);
-      if (it != memo_.end()) return it->second;
-    }
-  }
+double SvsMetric::Between(Ref a, Ref b, bool* solved) const {
   // Failures poison the pair with +inf: a broken distance must read as
   // "maximally far", never as 0.0 ("identical"), or clustering and NN
-  // search silently fold unrelated items together. The counter surfaces
-  // through Monitor as QueryLoadStats::omd_failures.
-  const FeatureMap* ma = Resolve(a);
-  const FeatureMap* mb = Resolve(b);
-  if (ma == nullptr || mb == nullptr) {
-    VZ_LOG(Error) << "SvsMetric: unknown item id " << (ma ? b : a);
+  // search silently fold unrelated items together.
+  if (a.map == nullptr || b.map == nullptr) {
+    VZ_LOG(Error) << "SvsMetric: unknown item id";
     failed_distances_.fetch_add(1, std::memory_order_relaxed);
     return std::numeric_limits<double>::infinity();
   }
-  ++num_evals_;
-  auto result = calculator_->Distance(*ma, *mb);
+  if (a.identity.has_value() && a.identity == b.identity) return 0.0;
+  const bool memoize =
+      options_.memoize && a.identity.has_value() && b.identity.has_value();
+  // The solver is not bit-symmetric, and the memo holds one value per
+  // unordered pair: solve lower identity first, so the memoized bits never
+  // depend on which orientation was asked first.
+  if (memoize && *a.identity > *b.identity) std::swap(a, b);
+  const OmdOptions& omd_options = calculator_->options();
+  if (memoize) {
+    auto hit = cache().Lookup(*a.identity, *b.identity, omd_options.mode,
+                              omd_options.threshold_alpha);
+    if (hit.has_value()) return *hit;
+  }
+  *solved = true;
+  auto result = calculator_->Distance(*a.map, *b.map);
   if (!result.ok()) {
     VZ_LOG(Error) << "OMD failed: " << result.status().ToString();
     failed_distances_.fetch_add(1, std::memory_order_relaxed);
     return std::numeric_limits<double>::infinity();
   }
-  if (cacheable) {
-    if (shared_cache_ != nullptr) {
-      shared_cache_->Insert(a, b, omd_options.mode,
-                            omd_options.threshold_alpha, *result);
-    } else {
-      memo_.emplace(key, *result);
-    }
+  if (memoize) {
+    cache().Insert(*a.identity, *b.identity, omd_options.mode,
+                   omd_options.threshold_alpha, *result);
   }
   return *result;
 }
 
-double SvsMetric::LowerBound(int a, int b) {
-  if (a == b) return 0.0;
+double SvsMetric::Bound(const Ref& a, const Ref& b) const {
+  if (a.map == nullptr || b.map == nullptr) return 0.0;
   // OCD: distance between weighted centroids lower-bounds OMD (Sec. 4.3).
   double bound = 0.0;
-  const FeatureVector& ca = CentroidOf(a);
-  const FeatureVector& cb = CentroidOf(b);
-  if (ca.dim() == cb.dim() && !ca.empty()) {
-    bound = EuclideanDistance(ca, cb);
+  if (a.centroid->dim() == b.centroid->dim() && !a.centroid->empty()) {
+    bound = EuclideanDistance(*a.centroid, *b.centroid);
   }
   if (options_.quantized_prune) {
-    const FeatureMap* ma = Resolve(a);
-    const FeatureMap* mb = Resolve(b);
-    if (ma != nullptr && mb != nullptr) {
-      bound = std::max(
-          bound, QuantizedOmdLowerBound(*ma, *mb, calculator_->options()));
-    }
+    bound = std::max(bound, QuantizedOmdLowerBound(*a.map, *b.map,
+                                                   calculator_->options()));
   }
   return bound;
 }
 
-int SvsMetric::RegisterTemporary(const FeatureMap* map) {
-  const int id = next_temporary_--;
-  temporaries_[id] = map;
-  return id;
+double SvsMetric::Distance(int a, int b) {
+  if (a == b) return 0.0;
+  bool solved = false;
+  const double distance = Between(Resolve(a), Resolve(b), &solved);
+  num_evals_ += solved ? 1 : 0;
+  return distance;
 }
 
-void SvsMetric::UnregisterTemporary(int id) {
-  temporaries_.erase(id);
-  centroids_.erase(id);
+double SvsMetric::LowerBound(int a, int b) {
+  if (a == b) return 0.0;
+  return Bound(Resolve(a), Resolve(b));
 }
 
-void SvsMetric::InvalidateCache() {
-  memo_.clear();
-  centroids_.clear();
-  if (shared_cache_ != nullptr) shared_cache_->Clear();
+SvsMetric::Query::Query(const SvsMetric* metric, const FeatureMap* map,
+                        std::optional<uint64_t> identity)
+    : metric_(metric),
+      map_(map),
+      centroid_(map->Centroid()),
+      identity_(identity) {}
+
+double SvsMetric::Query::Distance(int item) const {
+  bool solved = false;
+  return metric_->Between({map_, &centroid_, identity_},
+                          metric_->Resolve(item), &solved);
+}
+
+double SvsMetric::Query::LowerBound(int item) const {
+  return metric_->Bound({map_, &centroid_, identity_}, metric_->Resolve(item));
 }
 
 }  // namespace vz::core

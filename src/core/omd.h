@@ -3,19 +3,18 @@
 
 #include <atomic>
 #include <cstdint>
-#include <unordered_map>
+#include <optional>
 #include <vector>
 
 #include "common/deadline.h"
 #include "common/statusor.h"
 #include "common/thread_pool.h"
+#include "core/omd_cache.h"
 #include "core/svs.h"
 #include "index/item_metric.h"
 #include "vector/feature_map.h"
 
 namespace vz::core {
-
-class OmdDistanceCache;
 
 /// How OMD is evaluated.
 enum class OmdMode {
@@ -136,8 +135,9 @@ double QuantizedOmdLowerBound(const FeatureMap& a, const FeatureMap& b,
 
 /// Options for `SvsMetric`.
 struct SvsMetricOptions {
-  /// Cache pairwise distances by SVS-id pair. Keep off when counting OMD
-  /// computations for benchmarks that model cold queries.
+  /// Memoize pair distances by identity pair (see `OmdDistanceCache`). Keep
+  /// off when counting OMD computations for benchmarks that model cold
+  /// queries.
   bool memoize = true;
   /// Tighten `LowerBound` with the quantized shadow tier
   /// (`QuantizedOmdLowerBound`) on top of OCD. Pruning-only: a larger valid
@@ -146,60 +146,109 @@ struct SvsMetricOptions {
   bool quantized_prune = true;
 };
 
-/// Binds the OMD metric and OCD lower bound over stored SVSs to the integer
-/// item-id interface used by the index structures (Sec. 4).
+/// An item of a list-backed `SvsMetric`: a map the caller holds, its
+/// centroid (the OCD basis) and its memo identity.
+struct OmdItem {
+  const FeatureMap* map = nullptr;
+  FeatureVector centroid;
+  uint64_t identity = 0;
+};
+
+/// One item per map, item i with identity i. `maps` must outlive the metric
+/// the items are given to.
+std::vector<OmdItem> ListItems(const std::vector<FeatureMap>& maps);
+
+/// The OMD metric over index items, bound to the integer item-id interface
+/// of the index structures (Sec. 4). Items are either the SVSs of a store
+/// (item id and identity: the `SvsId`) or a caller's list of `OmdItem`s (the
+/// inter-camera index's entries; synthetic maps in benches).
 ///
-/// Item ids >= 0 are SVS ids in the bound store. Negative ids (from
-/// `RegisterTemporary`) denote transient query feature maps, letting the
-/// nearest-neighbor machinery run on queries that are not stored.
+/// `Distance` resolves both items, serves a memoized pair from the memo, and
+/// otherwise solves it, lower identity first when it memoizes. An unknown
+/// item or a failed solve (solver error, dimension mismatch) returns +inf —
+/// a poison value that keeps the pair maximally far apart instead of
+/// silently reading as "identical" — and bumps `failed_distances`.
+/// `LowerBound` is OCD, tightened by the quantized tier when enabled. A
+/// `Query` searches the items with a map that is not one of them.
 class SvsMetric : public index::ItemMetric {
  public:
-  /// `store` and `calculator` must outlive the metric.
+  /// Items are the SVSs of `store`. `store` and `calculator` must outlive
+  /// the metric.
   SvsMetric(const SvsStore* store, OmdCalculator* calculator,
             const SvsMetricOptions& options = SvsMetricOptions());
 
-  /// OMD between the two items. A failed solve (solver error, dimension
-  /// mismatch, unknown id) returns +inf — a poison value that keeps the pair
-  /// maximally far apart instead of silently reading as "identical" — and
-  /// bumps `failed_distances`.
+  /// Items are `items`; `calculator` must outlive the metric.
+  SvsMetric(std::vector<OmdItem> items, OmdCalculator* calculator,
+            const SvsMetricOptions& options = SvsMetricOptions());
+
+  /// Replaces the items of a list-backed metric. The memo keeps its pairs:
+  /// callers give a map a new identity when it changes.
+  void set_items(std::vector<OmdItem> items) { items_ = std::move(items); }
+
   double Distance(int a, int b) override;
   double LowerBound(int a, int b) override;
   uint64_t num_distance_evals() const override { return num_evals_; }
-  /// Number of Distance calls that failed and returned the +inf poison.
-  /// Surfaced through Monitor as `QueryLoadStats::omd_failures`.
+  /// Number of distances that failed and returned the +inf poison, queries'
+  /// included. Surfaced through Monitor as `QueryLoadStats::omd_failures`.
   uint64_t failed_distances() const {
     return failed_distances_.load(std::memory_order_relaxed);
   }
   void ResetCounters() { num_evals_ = 0; }
 
-  /// Registers a query-time feature map and returns a temporary (negative)
-  /// id. The map must stay alive until `UnregisterTemporary`.
-  int RegisterTemporary(const FeatureMap* map);
-  void UnregisterTemporary(int id);
-
-  /// Routes memoization through a cache shared with other consumers (keyed
-  /// by id pair *and* OMD configuration, LRU-bounded, invalidatable per
-  /// SVS). nullptr restores the private unbounded memo. The cache must
-  /// outlive the metric.
+  /// Routes memoization through a cache shared with other consumers; nullptr
+  /// restores the metric's own. The cache must outlive the metric.
   void set_shared_cache(OmdDistanceCache* cache) { shared_cache_ = cache; }
 
-  /// Clears the memoization cache (e.g. after representatives change).
-  void InvalidateCache();
+  /// The memo in use: the shared cache, or the metric's own.
+  OmdDistanceCache& cache() const {
+    return shared_cache_ != nullptr ? *shared_cache_ : own_cache_;
+  }
+
+  /// Clears the memo in use.
+  void InvalidateCache() { cache().Clear(); }
+
+  /// A search target that is not an item: a query map, its centroid and,
+  /// when the map is a stored SVS, its identity. Distances from it write
+  /// nothing shared but the memo and count no solve in
+  /// `num_distance_evals`, so concurrent searches are safe. Pairs are
+  /// memoized only when the query has an identity; otherwise every solve
+  /// puts the query map first.
+  class Query final : public index::ItemQuery {
+   public:
+    /// `metric` and `map` must outlive the query.
+    Query(const SvsMetric* metric, const FeatureMap* map,
+          std::optional<uint64_t> identity = std::nullopt);
+
+    double Distance(int item) const override;
+    double LowerBound(int item) const override;
+
+   private:
+    const SvsMetric* metric_;
+    const FeatureMap* map_;
+    FeatureVector centroid_;
+    std::optional<uint64_t> identity_;
+  };
 
  private:
-  const FeatureMap* Resolve(int id) const;
-  const FeatureVector& CentroidOf(int id);
+  // A resolved item or query; `map` is null for an unknown item id.
+  struct Ref {
+    const FeatureMap* map = nullptr;
+    const FeatureVector* centroid = nullptr;
+    std::optional<uint64_t> identity;
+  };
+  Ref Resolve(int id) const;
+  // OMD between two resolved maps; sets `*solved` when it ran the solver.
+  double Between(Ref a, Ref b, bool* solved) const;
+  double Bound(const Ref& a, const Ref& b) const;
 
-  const SvsStore* store_;
+  const SvsStore* store_ = nullptr;  // null: `items_` are the items
+  std::vector<OmdItem> items_;
   OmdCalculator* calculator_;
   SvsMetricOptions options_;
-  std::unordered_map<int, const FeatureMap*> temporaries_;
-  int next_temporary_ = -2;
   OmdDistanceCache* shared_cache_ = nullptr;
-  std::unordered_map<int64_t, double> memo_;       // packed (a, b) -> distance
-  std::unordered_map<int, FeatureVector> centroids_;
+  mutable OmdDistanceCache own_cache_;
   uint64_t num_evals_ = 0;
-  std::atomic<uint64_t> failed_distances_{0};
+  mutable std::atomic<uint64_t> failed_distances_{0};
 };
 
 }  // namespace vz::core

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <cstring>
 
 #include "core/omd.h"
 
@@ -29,11 +28,11 @@ size_t OmdDistanceCache::KeyHash::operator()(const Key& key) const {
   return static_cast<size_t>(h);
 }
 
-OmdDistanceCache::Key OmdDistanceCache::MakeKey(SvsId a, SvsId b, OmdMode mode,
-                                                double alpha) {
+OmdDistanceCache::Key OmdDistanceCache::MakeKey(uint64_t a, uint64_t b,
+                                                OmdMode mode, double alpha) {
   Key key;
-  key.lo = static_cast<uint64_t>(std::min(a, b));
-  key.hi = static_cast<uint64_t>(std::max(a, b));
+  key.lo = std::min(a, b);
+  key.hi = std::max(a, b);
   key.mode = mode;
   key.alpha = alpha;
   return key;
@@ -42,8 +41,8 @@ OmdDistanceCache::Key OmdDistanceCache::MakeKey(SvsId a, SvsId b, OmdMode mode,
 OmdDistanceCache::OmdDistanceCache(size_t capacity)
     : capacity_(std::max<size_t>(1, capacity)) {}
 
-std::optional<double> OmdDistanceCache::Lookup(SvsId a, SvsId b, OmdMode mode,
-                                               double alpha) {
+std::optional<double> OmdDistanceCache::Lookup(uint64_t a, uint64_t b,
+                                               OmdMode mode, double alpha) {
   const Key key = MakeKey(a, b, mode, alpha);
   std::lock_guard<std::mutex> lock(mu_);
   auto it = index_.find(key);
@@ -56,8 +55,8 @@ std::optional<double> OmdDistanceCache::Lookup(SvsId a, SvsId b, OmdMode mode,
   return it->second->second;
 }
 
-void OmdDistanceCache::Insert(SvsId a, SvsId b, OmdMode mode, double alpha,
-                              double distance) {
+void OmdDistanceCache::Insert(uint64_t a, uint64_t b, OmdMode mode,
+                              double alpha, double distance) {
   const Key key = MakeKey(a, b, mode, alpha);
   std::lock_guard<std::mutex> lock(mu_);
   auto it = index_.find(key);
@@ -75,8 +74,9 @@ void OmdDistanceCache::Insert(SvsId a, SvsId b, OmdMode mode, double alpha,
   ++insertions_;
 }
 
-void OmdDistanceCache::Insert(SvsId a, SvsId b, OmdMode mode, double alpha,
-                              double distance, const CancelToken* cancel) {
+void OmdDistanceCache::Insert(uint64_t a, uint64_t b, OmdMode mode,
+                              double alpha, double distance,
+                              const CancelToken* cancel) {
   if (Cancelled(cancel)) {
     std::lock_guard<std::mutex> lock(mu_);
     ++rejected_inserts_;
@@ -86,10 +86,21 @@ void OmdDistanceCache::Insert(SvsId a, SvsId b, OmdMode mode, double alpha,
 }
 
 void OmdDistanceCache::InvalidateSvs(SvsId id) {
-  const uint64_t uid = static_cast<uint64_t>(id);
+  Invalidate({static_cast<uint64_t>(id)});
+}
+
+void OmdDistanceCache::Invalidate(std::vector<uint64_t> identities) {
+  if (identities.empty()) return;
+  std::sort(identities.begin(), identities.end());
+  const auto dropped = [&identities](const Key& key) {
+    // A pair whose higher identity sorts below every dropped one survives.
+    return key.hi >= identities.front() &&
+           (std::binary_search(identities.begin(), identities.end(), key.lo) ||
+            std::binary_search(identities.begin(), identities.end(), key.hi));
+  };
   std::lock_guard<std::mutex> lock(mu_);
   for (auto it = lru_.begin(); it != lru_.end();) {
-    if (it->first.lo == uid || it->first.hi == uid) {
+    if (dropped(it->first)) {
       index_.erase(it->first);
       it = lru_.erase(it);
       ++invalidations_;
@@ -127,6 +138,13 @@ void OmdDistanceCache::ResetStats() {
 size_t OmdDistanceCache::size() const {
   std::lock_guard<std::mutex> lock(mu_);
   return lru_.size();
+}
+
+size_t OmdDistanceCache::PairsAtOrAbove(uint64_t identity) const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return static_cast<size_t>(std::count_if(
+      lru_.begin(), lru_.end(),
+      [identity](const auto& entry) { return entry.first.lo >= identity; }));
 }
 
 }  // namespace vz::core

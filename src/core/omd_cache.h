@@ -7,6 +7,7 @@
 #include <optional>
 #include <unordered_map>
 #include <utility>
+#include <vector>
 
 #include "common/deadline.h"
 #include "core/frame.h"
@@ -22,7 +23,8 @@ struct OmdCacheStats {
   uint64_t hits = 0;
   uint64_t misses = 0;
   uint64_t insertions = 0;
-  /// Entries dropped by `InvalidateSvs` / `Clear` (not by LRU eviction).
+  /// Entries dropped by `InvalidateSvs` / `Invalidate` / `Clear` (not by LRU
+  /// eviction).
   uint64_t invalidations = 0;
   /// Inserts refused because the distance was computed under a fired cancel
   /// token (see the token-guarded `Insert` overload).
@@ -36,44 +38,60 @@ struct OmdCacheStats {
   }
 };
 
-/// Thread-safe LRU memo of pairwise OMD distances between *stored* SVSs.
+/// Memo identities of the maps `OmdDistanceCache` keys. A stored SVS's
+/// identity is its `SvsId`. An inter-camera entry takes one at or above this
+/// when `InterCameraIndex` imports it and keeps it while the entry is kept.
+/// The two ranges never meet, and every SVS sorts below every entry.
+inline constexpr uint64_t kFirstEntryIdentity = uint64_t{1} << 63;
+
+/// The one OMD memo: a thread-safe LRU of pair distances keyed by
+/// `(lower identity, higher identity, mode, threshold_alpha)`.
 ///
-/// One instance is shared through `VideoZilla` by every consumer of SVS-pair
-/// distances: the per-camera intra indices (PERCH insertions and rotations
-/// re-touch the same pairs), representative selection, and
-/// `clusteringQuery`'s flat fallback when the query is itself a stored SVS.
+/// One instance per `VideoZilla` serves every solve between identified maps:
+/// the intra indices' PERCH insertions and rotations (SVS pairs), the
+/// inter-camera index's rebuilds (entry pairs), the hierarchical
+/// `ClusteringQuery(id)` (target SVS to entry) and the flat fallback (target
+/// SVS to candidate SVS). An `SvsMetric` or `InterCameraIndex` built without
+/// a shared instance owns one.
 ///
-/// The key is the unordered id pair *plus* the OMD configuration it was
-/// computed under — `(min(a,b), max(a,b), mode, threshold_alpha)` — so the
+/// The solver is not bit-symmetric, so every consumer solves a pair lower
+/// identity first; a hit then returns the bits a cold solve would, whichever
+/// side asked first. The OMD configuration is part of the key, so the
 /// performance monitor's switch to exact OMD (Sec. 5.3 adjustment ii) can
-/// never be served a stale thresholded value. Entries involving an SVS must
-/// be invalidated when that SVS is (re)ingested; `VideoZilla` does this on
-/// every store insertion.
+/// never be served a stale thresholded value. Pairs of a map that changed or
+/// went away must be dropped: `VideoZilla` calls `InvalidateSvs` on every
+/// store insertion, and the inter-camera index drops the pairs of the entries
+/// it drops. A query map without an identity is never memoized.
 class OmdDistanceCache {
  public:
   static constexpr size_t kDefaultCapacity = 1 << 16;
 
   explicit OmdDistanceCache(size_t capacity = kDefaultCapacity);
 
-  /// Cached distance for the pair under the given configuration, bumping it
-  /// to most-recently-used; nullopt on miss. Ids must be non-negative.
-  std::optional<double> Lookup(SvsId a, SvsId b, OmdMode mode, double alpha);
+  /// Cached distance for the identity pair under the given configuration,
+  /// bumping it to most-recently-used; nullopt on miss. Allocation-free.
+  std::optional<double> Lookup(uint64_t a, uint64_t b, OmdMode mode,
+                               double alpha);
 
   /// Memoizes a computed distance (evicting the least-recently-used entry at
   /// capacity). Overwrites an existing entry for the same key.
-  void Insert(SvsId a, SvsId b, OmdMode mode, double alpha, double distance);
+  void Insert(uint64_t a, uint64_t b, OmdMode mode, double alpha,
+              double distance);
 
   /// Token-guarded insert: refuses (and counts `rejected_inserts`) when
   /// `cancel` has fired. A distance produced under an expired deadline may
   /// rest on a partially filled ground matrix or an aborted solve; caching it
   /// would poison every later query for the pair, so deadline-carrying call
   /// sites must insert through this overload.
-  void Insert(SvsId a, SvsId b, OmdMode mode, double alpha, double distance,
-              const CancelToken* cancel);
+  void Insert(uint64_t a, uint64_t b, OmdMode mode, double alpha,
+              double distance, const CancelToken* cancel);
 
   /// Drops every entry involving `id`. Call whenever an SVS is (re)ingested
   /// or its feature map could have changed.
   void InvalidateSvs(SvsId id);
+
+  /// Drops every entry involving any of `identities`, in one pass.
+  void Invalidate(std::vector<uint64_t> identities);
 
   /// Drops everything (e.g. after a bulk restore).
   void Clear();
@@ -83,6 +101,10 @@ class OmdDistanceCache {
 
   size_t size() const;
   size_t capacity() const { return capacity_; }
+
+  /// Entries whose both identities are at least `identity`; with
+  /// `kFirstEntryIdentity`, the pairs between inter-camera entries.
+  size_t PairsAtOrAbove(uint64_t identity) const;
 
  private:
   struct Key {
@@ -99,7 +121,7 @@ class OmdDistanceCache {
   struct KeyHash {
     size_t operator()(const Key& key) const;
   };
-  static Key MakeKey(SvsId a, SvsId b, OmdMode mode, double alpha);
+  static Key MakeKey(uint64_t a, uint64_t b, OmdMode mode, double alpha);
 
   using LruList = std::list<std::pair<Key, double>>;
 

@@ -2,6 +2,7 @@
 #define VZ_CORE_SVS_H_
 
 #include <cstdint>
+#include <deque>
 #include <unordered_map>
 #include <vector>
 
@@ -37,7 +38,8 @@ class Svs {
         camera_(std::move(camera)),
         start_ms_(start_ms),
         end_ms_(end_ms),
-        features_(std::move(features)) {}
+        features_(std::move(features)),
+        centroid_(features_.Centroid()) {}
 
   SvsId id() const { return id_; }
   const CameraId& camera() const { return camera_; }
@@ -47,6 +49,10 @@ class Svs {
 
   /// The feature map (all object feature vectors with uniform weights).
   const FeatureMap& features() const { return features_; }
+
+  /// Weighted centroid of `features()`, the basis of the OCD bound
+  /// (Sec. 4.3); computed once at creation.
+  const FeatureVector& centroid() const { return centroid_; }
 
   /// Per-SVS representative (weighted k-means centers, Sec. 3.3), built once
   /// at creation and used for query-hit tests.
@@ -86,6 +92,7 @@ class Svs {
   int64_t start_ms_;
   int64_t end_ms_;
   FeatureMap features_;
+  FeatureVector centroid_;
   Representative representative_;
   std::vector<int64_t> frame_ids_;
   size_t encoded_bytes_ = 0;
@@ -95,7 +102,7 @@ class Svs {
 
 /// Owning store of all SVSs known to the indexing layer. Ids are dense and
 /// monotonically increasing; SVSs are immutable apart from representatives
-/// and access statistics.
+/// and access statistics. A pointer from `Get` stays valid until `Clear`.
 class SvsStore {
  public:
   SvsStore() = default;
@@ -127,7 +134,7 @@ class SvsStore {
   std::vector<SvsId> IdsForCamera(const CameraId& camera) const;
 
  private:
-  std::vector<Svs> svss_;  // index == id
+  std::deque<Svs> svss_;  // index == id; growth never moves an SVS
   std::unordered_map<CameraId, std::vector<SvsId>> by_camera_;
 };
 

@@ -77,6 +77,7 @@ VideoZilla::VideoZilla(const VideoZillaOptions& options)
   if (threads > 1) pool_ = std::make_unique<ThreadPool>(threads);
   omd_.set_thread_pool(pool_.get());
   metric_.set_shared_cache(&omd_cache_);
+  inter_.set_shared_cache(&omd_cache_);
 }
 
 VideoZilla::~VideoZilla() = default;
@@ -106,9 +107,8 @@ Status VideoZilla::CameraTerminate(const CameraId& camera) {
 Status VideoZilla::Reset() {
   pipelines_.clear();
   store_.Clear();
-  // Ids restart at 0 after the store clears, so every id-keyed memo entry
-  // (private and shared) is stale.
-  metric_.InvalidateCache();
+  // Ids restart at 0 after the store clears, so every memoized pair is
+  // stale.
   omd_cache_.Clear();
   ingest_stats_ = IngestStats();
   now_ms_ = 0;
@@ -737,7 +737,21 @@ StatusOr<DirectQueryResult> VideoZilla::DirectQuery(
 
 StatusOr<ClusteringQueryResult> VideoZilla::ClusteringQuery(
     const FeatureMap& target, const QueryConstraints& constraints) {
-  return ClusteringQueryImpl(target, /*target_id=*/-1, constraints);
+  // Every OMD between maps of different dimensions fails and reads as +inf:
+  // the hierarchy would answer an arbitrary group and the flat scan nothing.
+  // An empty map stands in for a zero vector of any dimension.
+  bool comparable = target.empty() || store_.size() == 0;
+  for (size_t id = 0; !comparable && id < store_.size(); ++id) {
+    auto svs = store_.Get(static_cast<SvsId>(id));
+    comparable = svs.ok() && ((*svs)->features().empty() ||
+                              (*svs)->features().dim() == target.dim());
+  }
+  if (!comparable) {
+    return Status::InvalidArgument(
+        "clustering target of dimension " + std::to_string(target.dim()) +
+        " matches no stored SVS");
+  }
+  return ClusteringQueryImpl(target, std::nullopt, constraints);
 }
 
 StatusOr<ClusteringQueryResult> VideoZilla::ClusteringQuery(
@@ -747,7 +761,7 @@ StatusOr<ClusteringQueryResult> VideoZilla::ClusteringQuery(
 }
 
 StatusOr<ClusteringQueryResult> VideoZilla::ClusteringQueryImpl(
-    const FeatureMap& target, SvsId target_id,
+    const FeatureMap& target, std::optional<SvsId> target_id,
     const QueryConstraints& constraints) {
   std::optional<CancelToken> deadline_token;
   Deadline deadline;
@@ -772,7 +786,7 @@ StatusOr<ClusteringQueryResult> VideoZilla::ClusteringQueryImpl(
   std::unordered_set<CameraId> cameras;
   if (index_mode_ == IndexMode::kHierarchical && inter_.size() > 0) {
     VZ_ASSIGN_OR_RETURN(const InterCameraIndex::Group* group,
-                        inter_.GroupOfNearest(target));
+                        inter_.GroupOfNearest(target, target_id));
     // Cancellation checkpoint per group entry: an expired deadline keeps the
     // entries gathered so far — a valid partial answer.
     size_t entries_processed = 0;
@@ -841,8 +855,8 @@ StatusOr<ClusteringQueryResult> VideoZilla::ClusteringQueryImpl(
         [&](size_t i) {
           attempted[i] = 1;
           const SvsId id = ids[i];
-          if (target_id >= 0) {
-            auto hit = omd_cache_.Lookup(target_id, id, effective.mode,
+          if (target_id.has_value()) {
+            auto hit = omd_cache_.Lookup(*target_id, id, effective.mode,
                                          effective.threshold_alpha);
             if (hit.has_value()) {
               distances[i] = *hit;
@@ -854,16 +868,16 @@ StatusOr<ClusteringQueryResult> VideoZilla::ClusteringQueryImpl(
           // A cached pair is solved lower id first, as `SvsMetric` solves
           // it: the solver is not bit-symmetric, and the cache must hold
           // the same bits whichever side asked first.
-          const bool swap = target_id >= 0 && id < target_id;
+          const bool swap = target_id.has_value() && id < *target_id;
           const FeatureMap& left = swap ? (*svs)->features() : target;
           const FeatureMap& right = swap ? target : (*svs)->features();
           auto d = omd_.DistanceWithOptions(left, right, effective, cancel);
           if (!d.ok()) return;
           distances[i] = *d;
-          if (target_id >= 0) {
+          if (target_id.has_value()) {
             // Token-guarded: a distance computed under a fired token must
             // never be memoized (see OmdDistanceCache::Insert).
-            omd_cache_.Insert(target_id, id, effective.mode,
+            omd_cache_.Insert(*target_id, id, effective.mode,
                               effective.threshold_alpha, *d, cancel);
           }
         },

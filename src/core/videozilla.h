@@ -89,7 +89,7 @@ struct VideoZillaOptions {
   /// for any value: every parallel loop writes per-slot results and
   /// aggregates them in the serial iteration order.
   size_t num_threads = 1;
-  /// Capacity of the shared SVS-pair OMD distance cache.
+  /// Capacity of the instance's OMD memo (`OmdDistanceCache`).
   size_t omd_cache_capacity = OmdDistanceCache::kDefaultCapacity;
   /// Tighten index lower bounds with the 8-bit quantized shadow tier
   /// (`QuantizedOmdLowerBound`) on top of OCD, in both the per-camera and
@@ -260,16 +260,17 @@ class VideoZilla {
       const QueryConstraints& constraints = QueryConstraints());
 
   /// `clusteringQuery(targetSVS, ...)`: all SVSs semantically similar to the
-  /// query feature map (Sec. 5.2).
+  /// query feature map (Sec. 5.2). `kInvalidArgument` when the map is of a
+  /// dimension no stored SVS has, before any OMD is solved.
   StatusOr<ClusteringQueryResult> ClusteringQuery(
       const FeatureMap& target,
       const QueryConstraints& constraints = QueryConstraints());
 
   /// `clusteringQuery` with a *stored* SVS as the target — the paper's
-  /// primary form. Pairwise OMDs computed on the flat-fallback path are
-  /// memoized in the shared distance cache under the (target, candidate) id
-  /// pair, so repeated queries over an unchanged corpus are served from the
-  /// cache.
+  /// primary form. Its OMDs — target to inter-camera entry in the hierarchy,
+  /// target to candidate on the flat fallback — are memoized in the shared
+  /// distance cache, so repeated queries over an unchanged index are served
+  /// from the cache.
   StatusOr<ClusteringQueryResult> ClusteringQuery(
       SvsId target_id, const QueryConstraints& constraints = QueryConstraints());
 
@@ -331,7 +332,7 @@ class VideoZilla {
   SvsStore& svs_store() { return store_; }
   const SvsStore& svs_store() const { return store_; }
   OmdCalculator& omd() { return omd_; }
-  /// The shared SVS-pair OMD distance cache (hit/miss counters included).
+  /// The one OMD memo of the instance (hit/miss counters included).
   OmdDistanceCache& omd_cache() { return omd_cache_; }
   const OmdDistanceCache& omd_cache() const { return omd_cache_; }
   /// The query thread pool; nullptr when running serial (`num_threads = 1`).
@@ -406,10 +407,10 @@ class VideoZilla {
                                     Deadline* deadline) const;
   // Counts a timed-out query and its checkpoint overshoot.
   void NoteTimeout(const Deadline& deadline);
-  // Shared implementation of both ClusteringQuery overloads; `target_id < 0`
-  // means the target is not a stored SVS (no cacheable pair key).
+  // Shared implementation of both ClusteringQuery overloads; without
+  // `target_id` the target is not a stored SVS and no pair is memoized.
   StatusOr<ClusteringQueryResult> ClusteringQueryImpl(
-      const FeatureMap& target, SvsId target_id,
+      const FeatureMap& target, std::optional<SvsId> target_id,
       const QueryConstraints& constraints);
   // Health classification of one pipeline at the current now_ms().
   CameraHealth HealthOf(const CameraPipeline& pipeline) const;

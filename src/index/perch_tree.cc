@@ -10,6 +10,24 @@ namespace vz::index {
 namespace {
 constexpr double kInf = std::numeric_limits<double>::infinity();
 constexpr double kCostEps = 1e-12;
+
+// An item of the tree's own metric as a search target.
+class MetricTarget final : public ItemQuery {
+ public:
+  MetricTarget(ItemMetric* metric, int target)
+      : metric_(metric), target_(target) {}
+  double Distance(int item) const override {
+    return metric_->Distance(target_, item);
+  }
+  double LowerBound(int item) const override {
+    return metric_->LowerBound(target_, item);
+  }
+
+ private:
+  ItemMetric* metric_;
+  int target_;
+};
+
 }  // namespace
 
 PerchTree::PerchTree(ItemMetric* metric, const PerchOptions& options)
@@ -57,7 +75,8 @@ Status PerchTree::Insert(int item) {
   }
 
   // Greedy step: attach next to the nearest leaf (Sec. 4.1).
-  const int nn_node = FindNearestLeafNode(item);
+  ++stats_.nn_searches;
+  const int nn_node = FindNearestLeafNode(MetricTarget(metric_, item));
   const int new_leaf = NewLeaf(item);
 
   // Split: a fresh internal node adopts {nn_node, new_leaf} in nn's place.
@@ -91,15 +110,14 @@ Status PerchTree::Insert(int item) {
   return Status::OK();
 }
 
-int PerchTree::FindNearestLeafNode(int target) {
-  ++stats_.nn_searches;
+int PerchTree::FindNearestLeafNode(const ItemQuery& query) const {
   if (!options_.enable_pruned_nn) {
     // Unpruned baseline: probe every leaf with the full metric (Fig. 13's
     // "w/o pruning" series).
     double best = kInf;
     int best_node = leaves_.front();
     for (int leaf : leaves_) {
-      const double d = metric_->Distance(target, nodes_[leaf].item);
+      const double d = query.Distance(nodes_[leaf].item);
       if (d < best) {
         best = d;
         best_node = leaf;
@@ -119,21 +137,25 @@ int PerchTree::FindNearestLeafNode(int target) {
   };
   std::priority_queue<Entry, std::vector<Entry>, std::greater<Entry>> heap;
   for (int leaf : leaves_) {
-    heap.push({metric_->LowerBound(target, nodes_[leaf].item), leaf, false});
+    heap.push({query.LowerBound(nodes_[leaf].item), leaf, false});
   }
   while (!heap.empty()) {
     const Entry top = heap.top();
     heap.pop();
     if (top.exact) return top.node;
-    const double d = metric_->Distance(target, nodes_[top.node].item);
+    const double d = query.Distance(nodes_[top.node].item);
     heap.push({d, top.node, true});
   }
   return leaves_.front();  // unreachable for non-empty trees
 }
 
 StatusOr<int> PerchTree::NearestNeighbor(int target) {
+  return NearestNeighbor(MetricTarget(metric_, target));
+}
+
+StatusOr<int> PerchTree::NearestNeighbor(const ItemQuery& query) const {
   if (root_ < 0) return Status::NotFound("tree is empty");
-  return nodes_[FindNearestLeafNode(target)].item;
+  return nodes_[FindNearestLeafNode(query)].item;
 }
 
 StatusOr<std::vector<int>> PerchTree::KNearestNeighbors(int target,

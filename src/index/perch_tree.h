@@ -37,6 +37,7 @@ struct PerchOptions {
 
 /// Counters describing the work a `PerchTree` has performed.
 struct PerchStats {
+  /// Nearest-leaf searches made by `Insert`; query searches count nothing.
   uint64_t nn_searches = 0;
   uint64_t insertions = 0;
   uint64_t masking_rotations = 0;
@@ -73,10 +74,14 @@ class PerchTree {
   /// (Algorithm 2).
   Status Insert(int item);
 
-  /// Nearest stored item to `target` under the full metric, or NotFound for
-  /// an empty tree. `target` may or may not already be stored. Uses the
+  /// Nearest stored item to `target`, an item of the tree's metric that may
+  /// or may not already be stored, or NotFound for an empty tree. Uses the
   /// OCD-pruned best-first search when enabled.
   StatusOr<int> NearestNeighbor(int target);
+
+  /// As above for a target that carries its own distances. Writes nothing,
+  /// so concurrent calls are safe whenever `query` is.
+  StatusOr<int> NearestNeighbor(const ItemQuery& query) const;
 
   /// The `count` stored items nearest to `target`, ascending by distance.
   StatusOr<std::vector<int>> KNearestNeighbors(int target, size_t count);
@@ -125,7 +130,7 @@ class PerchTree {
   int Aunt(int v) const;
 
   // Best-first (pruned) or exhaustive nearest-leaf search. Returns node id.
-  int FindNearestLeafNode(int target);
+  int FindNearestLeafNode(const ItemQuery& query) const;
 
   // Recomputes leaf_count / samples / cost of `v` from its children.
   void RefreshFromChildren(int v);

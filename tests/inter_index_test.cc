@@ -6,6 +6,8 @@
 #include <functional>
 #include <limits>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include "test_util.h"
 
@@ -231,6 +233,69 @@ TEST_F(InterIndexTest, GroupOfNearestNeverReusesAnotherQuerysDistances) {
     auto group = inter.GroupOfNearest(queries[q]);
     ASSERT_TRUE(group.ok());
     const std::vector<size_t>& members = (*group)->entry_indices;
+    EXPECT_NE(std::find(members.begin(), members.end(), nearest),
+              members.end());
+  }
+}
+
+// A search carries its own query and writes nothing shared but the memo, so
+// concurrent searches need no lock: each answer equals a lone caller's and
+// holds the entry a brute-force OMD scan finds nearest. Half the queries
+// carry an identity, so the threads also read and fill the memo.
+TEST_F(InterIndexTest, ConcurrentSearchesMatchALoneCaller) {
+  InterIndexOptions options;
+  options.forced_num_groups = 3;
+  InterCameraIndex inter(&calc_, options, Rng(44));
+  auto a = MakeIntra("lot-a", {0.0, 0.2, 1.5, 1.7}, 45);
+  auto b = MakeIntra("road-a", {5.0, 5.2, 6.5, 6.7}, 46);
+  auto c = MakeIntra("harbor-a", {10.0, 10.2, 11.5, 11.7}, 47);
+  for (const auto* intra : {a.get(), b.get(), c.get()}) {
+    ASSERT_TRUE(inter.UpdateCamera(*intra).ok());
+  }
+  constexpr size_t kThreads = 4;
+  constexpr size_t kCallsPerThread = 10;
+  constexpr size_t kQueries = kThreads * kCallsPerThread;
+  // Each query sits near one entry, so the nearest is unambiguous.
+  const std::vector<double> centers = {0.0, 1.6, 5.1, 6.6, 10.1, 11.6};
+  std::vector<FeatureMap> queries;
+  for (size_t q = 0; q < kQueries; ++q) {
+    queries.push_back(MakeMap(8, 4, centers[q % centers.size()], 0.3,
+                              100 + q));
+  }
+  const auto search = [&inter, &queries](size_t q) {
+    std::optional<SvsId> id;
+    if (q % 2 == 1) id = static_cast<SvsId>(q);
+    return inter.GroupOfNearest(queries[q], id);
+  };
+  std::vector<StatusOr<const InterCameraIndex::Group*>> answers(
+      kQueries, Status::Internal("not searched"));
+  std::vector<std::thread> threads;
+  for (size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (size_t i = 0; i < kCallsPerThread; ++i) {
+        const size_t q = i * kThreads + t;
+        answers[q] = search(q);
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  for (size_t q = 0; q < kQueries; ++q) {
+    SCOPED_TRACE("query " + std::to_string(q));
+    ASSERT_TRUE(answers[q].ok()) << answers[q].status().ToString();
+    auto alone = search(q);
+    ASSERT_TRUE(alone.ok());
+    EXPECT_EQ(*answers[q], *alone);
+    size_t nearest = 0;
+    double nearest_d = std::numeric_limits<double>::infinity();
+    for (size_t i = 0; i < inter.entries().size(); ++i) {
+      auto d = calc_.Distance(queries[q], inter.entries()[i].map);
+      ASSERT_TRUE(d.ok());
+      if (*d < nearest_d) {
+        nearest_d = *d;
+        nearest = i;
+      }
+    }
+    const std::vector<size_t>& members = (*answers[q])->entry_indices;
     EXPECT_NE(std::find(members.begin(), members.end(), nearest),
               members.end());
   }

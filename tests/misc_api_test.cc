@@ -4,7 +4,6 @@
 #include <gtest/gtest.h>
 
 #include "common/logging.h"
-#include "core/feature_map_metric.h"
 #include "core/omd.h"
 #include "test_util.h"
 
@@ -13,14 +12,16 @@ namespace {
 
 using ::vz::testing::MakeMap;
 
-TEST(FeatureMapListMetricTest, MemoizationCountsMissesOnly) {
+TEST(ListMetricTest, MemoizationCountsMissesOnly) {
   std::vector<FeatureMap> maps;
   maps.push_back(MakeMap(8, 4, 0.0, 0.3, 1));
   maps.push_back(MakeMap(8, 4, 3.0, 0.3, 2));
   maps.push_back(MakeMap(8, 4, 6.0, 0.3, 3));
   core::OmdCalculator calc;
-  core::FeatureMapListMetric cached(&maps, &calc, /*memoize=*/true);
-  core::FeatureMapListMetric uncached(&maps, &calc, /*memoize=*/false);
+  core::SvsMetric cached(core::ListItems(maps), &calc,
+                         core::SvsMetricOptions{.memoize = true});
+  core::SvsMetric uncached(core::ListItems(maps), &calc,
+                           core::SvsMetricOptions{.memoize = false});
 
   const double d1 = cached.Distance(0, 1);
   const double d2 = cached.Distance(1, 0);  // symmetric cache hit
@@ -40,19 +41,30 @@ TEST(FeatureMapListMetricTest, MemoizationCountsMissesOnly) {
   EXPECT_EQ(cached.num_distance_evals(), 0u);
 }
 
-TEST(FeatureMapListMetricTest, GrowingListKeepsIdsValid) {
+TEST(ListMetricTest, ReplacedItemsKeepTheirIdentitiesPairs) {
   std::vector<FeatureMap> maps;
   maps.push_back(MakeMap(6, 4, 0.0, 0.3, 4));
+  maps.push_back(MakeMap(6, 4, 5.0, 0.3, 5));
+  maps.push_back(MakeMap(6, 4, 50.0, 0.3, 6));
   core::OmdCalculator calc;
-  core::FeatureMapListMetric metric(&maps, &calc);
-  maps.push_back(MakeMap(6, 4, 5.0, 0.3, 5));  // grow after construction
-  EXPECT_GT(metric.Distance(0, 1), 0.0);
-  EXPECT_GT(metric.LowerBound(0, 1), 0.0);
-  // Replacing a slot requires invalidating its cached centroid.
+  core::SvsMetric metric({{&maps[0], maps[0].Centroid(), 10},
+                          {&maps[1], maps[1].Centroid(), 11}},
+                         &calc);
+  const double d = metric.Distance(0, 1);
+  EXPECT_GT(d, 0.0);
   const double before = metric.LowerBound(0, 1);
-  maps[1] = MakeMap(6, 4, 50.0, 0.3, 6);
-  metric.InvalidateCentroid(1);
+  EXPECT_GT(before, 0.0);
+  // The same maps in another order: the identity pair is memoized.
+  metric.set_items({{&maps[1], maps[1].Centroid(), 11},
+                    {&maps[0], maps[0].Centroid(), 10}});
+  EXPECT_EQ(metric.Distance(0, 1), d);
+  EXPECT_EQ(metric.num_distance_evals(), 1u);
+  // A new map under a new identity: solved, and bounded by its centroid.
+  metric.set_items({{&maps[0], maps[0].Centroid(), 10},
+                    {&maps[2], maps[2].Centroid(), 12}});
   EXPECT_GT(metric.LowerBound(0, 1), before);
+  EXPECT_GT(metric.Distance(0, 1), d);
+  EXPECT_EQ(metric.num_distance_evals(), 2u);
 }
 
 TEST(OmdCalculatorKnobsTest, CounterAndModeAdjustments) {

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <unordered_set>
+#include <vector>
 
 #include "core/monitor.h"
 #include "core/omd.h"
@@ -321,6 +323,70 @@ TEST_F(OmdCacheSystemTest, FlatFallbackCachesPairsLowerIdFirst) {
     EXPECT_EQ(*cached, backward.Distance(static_cast<int>(target),
                                          static_cast<int>(id)));
   }
+}
+
+// A by-id clustering query memoizes its target-to-entry solves in the
+// instance's one memo: a repeat on an unchanged index solves nothing, and
+// after one camera's representatives change only pairs with its new entries
+// may solve.
+TEST_F(OmdCacheSystemTest, RepeatedClusteringQueryByIdReusesItsSolves) {
+  ASSERT_EQ(system_.index_mode(), IndexMode::kHierarchical);
+  ASSERT_GT(system_.inter_index().size(), 0u);
+  const SvsId target = 0;
+  auto svs = system_.svs_store().Get(target);
+  ASSERT_TRUE(svs.ok());
+  const FeatureMap& map = (*svs)->features();
+  auto first = system_.ClusteringQuery(target);
+  ASSERT_TRUE(first.ok());
+  uint64_t solves = system_.omd().num_computations();
+  auto second = system_.ClusteringQuery(target);
+  ASSERT_TRUE(second.ok());
+  EXPECT_EQ(system_.omd().num_computations(), solves);
+  EXPECT_EQ(second->similar_svss, first->similar_svss);
+
+  // The same map without its id has no identity, so it is solved afresh.
+  auto by_map = system_.ClusteringQuery(map);
+  ASSERT_TRUE(by_map.ok());
+  EXPECT_GT(system_.omd().num_computations(), solves);
+  EXPECT_EQ(by_map->similar_svss, first->similar_svss);
+
+  // Re-derive the representatives of a camera with no entry in the target's
+  // group, so the nearest entry survives the update.
+  const InterCameraIndex& inter = system_.inter_index();
+  auto group = inter.GroupOfNearest(map, target);
+  ASSERT_TRUE(group.ok());
+  std::unordered_set<CameraId> in_group;
+  for (size_t idx : (*group)->entry_indices) {
+    in_group.insert(inter.entries()[idx].camera);
+  }
+  CameraId updated;
+  for (const CameraId& camera : system_.cameras()) {
+    if (in_group.count(camera) == 0) {
+      updated = camera;
+      break;
+    }
+  }
+  ASSERT_FALSE(updated.empty());
+  const uint64_t version = system_.index_version();
+  const int64_t base_ms = system_.now_ms() + 1000;
+  for (int i = 0; i < 300 && system_.index_version() == version; ++i) {
+    FrameObservation frame;
+    frame.camera = updated;
+    frame.timestamp_ms = base_ms + i * 1000;
+    frame.frame_id = 2'000'000 + i;
+    DetectedObject object;
+    object.feature = FeatureVector(std::vector<float>(32, 0.5f));
+    frame.objects.push_back(object);
+    ASSERT_TRUE(system_.IngestFrame(frame).ok());
+  }
+  ASSERT_NE(system_.index_version(), version);
+  size_t new_entries = 0;
+  for (const auto& entry : inter.entries()) {
+    new_entries += entry.camera == updated ? 1 : 0;
+  }
+  solves = system_.omd().num_computations();
+  ASSERT_TRUE(system_.ClusteringQuery(target).ok());
+  EXPECT_LE(system_.omd().num_computations() - solves, new_entries);
 }
 
 TEST_F(OmdCacheSystemTest, IngestingAnSvsInvalidatesItsCachedPairs) {

@@ -174,18 +174,23 @@ TEST(SvsMetricTest, MemoizationAvoidsRecomputation) {
   EXPECT_EQ(metric.num_distance_evals(), 2u);
 }
 
-TEST(SvsMetricTest, TemporariesSupportQueryMaps) {
+TEST(SvsMetricTest, QuerySupportsMapsOutsideTheStore) {
   SvsStore store;
   store.Create("cam", 0, 10, MakeMap(8, 4, 0.0, 0.3, 15));
   OmdCalculator calc;
   SvsMetric metric(&store, &calc);
   const FeatureMap query = MakeMap(5, 4, 0.1, 0.3, 16);
-  const int temp = metric.RegisterTemporary(&query);
-  EXPECT_LT(temp, 0);
-  const double d = metric.Distance(temp, 0);
+  const SvsMetric::Query target(&metric, &query);
+  const double d = target.Distance(0);
   EXPECT_GE(d, 0.0);
   EXPECT_LT(d, 2.0);  // both maps sit near the origin
-  metric.UnregisterTemporary(temp);
+  EXPECT_GE(target.LowerBound(0), 0.0);
+  // A query without an identity is solved every time, and a query search
+  // counts nothing in the metric.
+  EXPECT_EQ(target.Distance(0), d);
+  EXPECT_EQ(calc.num_computations(), 2u);
+  EXPECT_EQ(metric.num_distance_evals(), 0u);
+  EXPECT_EQ(metric.cache().size(), 0u);
 }
 
 TEST(SvsMetricTest, MemoizationCanBeDisabled) {

@@ -2,7 +2,9 @@
 // clustering-query constraints, per-query stats, and exact-stage toggling.
 #include <gtest/gtest.h>
 
+#include <string>
 #include <unordered_set>
+#include <vector>
 
 #include "core/videozilla.h"
 #include "sim/dataset.h"
@@ -106,6 +108,36 @@ TEST(VideoZillaEdgeTest, ClusteringQueryHonorsConstraints) {
     EXPECT_EQ((*peer)->camera(), "harbor-0");
   }
   EXPECT_LE(result->cameras_contributing, 1u);
+}
+
+// Every OMD between maps of different dimensions fails and reads as +inf, so
+// a target of a dimension no stored SVS has cannot be compared with the
+// corpus. It is refused before any solve, in every index mode.
+TEST(VideoZillaEdgeTest, ClusteringQueryRejectsATargetOfAnotherDimension) {
+  sim::Deployment deployment(SmallDeployment());
+  VideoZilla system(FastOptions());
+  ASSERT_TRUE(deployment.IngestAll(&system).ok());
+  ASSERT_GT(system.svs_store().size(), 0u);
+  FeatureMap target;
+  for (int i = 0; i < 4; ++i) {
+    ASSERT_TRUE(
+        target.Add(FeatureVector(std::vector<float>(7, 0.1f * i))).ok());
+  }
+  for (IndexMode mode : {IndexMode::kHierarchical, IndexMode::kIntraOnly,
+                         IndexMode::kFlatSvs, IndexMode::kFlat}) {
+    SCOPED_TRACE("index mode " + std::to_string(static_cast<int>(mode)));
+    system.SetIndexMode(mode);
+    const uint64_t solves = system.omd().num_computations();
+    const uint64_t failures = system.query_load_stats().omd_failures;
+    auto result = system.ClusteringQuery(target);
+    EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(system.omd().num_computations(), solves);
+    EXPECT_EQ(system.query_load_stats().omd_failures, failures);
+  }
+  // A target of the corpus's dimension is still answered.
+  auto svs = system.svs_store().Get(0);
+  ASSERT_TRUE(svs.ok());
+  EXPECT_TRUE(system.ClusteringQuery((*svs)->features()).ok());
 }
 
 TEST(VideoZillaEdgeTest, PerCameraGpuAccountingSumsToTotal) {
