@@ -1,6 +1,5 @@
 #include "io/svs_snapshot.h"
 
-#include <algorithm>
 #include <cstring>
 #include <utility>
 
@@ -11,95 +10,66 @@ namespace vz::io {
 
 namespace {
 
-void WriteFeatureMap(BinaryWriter* writer, const FeatureMap& map) {
-  writer->WriteU64(map.size());
-  for (size_t i = 0; i < map.size(); ++i) {
-    writer->WriteFloats(map.row(i), map.dim());
-    writer->WriteF64(map.weight(i));
-  }
+/// One SVS record payload, in file order. Saving points the members at a
+/// stored SVS's fields (its feature map is not copied); loading points them
+/// at locals that then become a new SVS.
+struct SvsRecord {
+  std::string& camera;
+  int64_t& start_ms;
+  int64_t& end_ms;
+  FeatureMap& features;
+  core::Representative& representative;
+  std::vector<int64_t>& frame_ids;
+  uint64_t& encoded_bytes;
+  uint64_t& access_count;
+  int64_t& last_access_ms;
+};
+
+template <typename A>
+Status Visit(A& ar, SvsRecord& record) {
+  return Fields(ar, record.camera, record.start_ms, record.end_ms,
+                record.features, record.representative, record.frame_ids,
+                record.encoded_bytes, record.access_count,
+                record.last_access_ms);
 }
 
-StatusOr<FeatureMap> ReadFeatureMap(BinaryReader* reader) {
-  VZ_ASSIGN_OR_RETURN(uint64_t count, reader->ReadU64());
-  FeatureMap map;
-  for (uint64_t i = 0; i < count; ++i) {
-    VZ_ASSIGN_OR_RETURN(std::vector<float> values, reader->ReadFloats());
-    VZ_ASSIGN_OR_RETURN(double weight, reader->ReadF64());
-    VZ_RETURN_IF_ERROR(map.Add(values.data(), values.size(), weight));
-  }
-  return map;
-}
-
-void WriteRepresentative(BinaryWriter* writer,
-                         const core::Representative& rep) {
-  writer->WriteU64(rep.size());
-  for (const core::WeightedCenter& center : rep.centers()) {
-    writer->WriteFloats(center.center.components());
-    writer->WriteF64(center.weight);
-    writer->WriteF64(center.boundary);
-    writer->WriteF64(center.mean_member_distance);
-    writer->WriteI64(center.last_hit_ms);
-  }
-}
-
-StatusOr<core::Representative> ReadRepresentative(BinaryReader* reader) {
-  VZ_ASSIGN_OR_RETURN(uint64_t count, reader->ReadU64());
-  std::vector<core::WeightedCenter> centers;
-  // Each center takes at least its float-count header plus three doubles and
-  // a timestamp; bounding the reservation by that floor keeps a corrupted
-  // count from allocating gigabytes before the reads below fail.
-  centers.reserve(static_cast<size_t>(
-      std::min<uint64_t>(count, reader->remaining() / 40 + 1)));
-  for (uint64_t i = 0; i < count; ++i) {
-    core::WeightedCenter center;
-    VZ_ASSIGN_OR_RETURN(std::vector<float> values, reader->ReadFloats());
-    center.center = FeatureVector(std::move(values));
-    VZ_ASSIGN_OR_RETURN(center.weight, reader->ReadF64());
-    VZ_ASSIGN_OR_RETURN(center.boundary, reader->ReadF64());
-    VZ_ASSIGN_OR_RETURN(center.mean_member_distance, reader->ReadF64());
-    VZ_ASSIGN_OR_RETURN(center.last_hit_ms, reader->ReadI64());
-    centers.push_back(std::move(center));
-  }
-  return core::Representative(std::move(centers));
-}
-
-// One SVS's fields, identical in v1 (inline) and v2 (inside a checksummed
-// record payload).
 void WriteSvsRecord(BinaryWriter* writer, const core::Svs& svs) {
-  writer->WriteString(svs.camera());
-  writer->WriteI64(svs.start_ms());
-  writer->WriteI64(svs.end_ms());
-  WriteFeatureMap(writer, svs.features());
-  WriteRepresentative(writer, svs.representative());
-  writer->WriteU64(svs.frame_ids().size());
-  for (int64_t frame : svs.frame_ids()) writer->WriteI64(frame);
-  writer->WriteU64(svs.encoded_bytes());
-  writer->WriteU64(svs.access_count());
-  writer->WriteI64(svs.last_access_ms());
+  int64_t start_ms = svs.start_ms();
+  int64_t end_ms = svs.end_ms();
+  uint64_t encoded_bytes = svs.encoded_bytes();
+  uint64_t access_count = svs.access_count();
+  int64_t last_access_ms = svs.last_access_ms();
+  SvsRecord record{const_cast<std::string&>(svs.camera()),
+                   start_ms,
+                   end_ms,
+                   const_cast<FeatureMap&>(svs.features()),
+                   const_cast<core::Representative&>(svs.representative()),
+                   const_cast<std::vector<int64_t>&>(svs.frame_ids()),
+                   encoded_bytes,
+                   access_count,
+                   last_access_ms};
+  WriteArchive ar(writer);
+  (void)Visit(ar, record);  // writing never fails
 }
 
-// Decodes one SVS record and appends it to `store`.
+// Decodes one whole record payload and appends the SVS to `store`.
 Status ReadSvsRecord(BinaryReader* reader, core::SvsStore* store) {
-  VZ_ASSIGN_OR_RETURN(std::string camera, reader->ReadString());
-  VZ_ASSIGN_OR_RETURN(int64_t start_ms, reader->ReadI64());
-  VZ_ASSIGN_OR_RETURN(int64_t end_ms, reader->ReadI64());
-  VZ_ASSIGN_OR_RETURN(FeatureMap features, ReadFeatureMap(reader));
-  VZ_ASSIGN_OR_RETURN(core::Representative rep, ReadRepresentative(reader));
-  VZ_ASSIGN_OR_RETURN(uint64_t frame_count, reader->ReadU64());
+  std::string camera;
+  int64_t start_ms = 0;
+  int64_t end_ms = 0;
+  FeatureMap features;
+  core::Representative rep;
   std::vector<int64_t> frames;
-  // Bound the reservation by what the buffer could possibly hold; a
-  // corrupted count must not trigger a giant allocation before the reads
-  // below fail.
-  frames.reserve(static_cast<size_t>(
-      std::min<uint64_t>(frame_count, reader->remaining() / sizeof(int64_t))));
-  for (uint64_t f = 0; f < frame_count; ++f) {
-    VZ_ASSIGN_OR_RETURN(int64_t frame, reader->ReadI64());
-    frames.push_back(frame);
+  uint64_t bytes = 0;
+  uint64_t accesses = 0;
+  int64_t last_access = 0;
+  SvsRecord record{camera, start_ms, end_ms,   features,   rep,
+                   frames, bytes,    accesses, last_access};
+  ReadArchive ar(reader);
+  VZ_RETURN_IF_ERROR(Visit(ar, record));
+  if (!reader->AtEnd()) {
+    return Status::InvalidArgument("trailing bytes in record");
   }
-  VZ_ASSIGN_OR_RETURN(uint64_t bytes, reader->ReadU64());
-  VZ_ASSIGN_OR_RETURN(uint64_t accesses, reader->ReadU64());
-  VZ_ASSIGN_OR_RETURN(int64_t last_access, reader->ReadI64());
-
   const core::SvsId id =
       store->Create(std::move(camera), start_ms, end_ms, std::move(features));
   VZ_ASSIGN_OR_RETURN(core::Svs * svs, store->GetMutable(id));
@@ -125,30 +95,8 @@ Status AppendStore(const core::SvsStore& src, core::SvsStore* dst) {
   return Status::OK();
 }
 
-// Decodes a v1 body (records inline after the header) into `store`.
-// In salvage mode the first failing record ends the load successfully.
-Status LoadBodyV1(BinaryReader* reader, core::SvsStore* store,
-                  const SnapshotLoadOptions& options,
-                  SnapshotLoadReport* report) {
-  VZ_ASSIGN_OR_RETURN(uint64_t count, reader->ReadU64());
-  report->records_expected = count;
-  for (uint64_t i = 0; i < count; ++i) {
-    const Status record = ReadSvsRecord(reader, store);
-    if (!record.ok()) {
-      if (!options.salvage) return record;
-      report->salvaged = true;
-      return Status::OK();
-    }
-    ++report->records_loaded;
-  }
-  if (!reader->AtEnd()) {
-    return Status::InvalidArgument("trailing bytes after snapshot");
-  }
-  return Status::OK();
-}
-
-// Decodes a v2 body (length-prefixed, CRC-framed records + file checksum).
-Status LoadBodyV2(BinaryReader* reader, core::SvsStore* store,
+// Decodes the body (length-prefixed, CRC-framed records + file checksum).
+Status LoadBody(BinaryReader* reader, core::SvsStore* store,
                   const SnapshotLoadOptions& options,
                   SnapshotLoadReport* report) {
   const std::string& data = reader->data();
@@ -183,11 +131,7 @@ Status LoadBodyV2(BinaryReader* reader, core::SvsStore* store,
       if (Crc32(payload_reader.data()) != stored_crc) {
         return Status::InvalidArgument("record checksum mismatch");
       }
-      VZ_RETURN_IF_ERROR(ReadSvsRecord(&payload_reader, store));
-      if (!payload_reader.AtEnd()) {
-        return Status::InvalidArgument("trailing bytes in record");
-      }
-      return Status::OK();
+      return ReadSvsRecord(&payload_reader, store);
     }();
     if (!record.ok()) {
       if (!options.salvage) return record;
@@ -227,20 +171,6 @@ Status SaveSvsStore(const core::SvsStore& store, const std::string& path,
   return writer.Flush(path, env);
 }
 
-Status SaveSvsStoreV1(const core::SvsStore& store, const std::string& path,
-                      Env* env) {
-  BinaryWriter writer;
-  writer.WriteU32(kSnapshotMagic);
-  writer.WriteU32(kSnapshotVersionV1);
-  const auto ids = store.AllIds();
-  writer.WriteU64(ids.size());
-  for (core::SvsId id : ids) {
-    VZ_ASSIGN_OR_RETURN(const core::Svs* svs, store.Get(id));
-    WriteSvsRecord(&writer, *svs);
-  }
-  return writer.Flush(path, env);
-}
-
 Status LoadSvsStore(const std::string& path, core::SvsStore* store,
                     const SnapshotLoadOptions& options,
                     SnapshotLoadReport* report, Env* env) {
@@ -263,20 +193,12 @@ Status LoadSvsStore(const std::string& path, core::SvsStore* store,
   // checksum mismatch, malformed record — leaves the caller's store exactly
   // as it was. Only a fully successful (or deliberately salvaged) decode is
   // appended.
-  core::SvsStore scratch;
-  Status body;
-  switch (version) {
-    case kSnapshotVersionV1:
-      body = LoadBodyV1(&reader, &scratch, options, report);
-      break;
-    case kSnapshotVersion:
-      body = LoadBodyV2(&reader, &scratch, options, report);
-      break;
-    default:
-      return Status::InvalidArgument("unsupported snapshot version " +
-                                     std::to_string(version));
+  if (version != kSnapshotVersion) {
+    return Status::InvalidArgument("unsupported snapshot version " +
+                                   std::to_string(version));
   }
-  if (!body.ok()) return body;
+  core::SvsStore scratch;
+  VZ_RETURN_IF_ERROR(LoadBody(&reader, &scratch, options, report));
   return AppendStore(scratch, store);
 }
 

@@ -3,9 +3,14 @@
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "common/status.h"
+#include "core/representative.h"
 #include "core/svs.h"
+#include "io/archive.h"
+#include "vector/feature_map.h"
+#include "vector/feature_vector.h"
 
 namespace vz::io {
 
@@ -20,7 +25,7 @@ class Env;
 /// derived state; only the SVSs are ground truth). The format is versioned;
 /// loaders reject unknown versions instead of misparsing.
 ///
-/// Version 2 (current write format) treats failure as the common case:
+/// One format, version 2, which treats failure as the common case:
 ///   header:     magic u32, version u32 (=2), record count u64
 ///   per record: payload length u64, payload bytes, payload CRC32 u32
 ///   footer:     CRC32 u32 over every preceding byte of the file
@@ -28,11 +33,13 @@ class Env;
 /// salvage); the file-level checksum catches bit flips anywhere, including
 /// in lengths and counts. Saves are atomic (temp file + rename, fsync'd), so
 /// a crash during `SaveSvsStore` leaves the previous snapshot intact.
-/// Version 1 (no checksums) still loads.
+///
+/// A record payload is one SVS: camera, start and end, its feature map and
+/// representative (the Visits below, which the wire shares), frame ids,
+/// encoded bytes and access statistics.
 
 inline constexpr uint32_t kSnapshotMagic = 0x565A5353;  // "VZSS"
 inline constexpr uint32_t kSnapshotVersion = 2;
-inline constexpr uint32_t kSnapshotVersionV1 = 1;
 
 /// How `LoadSvsStore` reacts to a torn or corrupted snapshot.
 struct SnapshotLoadOptions {
@@ -64,15 +71,9 @@ struct SnapshotLoadReport {
 Status SaveSvsStore(const core::SvsStore& store, const std::string& path,
                     Env* env = nullptr);
 
-/// Writes `store` in the legacy v1 layout (no checksums). Exists so
-/// compatibility with pre-v2 snapshots stays testable; new code should use
-/// `SaveSvsStore`. Uses the same atomic temp-file + rename write path.
-Status SaveSvsStoreV1(const core::SvsStore& store, const std::string& path,
-                      Env* env = nullptr);
-
 /// Appends every SVS of the snapshot at `path` into `store`, preserving
 /// creation order (ids are re-assigned densely; with an empty target store
-/// they match the saved ids). Loads v1 and v2 snapshots. All decoding
+/// they match the saved ids). All decoding
 /// happens in a temporary store: on magic/version mismatch, truncation or
 /// checksum failure the caller's `store` is left exactly as it was — no
 /// partially appended records (unless `options.salvage` asks for the valid
@@ -81,6 +82,75 @@ Status LoadSvsStore(const std::string& path, core::SvsStore* store,
                     const SnapshotLoadOptions& options = SnapshotLoadOptions(),
                     SnapshotLoadReport* report = nullptr, Env* env = nullptr);
 
+/// One FeatureMap row: its floats, then its weight. Writing borrows the
+/// map's row (`FloatsView`); reading owns the floats until `FeatureMap::Add`
+/// copies them in.
+template <typename Floats>
+struct FeatureRow {
+  Floats values{};
+  double weight = 0.0;
+};
+using DecodedFeatureRow = FeatureRow<std::vector<float>>;
+
+template <typename A, typename Floats>
+Status Visit(A& ar, FeatureRow<Floats>& row) {
+  VZ_RETURN_IF_ERROR(Field(ar, row.values));
+  return Field(ar, row.weight);
+}
+
 }  // namespace vz::io
+
+namespace vz {
+
+template <typename A>
+Status Visit(A& ar, FeatureVector& vector) {
+  if constexpr (A::kDecoding) {
+    std::vector<float> components;
+    VZ_RETURN_IF_ERROR(io::Field(ar, components));
+    vector = FeatureVector(std::move(components));
+    return Status::OK();
+  } else {
+    return io::Field(ar, const_cast<std::vector<float>&>(vector.components()));
+  }
+}
+
+/// A u64 row count, then each row (see `io::FeatureRow`).
+template <typename A>
+Status Visit(A& ar, FeatureMap& map) {
+  uint64_t rows = map.size();
+  VZ_RETURN_IF_ERROR(
+      ar.ElementCount(rows, io::MinEncodedSize<io::DecodedFeatureRow>()));
+  for (uint64_t i = 0; i < rows; ++i) {
+    if constexpr (A::kDecoding) {
+      io::DecodedFeatureRow row;
+      VZ_RETURN_IF_ERROR(Visit(ar, row));
+      VZ_RETURN_IF_ERROR(
+          map.Add(row.values.data(), row.values.size(), row.weight));
+    } else {
+      io::FeatureRow<io::FloatsView> row{{map.row(i), map.dim()},
+                                         map.weight(i)};
+      VZ_RETURN_IF_ERROR(Visit(ar, row));
+    }
+  }
+  return Status::OK();
+}
+
+}  // namespace vz
+
+namespace vz::core {
+
+template <typename A>
+Status Visit(A& ar, WeightedCenter& center) {
+  return io::Fields(ar, center.center, center.weight, center.boundary,
+                    center.mean_member_distance, center.last_hit_ms);
+}
+
+/// A u64 center count, then each center.
+template <typename A>
+Status Visit(A& ar, Representative& rep) {
+  return io::Field(ar, rep.mutable_centers());
+}
+
+}  // namespace vz::core
 
 #endif  // VZ_IO_SVS_SNAPSHOT_H_

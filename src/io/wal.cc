@@ -46,30 +46,28 @@ std::string EncodeSegmentHeader(uint64_t start_lsn) {
   return writer.buffer();
 }
 
-/// Frames one record: u32 len | payload | u32 crc32(payload).
+/// Frames one record: u32 len | payload | u32 crc32(payload), the payload
+/// being `record` stamped with `lsn`.
 std::string EncodeRecord(const WalRecord& record, uint64_t lsn) {
-  BinaryWriter payload;
-  payload.WriteU64(lsn);
-  payload.WriteU64(record.session_id);
-  payload.WriteU64(record.sequence);
-  payload.WriteU32(record.op);
-  payload.WriteU64(record.epoch);
-  payload.WriteLengthPrefixedBytes(record.payload);
-
+  WalRecord stamped = record;
+  stamped.lsn = lsn;
   BinaryWriter framed;
-  framed.WriteU32(static_cast<uint32_t>(payload.buffer().size()));
-  framed.WriteBytes(payload.buffer());
-  framed.WriteU32(Crc32(payload.buffer()));
+  framed.WriteU32(static_cast<uint32_t>(EncodedSize(stamped)));
+  Encode(&framed, stamped);
+  framed.WriteU32(
+      Crc32(std::string_view(framed.buffer()).substr(sizeof(uint32_t))));
   return framed.buffer();
 }
 
 /// Decodes the record at the reader's position. `expected_lsn` enforces the
 /// dense LSN chain; any violation (bounds, CRC, chain break) returns an
 /// error — which during a salvage scan means "the valid prefix ends here".
+/// A length below the smallest possible record is structurally impossible —
+/// in particular a zeroed tail (len 0) can never masquerade as a record.
 StatusOr<WalRecord> DecodeRecord(BinaryReader* reader,
                                  uint64_t expected_lsn) {
   VZ_ASSIGN_OR_RETURN(uint32_t len, reader->ReadU32());
-  if (len < kWalMinPayloadBytes || len > kWalMaxPayloadBytes) {
+  if (len < MinEncodedSize<WalRecord>() || len > kWalMaxPayloadBytes) {
     return Status::DataLoss("implausible WAL record length");
   }
   if (reader->remaining() < len + sizeof(uint32_t)) {
@@ -83,17 +81,12 @@ StatusOr<WalRecord> DecodeRecord(BinaryReader* reader,
     return Status::DataLoss("WAL record checksum mismatch");
   }
   BinaryReader body{std::string(payload)};
-  WalRecord record;
-  VZ_ASSIGN_OR_RETURN(record.lsn, body.ReadU64());
-  VZ_ASSIGN_OR_RETURN(record.session_id, body.ReadU64());
-  VZ_ASSIGN_OR_RETURN(record.sequence, body.ReadU64());
-  VZ_ASSIGN_OR_RETURN(record.op, body.ReadU32());
-  VZ_ASSIGN_OR_RETURN(record.epoch, body.ReadU64());
-  VZ_ASSIGN_OR_RETURN(record.payload, body.ReadLengthPrefixedBytes());
-  if (!body.AtEnd()) {
-    return Status::DataLoss("trailing bytes inside WAL record payload");
+  auto record = Decode<WalRecord>(&body);
+  if (!record.ok()) {
+    return Status::DataLoss("malformed WAL record payload: " +
+                            record.status().message());
   }
-  if (record.lsn != expected_lsn) {
+  if (record->lsn != expected_lsn) {
     return Status::DataLoss("WAL LSN chain broken");
   }
   return record;
@@ -611,54 +604,36 @@ std::string WalCheckpointSnapshotPath(const std::string& dir, uint64_t lsn) {
   return dir + "/" + name;
 }
 
+// The manifest body after magic and version, in file order.
+template <typename A>
+Status Visit(A& ar, WalCheckpoint::Camera& camera) {
+  return Fields(ar, camera.camera, camera.stats.frames_offered,
+                camera.stats.frames_accepted, camera.stats.frames_rejected,
+                camera.stats.out_of_order_dropped,
+                camera.stats.duplicates_dropped,
+                camera.stats.objects_quarantined, camera.stats.last_frame_ms,
+                camera.last_frame_id, camera.expected_dim);
+}
+
+template <typename A>
+Status Visit(A& ar, WalCheckpoint::Session& session) {
+  return Fields(ar, session.session_id, session.evicted_up_to,
+                session.responses);
+}
+
+template <typename A>
+Status Visit(A& ar, WalCheckpoint& checkpoint) {
+  return Fields(ar, checkpoint.lsn, checkpoint.epoch, checkpoint.now_ms,
+                checkpoint.ingest, checkpoint.cameras, checkpoint.sessions,
+                checkpoint.has_tuning, checkpoint.tuning);
+}
+
 Status SaveWalCheckpointMeta(const WalCheckpoint& checkpoint,
                              const std::string& path, Env* env) {
   BinaryWriter writer;
   writer.WriteU32(kWalCheckpointMagic);
   writer.WriteU32(kWalCheckpointVersion);
-  writer.WriteU64(checkpoint.lsn);
-  writer.WriteU64(checkpoint.epoch);
-  writer.WriteI64(checkpoint.now_ms);
-  writer.WriteU64(checkpoint.ingest.frames_offered);
-  writer.WriteU64(checkpoint.ingest.keyframes_selected);
-  writer.WriteU64(checkpoint.ingest.features_extracted);
-  writer.WriteU64(checkpoint.ingest.svs_created);
-  writer.WriteU64(checkpoint.ingest.raw_feature_bytes);
-  writer.WriteU64(checkpoint.ingest.frames_rejected);
-  writer.WriteU64(checkpoint.ingest.out_of_order_dropped);
-  writer.WriteU64(checkpoint.ingest.duplicates_dropped);
-  writer.WriteU64(checkpoint.ingest.objects_quarantined);
-  writer.WriteU64(checkpoint.cameras.size());
-  for (const WalCheckpoint::Camera& camera : checkpoint.cameras) {
-    writer.WriteString(camera.camera);
-    writer.WriteU64(camera.stats.frames_offered);
-    writer.WriteU64(camera.stats.frames_accepted);
-    writer.WriteU64(camera.stats.frames_rejected);
-    writer.WriteU64(camera.stats.out_of_order_dropped);
-    writer.WriteU64(camera.stats.duplicates_dropped);
-    writer.WriteU64(camera.stats.objects_quarantined);
-    writer.WriteI64(camera.stats.last_frame_ms);
-    writer.WriteI64(camera.last_frame_id);
-    writer.WriteU64(camera.expected_dim);
-  }
-  writer.WriteU64(checkpoint.sessions.size());
-  for (const WalCheckpoint::Session& session : checkpoint.sessions) {
-    writer.WriteU64(session.session_id);
-    writer.WriteU64(session.evicted_up_to);
-    writer.WriteU64(session.responses.size());
-    for (const auto& [sequence, response] : session.responses) {
-      writer.WriteU64(sequence);
-      writer.WriteLengthPrefixedBytes(response);
-    }
-  }
-  // v3 tail: the live admin tuning at the cut.
-  writer.WriteU8(checkpoint.has_tuning ? 1 : 0);
-  writer.WriteU32(checkpoint.tuning.index_mode);
-  writer.WriteF64(checkpoint.tuning.boundary_scale);
-  writer.WriteF64(checkpoint.tuning.omd_alpha);
-  writer.WriteU8(checkpoint.tuning.keyframe_selection ? 1 : 0);
-  writer.WriteU64(checkpoint.tuning.inter_group_count);
-  writer.WriteU64(checkpoint.tuning.intra_cluster_count);
+  Encode(&writer, checkpoint);
   writer.WriteU32(Crc32(writer.buffer()));
   return writer.Flush(path, env);
 }
@@ -681,74 +656,19 @@ StatusOr<WalCheckpoint> LoadWalCheckpointMeta(const std::string& path,
                               path);
     }
   }
-  WalCheckpoint checkpoint;
   VZ_ASSIGN_OR_RETURN(uint32_t magic, reader.ReadU32());
   VZ_ASSIGN_OR_RETURN(uint32_t version, reader.ReadU32());
   if (magic != kWalCheckpointMagic) {
     return Status::DataLoss("not a checkpoint manifest: " + path);
   }
-  // v2 manifests predate the tuning tail and still load; anything else is
-  // from a future (or corrupted) writer.
-  if (version != kWalCheckpointVersion && version != 2) {
+  if (version != kWalCheckpointVersion) {
     return Status::InvalidArgument("unsupported checkpoint version " +
                                    std::to_string(version));
   }
-  VZ_ASSIGN_OR_RETURN(checkpoint.lsn, reader.ReadU64());
-  VZ_ASSIGN_OR_RETURN(checkpoint.epoch, reader.ReadU64());
-  VZ_ASSIGN_OR_RETURN(checkpoint.now_ms, reader.ReadI64());
-  VZ_ASSIGN_OR_RETURN(checkpoint.ingest.frames_offered, reader.ReadU64());
-  VZ_ASSIGN_OR_RETURN(checkpoint.ingest.keyframes_selected, reader.ReadU64());
-  VZ_ASSIGN_OR_RETURN(checkpoint.ingest.features_extracted, reader.ReadU64());
-  VZ_ASSIGN_OR_RETURN(checkpoint.ingest.svs_created, reader.ReadU64());
-  VZ_ASSIGN_OR_RETURN(uint64_t raw_bytes, reader.ReadU64());
-  checkpoint.ingest.raw_feature_bytes = static_cast<size_t>(raw_bytes);
-  VZ_ASSIGN_OR_RETURN(checkpoint.ingest.frames_rejected, reader.ReadU64());
-  VZ_ASSIGN_OR_RETURN(checkpoint.ingest.out_of_order_dropped,
-                      reader.ReadU64());
-  VZ_ASSIGN_OR_RETURN(checkpoint.ingest.duplicates_dropped, reader.ReadU64());
-  VZ_ASSIGN_OR_RETURN(checkpoint.ingest.objects_quarantined,
-                      reader.ReadU64());
-  VZ_ASSIGN_OR_RETURN(uint64_t camera_count, reader.ReadU64());
-  for (uint64_t i = 0; i < camera_count; ++i) {
-    WalCheckpoint::Camera camera;
-    VZ_ASSIGN_OR_RETURN(camera.camera, reader.ReadString());
-    VZ_ASSIGN_OR_RETURN(camera.stats.frames_offered, reader.ReadU64());
-    VZ_ASSIGN_OR_RETURN(camera.stats.frames_accepted, reader.ReadU64());
-    VZ_ASSIGN_OR_RETURN(camera.stats.frames_rejected, reader.ReadU64());
-    VZ_ASSIGN_OR_RETURN(camera.stats.out_of_order_dropped, reader.ReadU64());
-    VZ_ASSIGN_OR_RETURN(camera.stats.duplicates_dropped, reader.ReadU64());
-    VZ_ASSIGN_OR_RETURN(camera.stats.objects_quarantined, reader.ReadU64());
-    VZ_ASSIGN_OR_RETURN(camera.stats.last_frame_ms, reader.ReadI64());
-    VZ_ASSIGN_OR_RETURN(camera.last_frame_id, reader.ReadI64());
-    VZ_ASSIGN_OR_RETURN(camera.expected_dim, reader.ReadU64());
-    checkpoint.cameras.push_back(std::move(camera));
-  }
-  VZ_ASSIGN_OR_RETURN(uint64_t session_count, reader.ReadU64());
-  for (uint64_t i = 0; i < session_count; ++i) {
-    WalCheckpoint::Session session;
-    VZ_ASSIGN_OR_RETURN(session.session_id, reader.ReadU64());
-    VZ_ASSIGN_OR_RETURN(session.evicted_up_to, reader.ReadU64());
-    VZ_ASSIGN_OR_RETURN(uint64_t response_count, reader.ReadU64());
-    for (uint64_t j = 0; j < response_count; ++j) {
-      VZ_ASSIGN_OR_RETURN(uint64_t sequence, reader.ReadU64());
-      VZ_ASSIGN_OR_RETURN(std::string response,
-                          reader.ReadLengthPrefixedBytes());
-      session.responses.emplace_back(sequence, std::move(response));
-    }
-    checkpoint.sessions.push_back(std::move(session));
-  }
-  if (version >= 3) {
-    VZ_ASSIGN_OR_RETURN(uint8_t has_tuning, reader.ReadU8());
-    checkpoint.has_tuning = has_tuning != 0;
-    VZ_ASSIGN_OR_RETURN(checkpoint.tuning.index_mode, reader.ReadU32());
-    VZ_ASSIGN_OR_RETURN(checkpoint.tuning.boundary_scale, reader.ReadF64());
-    VZ_ASSIGN_OR_RETURN(checkpoint.tuning.omd_alpha, reader.ReadF64());
-    VZ_ASSIGN_OR_RETURN(uint8_t keyframes, reader.ReadU8());
-    checkpoint.tuning.keyframe_selection = keyframes != 0;
-    VZ_ASSIGN_OR_RETURN(checkpoint.tuning.inter_group_count,
-                        reader.ReadU64());
-    VZ_ASSIGN_OR_RETURN(checkpoint.tuning.intra_cluster_count,
-                        reader.ReadU64());
+  VZ_ASSIGN_OR_RETURN(WalCheckpoint checkpoint,
+                      DecodePrefix<WalCheckpoint>(&reader));
+  if (reader.remaining() != sizeof(uint32_t)) {
+    return Status::DataLoss("trailing bytes in checkpoint manifest: " + path);
   }
   return checkpoint;
 }

@@ -14,6 +14,7 @@
 #include "common/status.h"
 #include "common/statusor.h"
 #include "core/videozilla.h"
+#include "io/archive.h"
 #include "io/env.h"
 
 namespace vz::io {
@@ -30,7 +31,8 @@ namespace vz::io {
 ///
 ///   u32 payload_len | payload | u32 crc32(payload)
 ///
-/// and the payload itself carries `u64 lsn | u64 session_id | u64 sequence |
+/// and the payload itself is one `WalRecord` (its Visit below, which the
+/// wire's WalShip reply shares): `u64 lsn | u64 session_id | u64 sequence |
 /// u32 op | u64 epoch | u64+bytes body` — the idempotency token travels
 /// inside the log, which is what lets a restarted server rebuild its dedup
 /// windows, and the promotion epoch travels with every record, which is what
@@ -64,11 +66,6 @@ inline constexpr uint32_t kWalMagic = 0x565A574C;  // "VZWL"
 inline constexpr uint32_t kWalFormatVersion = 2;  // v2: per-record epoch
 /// Frame overhead of one record: length prefix + trailing CRC.
 inline constexpr size_t kWalRecordOverhead = 2 * sizeof(uint32_t);
-/// Fixed part of a record payload (lsn, session, sequence, op, epoch, body
-/// length). A length field below this is structurally impossible — in
-/// particular a zeroed tail (len 0) can never masquerade as an empty record.
-inline constexpr size_t kWalMinPayloadBytes =
-    4 * sizeof(uint64_t) + sizeof(uint32_t) + sizeof(uint64_t);
 /// Upper bound on one record payload (matches the wire's frame cap).
 inline constexpr uint64_t kWalMaxPayloadBytes = 64ull << 20;
 
@@ -109,6 +106,12 @@ struct WalRecord {
   uint64_t epoch = 0;
   std::string payload;
 };
+
+template <typename A>
+Status Visit(A& ar, WalRecord& record) {
+  return Fields(ar, record.lsn, record.session_id, record.sequence, record.op,
+                record.epoch, record.payload);
+}
 
 struct WalStats {
   uint64_t appends = 0;
@@ -255,9 +258,26 @@ class Wal {
 // back to the previous checkpoint (whose WAL segments still exist).
 
 inline constexpr uint32_t kWalCheckpointMagic = 0x565A574D;  // "VZWM"
-/// v3: admin tuning rides the manifest (v2 manifests still load, reporting
-/// `has_tuning == false`).
+/// v3: admin tuning rides the manifest. Only v3 loads.
 inline constexpr uint32_t kWalCheckpointVersion = 3;
+
+/// The live index tuning: the manifest's tuning block and, with the same
+/// bytes, the reply of the `kAdminTune` RPC (`net::AdminTuneReply`).
+struct TuningSettings {
+  uint32_t index_mode = 0;  // core::IndexMode value
+  double boundary_scale = 1.0;
+  double omd_alpha = 0.0;
+  bool keyframe_selection = true;
+  uint64_t inter_group_count = 0;    // 0 = auto (sqrt heuristic)
+  uint64_t intra_cluster_count = 0;  // 0 = auto
+};
+
+template <typename A>
+Status Visit(A& ar, TuningSettings& tuning) {
+  return Fields(ar, tuning.index_mode, tuning.boundary_scale, tuning.omd_alpha,
+                tuning.keyframe_selection, tuning.inter_group_count,
+                tuning.intra_cluster_count);
+}
 
 struct WalCheckpoint {
   uint64_t lsn = 0;
@@ -282,20 +302,12 @@ struct WalCheckpoint {
     std::vector<std::pair<uint64_t, std::string>> responses;  // seq -> bytes
   };
   std::vector<Session> sessions;
-  /// The live `kAdminTune` settings at the cut (wire encoding — see
-  /// `net::AdminTuneReply`). AdminTune is deliberately not WAL-logged, so
-  /// without this a restart silently reverts operator tuning to
-  /// construction-time options.
-  struct Tuning {
-    uint32_t index_mode = 0;
-    double boundary_scale = 1.0;
-    double omd_alpha = 0.0;
-    bool keyframe_selection = true;
-    uint64_t inter_group_count = 0;    // 0 = auto
-    uint64_t intra_cluster_count = 0;  // 0 = auto
-  };
-  /// False when loaded from a v2 manifest (recovery keeps the constructed
-  /// options in that case).
+  /// The live `kAdminTune` settings at the cut. AdminTune is deliberately
+  /// not WAL-logged, so without this a restart silently reverts operator
+  /// tuning to construction-time options.
+  using Tuning = TuningSettings;
+  /// False when the writer captured no tuning (recovery keeps the
+  /// constructed options then).
   bool has_tuning = false;
   Tuning tuning;
 };
@@ -320,5 +332,19 @@ void RemoveWalCheckpointsBelow(const std::string& dir, uint64_t keep_lsn,
                                Env* env = nullptr);
 
 }  // namespace vz::io
+
+namespace vz::core {
+
+/// The global ingest counters: the manifest's and the Monitor reply's.
+template <typename A>
+Status Visit(A& ar, IngestStats& stats) {
+  return io::Fields(ar, stats.frames_offered, stats.keyframes_selected,
+                    stats.features_extracted, stats.svs_created,
+                    stats.raw_feature_bytes, stats.frames_rejected,
+                    stats.out_of_order_dropped, stats.duplicates_dropped,
+                    stats.objects_quarantined);
+}
+
+}  // namespace vz::core
 
 #endif  // VZ_IO_WAL_H_

@@ -295,7 +295,7 @@ void Client::ReaderLoop(std::shared_ptr<ConnCore> core) {
     }
     if (frame->type == static_cast<uint32_t>(MsgType::kPushEvent)) {
       io::BinaryReader event_reader(frame->payload);
-      auto event = DecodePushEvent(&event_reader);
+      auto event = io::Decode<PushEvent>(&event_reader);
       // A push whose CRC passed but whose payload does not decode is from a
       // future schema we half-understand: drop the event, keep the stream
       // (framing is intact). Pushes are at-most-once anyway.
@@ -365,7 +365,7 @@ Client::Pending Client::Start(MsgType type, const std::string& payload) {
       sequence = shared_->next_sequence++;
     }
     io::BinaryWriter writer;
-    EncodeIdempotencyToken(&writer, {session_id_, sequence});
+    io::Encode(&writer, IdempotencyToken{session_id_, sequence});
     wire_payload = writer.buffer() + payload;
   } else {
     wire_payload = payload;
@@ -591,39 +591,46 @@ StatusOr<std::string> Client::Call(MsgType type, const std::string& payload) {
   return Finish(pending);
 }
 
-Status Client::CameraStart(const core::CameraId& camera) {
+template <typename Reply, typename... Parts>
+StatusOr<Reply> Client::TypedCall(MsgType type, const Parts&... parts) {
   io::BinaryWriter writer;
-  writer.WriteString(camera);
-  return Call(MsgType::kCameraStart, writer.buffer()).status();
+  (io::Encode(&writer, parts), ...);
+  VZ_ASSIGN_OR_RETURN(std::string body, Call(type, writer.buffer()));
+  io::BinaryReader reader(std::move(body));
+  return io::Decode<Reply>(&reader);
+}
+
+Status Client::CameraStart(const core::CameraId& camera) {
+  return TypedCall<EmptyPayload>(MsgType::kCameraStart, camera).status();
 }
 
 Status Client::CameraTerminate(const core::CameraId& camera) {
-  io::BinaryWriter writer;
-  writer.WriteString(camera);
-  return Call(MsgType::kCameraTerminate, writer.buffer()).status();
+  return TypedCall<EmptyPayload>(MsgType::kCameraTerminate, camera).status();
 }
 
 Status Client::IngestFrame(const core::FrameObservation& frame) {
-  io::BinaryWriter writer;
-  EncodeFrameObservation(&writer, frame);
-  return Call(MsgType::kIngestFrame, writer.buffer()).status();
+  return TypedCall<EmptyPayload>(MsgType::kIngestFrame, frame).status();
 }
 
 StatusOr<IngestBatchReply> Client::IngestBatch(
     const std::vector<core::FrameObservation>& frames) {
+  // Written in IngestBatchRequest's layout without building one, so the
+  // caller's frames are not copied.
   io::BinaryWriter writer;
-  writer.WriteU32(static_cast<uint32_t>(frames.size()));
-  for (const auto& frame : frames) EncodeFrameObservation(&writer, frame);
+  io::Encode(&writer, static_cast<uint32_t>(frames.size()));
+  for (const auto& frame : frames) io::Encode(&writer, frame);
   VZ_ASSIGN_OR_RETURN(std::string body,
                       Call(MsgType::kIngestBatch, writer.buffer()));
   io::BinaryReader reader(std::move(body));
-  return DecodeIngestBatchReply(&reader);
+  return io::Decode<IngestBatchReply>(&reader);
 }
 
-Status Client::Flush() { return Call(MsgType::kFlush, "").status(); }
+Status Client::Flush() {
+  return TypedCall<EmptyPayload>(MsgType::kFlush).status();
+}
 
 Status Client::Ping() {
-  Status status = Call(MsgType::kPing, "").status();
+  Status status = TypedCall<EmptyPayload>(MsgType::kPing).status();
   if (status.ok()) {
     std::lock_guard<std::mutex> lock(shared_->mu);
     shared_->stats.pings_sent++;
@@ -636,7 +643,7 @@ StatusOr<uint64_t> Client::Subscribe(const SubscribeRequest& request,
   auto ensured = EnsureConn();
   if (!ensured.ok()) return ensured.status();
   io::BinaryWriter writer;
-  EncodeSubscribeRequest(&writer, request);
+  io::Encode(&writer, request);
   {
     std::lock_guard<std::mutex> lock(shared_->mu);
     shared_->stats.requests_sent++;
@@ -650,7 +657,7 @@ StatusOr<uint64_t> Client::Subscribe(const SubscribeRequest& request,
     VZ_RETURN_IF_ERROR(SendOn(pending, &callback));
     VZ_ASSIGN_OR_RETURN(std::string body, AwaitReply(pending));
     io::BinaryReader reader(std::move(body));
-    return reader.ReadU64();
+    return io::Decode<uint64_t>(&reader);
   }();
   std::lock_guard<std::mutex> lock(core.mu);
   if (!subscription_id.ok()) {
@@ -668,7 +675,7 @@ Status Client::Unsubscribe(uint64_t subscription_id) {
         "not connected (subscriptions are connection-scoped)");
   }
   io::BinaryWriter writer;
-  writer.WriteU64(subscription_id);
+  io::Encode(&writer, subscription_id);
   {
     std::lock_guard<std::mutex> lock(shared_->mu);
     shared_->stats.requests_sent++;
@@ -686,123 +693,73 @@ Status Client::Unsubscribe(uint64_t subscription_id) {
   return Status::OK();
 }
 
+// The query requests go out as their request struct's members (see
+// DirectQueryRequest and ClusteringBy*Request), so the caller's query
+// vector or feature map is not copied.
 StatusOr<core::DirectQueryResult> Client::DirectQuery(
     const FeatureVector& feature, const core::QueryConstraints& constraints) {
-  io::BinaryWriter writer;
-  EncodeFeatureVector(&writer, feature);
-  EncodeQueryConstraints(&writer, constraints);
-  VZ_ASSIGN_OR_RETURN(std::string body,
-                      Call(MsgType::kDirectQuery, writer.buffer()));
-  io::BinaryReader reader(std::move(body));
-  return DecodeDirectQueryResult(&reader);
+  return TypedCall<core::DirectQueryResult>(MsgType::kDirectQuery, feature,
+                                            constraints);
 }
 
 StatusOr<core::ClusteringQueryResult> Client::ClusteringQuery(
     core::SvsId target_id, const core::QueryConstraints& constraints) {
-  io::BinaryWriter writer;
-  writer.WriteI64(target_id);
-  EncodeQueryConstraints(&writer, constraints);
-  VZ_ASSIGN_OR_RETURN(std::string body,
-                      Call(MsgType::kClusteringQueryById, writer.buffer()));
-  io::BinaryReader reader(std::move(body));
-  return DecodeClusteringQueryResult(&reader);
+  return TypedCall<core::ClusteringQueryResult>(
+      MsgType::kClusteringQueryById, target_id, constraints);
 }
 
 StatusOr<core::ClusteringQueryResult> Client::ClusteringQuery(
     const FeatureMap& target, const core::QueryConstraints& constraints) {
-  io::BinaryWriter writer;
-  EncodeFeatureMap(&writer, target);
-  EncodeQueryConstraints(&writer, constraints);
-  VZ_ASSIGN_OR_RETURN(std::string body,
-                      Call(MsgType::kClusteringQueryByMap, writer.buffer()));
-  io::BinaryReader reader(std::move(body));
-  return DecodeClusteringQueryResult(&reader);
+  return TypedCall<core::ClusteringQueryResult>(
+      MsgType::kClusteringQueryByMap, target, constraints);
 }
 
 StatusOr<core::SvsMetadata> Client::GetMetaData(core::SvsId id) {
-  io::BinaryWriter writer;
-  writer.WriteI64(id);
-  VZ_ASSIGN_OR_RETURN(std::string body,
-                      Call(MsgType::kGetMetaData, writer.buffer()));
-  io::BinaryReader reader(std::move(body));
-  return DecodeSvsMetadata(&reader);
+  return TypedCall<core::SvsMetadata>(MsgType::kGetMetaData, id);
 }
 
 StatusOr<MonitorStatsReply> Client::MonitorStats() {
-  VZ_ASSIGN_OR_RETURN(std::string body, Call(MsgType::kMonitorStats, ""));
-  io::BinaryReader reader(std::move(body));
-  return DecodeMonitorStats(&reader);
+  return TypedCall<MonitorStatsReply>(MsgType::kMonitorStats);
 }
 
 StatusOr<std::vector<CameraHealthEntry>> Client::CameraHealthReport() {
-  VZ_ASSIGN_OR_RETURN(std::string body, Call(MsgType::kCameraHealth, ""));
-  io::BinaryReader reader(std::move(body));
-  return DecodeCameraHealthReport(&reader);
+  return TypedCall<std::vector<CameraHealthEntry>>(MsgType::kCameraHealth);
 }
 
 StatusOr<core::QueryLoadStats> Client::QueryLoadStats() {
-  VZ_ASSIGN_OR_RETURN(std::string body, Call(MsgType::kQueryLoadStats, ""));
-  io::BinaryReader reader(std::move(body));
-  return DecodeQueryLoadStats(&reader);
+  return TypedCall<core::QueryLoadStats>(MsgType::kQueryLoadStats);
 }
 
 StatusOr<AdminTuneReply> Client::AdminTune(const AdminTuneRequest& request) {
-  io::BinaryWriter writer;
-  EncodeAdminTuneRequest(&writer, request);
-  VZ_ASSIGN_OR_RETURN(std::string body,
-                      Call(MsgType::kAdminTune, writer.buffer()));
-  io::BinaryReader reader(std::move(body));
-  return DecodeAdminTuneReply(&reader);
+  return TypedCall<AdminTuneReply>(MsgType::kAdminTune, request);
 }
 
 StatusOr<WalShipReply> Client::WalShip(uint64_t from_lsn,
                                        uint32_t max_records,
                                        uint32_t wait_ms, uint64_t epoch) {
-  io::BinaryWriter writer;
-  EncodeWalShipRequest(&writer, {from_lsn, max_records, wait_ms, epoch});
-  VZ_ASSIGN_OR_RETURN(std::string body,
-                      Call(MsgType::kWalShip, writer.buffer()));
-  io::BinaryReader reader(std::move(body));
-  return DecodeWalShipReply(&reader);
+  return TypedCall<WalShipReply>(
+      MsgType::kWalShip, WalShipRequest{from_lsn, max_records, wait_ms, epoch});
 }
 
 StatusOr<RepSyncReply> Client::RepSync(uint64_t since_version) {
-  io::BinaryWriter writer;
-  EncodeRepSyncRequest(&writer, {since_version});
-  VZ_ASSIGN_OR_RETURN(std::string body,
-                      Call(MsgType::kRepSync, writer.buffer()));
-  io::BinaryReader reader(std::move(body));
-  return DecodeRepSyncReply(&reader);
+  return TypedCall<RepSyncReply>(MsgType::kRepSync,
+                                 RepSyncRequest{since_version});
 }
 
 StatusOr<FeatureMap> Client::SvsFeatureMap(core::SvsId id) {
-  io::BinaryWriter writer;
-  writer.WriteI64(id);
-  VZ_ASSIGN_OR_RETURN(std::string body,
-                      Call(MsgType::kSvsFeatureMap, writer.buffer()));
-  io::BinaryReader reader(std::move(body));
-  return DecodeFeatureMap(&reader);
+  return TypedCall<FeatureMap>(MsgType::kSvsFeatureMap, id);
 }
 
 StatusOr<CheckpointFetchReply> Client::CheckpointFetch() {
-  VZ_ASSIGN_OR_RETURN(std::string body, Call(MsgType::kCheckpointFetch, ""));
-  io::BinaryReader reader(std::move(body));
-  return DecodeCheckpointFetchReply(&reader);
+  return TypedCall<CheckpointFetchReply>(MsgType::kCheckpointFetch);
 }
 
 Status Client::SaveSnapshot(const std::string& path) {
-  io::BinaryWriter writer;
-  writer.WriteString(path);
-  return Call(MsgType::kSnapshotSave, writer.buffer()).status();
+  return TypedCall<EmptyPayload>(MsgType::kSnapshotSave, path).status();
 }
 
 StatusOr<uint64_t> Client::LoadSnapshot(const std::string& path) {
-  io::BinaryWriter writer;
-  writer.WriteString(path);
-  VZ_ASSIGN_OR_RETURN(std::string body,
-                      Call(MsgType::kSnapshotLoad, writer.buffer()));
-  io::BinaryReader reader(std::move(body));
-  return reader.ReadU64();
+  return TypedCall<uint64_t>(MsgType::kSnapshotLoad, path);
 }
 
 }  // namespace vz::net

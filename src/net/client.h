@@ -327,6 +327,12 @@ class Client {
   StatusOr<std::shared_ptr<ConnCore>> EnsureConn();
   /// The blocking RPC behind every typed method: `Start` + `Finish`.
   StatusOr<std::string> Call(MsgType type, const std::string& payload);
+  /// `Call` with the request encoded from `parts`, in order, and the reply
+  /// body decoded as `Reply`. Passing a request struct's members as parts
+  /// (in its Visit's order) sends the same bytes without copying them into
+  /// the struct.
+  template <typename Reply, typename... Parts>
+  StatusOr<Reply> TypedCall(MsgType type, const Parts&... parts);
   /// Sends `pending`'s next attempt over the current connection
   /// (reconnecting if there is none); a failure resolves the attempt.
   void Send(Pending& pending);

@@ -216,11 +216,14 @@ std::string Coordinator::ExecuteRequest(MsgType type,
     case MsgType::kSvsFeatureMap:
       return HandleSvsFeatureMap(reader, failure);
     case MsgType::kMonitorStats:
-      return HandleMonitorStats(failure);
     case MsgType::kCameraHealth:
-      return HandleCameraHealth(failure);
     case MsgType::kQueryLoadStats:
-      return HandleQueryLoadStats(failure);
+      if (!DecodeRequest<EmptyPayload>(reader, failure)) {
+        return StatusOnlyResponse(*failure);
+      }
+      if (type == MsgType::kMonitorStats) return HandleMonitorStats();
+      if (type == MsgType::kCameraHealth) return HandleCameraHealth();
+      return HandleQueryLoadStats();
     default:
       break;
   }
@@ -235,12 +238,8 @@ std::string Coordinator::ExecuteRequest(MsgType type,
 std::string Coordinator::HandleSubscribe(const RpcEndpoint::Call& call,
                                          io::BinaryReader* reader,
                                          Status* failure) {
-  auto spec = DecodeSubscribeRequest(reader);
-  if (!spec.ok()) {
-    *failure = Status::InvalidArgument("malformed payload: " +
-                                       spec.status().message());
-    return StatusOnlyResponse(*failure);
-  }
+  auto spec = DecodeRequest<SubscribeRequest>(reader, failure);
+  if (!spec) return StatusOnlyResponse(*failure);
 
   auto sub = std::make_shared<ClientSub>();
   {
@@ -300,21 +299,14 @@ std::string Coordinator::HandleSubscribe(const RpcEndpoint::Call& call,
     subs_by_conn_[call.conn_id].push_back(sub->id);
   }
   subscriptions_total_.fetch_add(1);
-  io::BinaryWriter writer;
-  EncodeWireStatus(&writer, {Status::OK(), 0});
-  writer.WriteU64(sub->id);
-  return writer.buffer();
+  return OkResponse(sub->id);
 }
 
 std::string Coordinator::HandleUnsubscribe(uint64_t conn_id,
                                            io::BinaryReader* reader,
                                            Status* failure) {
-  auto id = reader->ReadU64();
-  if (!id.ok()) {
-    *failure = Status::InvalidArgument("malformed payload: " +
-                                       id.status().message());
-    return StatusOnlyResponse(*failure);
-  }
+  auto id = DecodeRequest<uint64_t>(reader, failure);
+  if (!id) return StatusOnlyResponse(*failure);
   std::shared_ptr<ClientSub> victim;
   {
     std::lock_guard<std::mutex> lock(push_mu_);
@@ -343,22 +335,18 @@ std::string Coordinator::HandleAdminTune(io::BinaryReader* reader,
   // The client stamped an idempotency token (kAdminTune is mutating); the
   // coordinator keeps no dedup state of its own — each fan-out leg below
   // carries its own token, and the edges deduplicate those.
-  auto token = DecodeIdempotencyToken(reader);
+  auto token = io::DecodePrefix<IdempotencyToken>(reader);
   if (!token.ok()) {
     *failure = Status::InvalidArgument("malformed payload: " +
                                        token.status().message());
     return StatusOnlyResponse(*failure);
   }
-  auto request = DecodeAdminTuneRequest(reader);
-  if (!request.ok()) {
-    *failure = Status::InvalidArgument("malformed payload: " +
-                                       request.status().message());
-    return StatusOnlyResponse(*failure);
-  }
+  auto request = DecodeRequest<AdminTuneRequest>(reader, failure);
+  if (!request) return StatusOnlyResponse(*failure);
   io::BinaryWriter leg_request;
-  EncodeAdminTuneRequest(&leg_request, *request);
-  auto legs = FanOut(EligibleSet(), MsgType::kAdminTune, leg_request.buffer(),
-                     &DecodeAdminTuneReply);
+  io::Encode(&leg_request, *request);
+  auto legs = FanOut<AdminTuneReply>(EligibleSet(), MsgType::kAdminTune,
+                                     leg_request.buffer());
   // Every shard gets the same knobs, so any echo serves; a shard that
   // refused (invalid knob) surfaces its error rather than being papered
   // over by a quieter sibling.
@@ -381,10 +369,7 @@ std::string Coordinator::HandleAdminTune(io::BinaryReader* reader,
     *failure = Status::Unavailable("no eligible shard applied the tuning");
     return StatusOnlyResponse(*failure);
   }
-  io::BinaryWriter writer;
-  EncodeWireStatus(&writer, {Status::OK(), 0});
-  EncodeAdminTuneReply(&writer, *echo);
-  return writer.buffer();
+  return OkResponse(*echo);
 }
 
 void Coordinator::TeardownSub(const std::shared_ptr<ClientSub>& sub) {
@@ -569,13 +554,11 @@ core::QueryConstraints Coordinator::ShardConstraints(
 
 template <typename Result>
 void Coordinator::SettleLeg(size_t edge, std::unique_ptr<Client> client,
-                            StatusOr<std::string> reply,
-                            StatusOr<Result> (*decode)(io::BinaryReader*),
-                            Leg<Result>* leg) {
+                            StatusOr<std::string> reply, Leg<Result>* leg) {
   Status status = reply.status();
   if (status.ok()) {
     io::BinaryReader reader(std::move(*reply));
-    StatusOr<Result> result = decode(&reader);
+    StatusOr<Result> result = io::Decode<Result>(&reader);
     status = result.status();
     if (result.ok()) leg->result = std::move(*result);
   }
@@ -587,8 +570,8 @@ void Coordinator::SettleLeg(size_t edge, std::unique_ptr<Client> client,
 
 template <typename Result>
 std::vector<Coordinator::Leg<Result>> Coordinator::FanOut(
-    const std::vector<bool>& consult, MsgType type, const std::string& payload,
-    StatusOr<Result> (*decode)(io::BinaryReader*)) {
+    const std::vector<bool>& consult, MsgType type,
+    const std::string& payload) {
   const size_t n = registry_.size();
   std::vector<Leg<Result>> legs(n);
   // A leg that must dial (no idle pooled connection) or retry (stale
@@ -597,7 +580,7 @@ std::vector<Coordinator::Leg<Result>> Coordinator::FanOut(
   std::vector<std::thread> slow;
   auto finish_on_thread = [&](size_t i, std::unique_ptr<Client> client,
                               std::optional<Client::Pending> call) {
-    slow.emplace_back([this, i, type, decode, &payload, leg = &legs[i],
+    slow.emplace_back([this, i, type, &payload, leg = &legs[i],
                        client = std::move(client),
                        call = std::move(call)]() mutable {
       if (client == nullptr) {
@@ -612,7 +595,7 @@ std::vector<Coordinator::Leg<Result>> Coordinator::FanOut(
         call.emplace(client->Start(type, payload));
       }
       StatusOr<std::string> reply = client->Finish(*call);
-      SettleLeg(i, std::move(client), std::move(reply), decode, leg);
+      SettleLeg(i, std::move(client), std::move(reply), leg);
     });
   };
   // Start every leg that has a pooled connection from this thread...
@@ -644,7 +627,7 @@ std::vector<Coordinator::Leg<Result>> Coordinator::FanOut(
       finish_on_thread(i, std::move(clients[i]), std::move(calls[i]));
       continue;
     }
-    SettleLeg(i, std::move(clients[i]), std::move(reply), decode, &legs[i]);
+    SettleLeg(i, std::move(clients[i]), std::move(reply), &legs[i]);
   }
   for (std::thread& thread : slow) thread.join();
   return legs;
@@ -701,24 +684,16 @@ void Coordinator::ExcludeShard(size_t edge,
 
 std::string Coordinator::HandleDirectQuery(io::BinaryReader* reader,
                                            Status* failure) {
-  auto feature = DecodeFeatureVector(reader);
-  if (!feature.ok()) {
-    *failure = Status::InvalidArgument("malformed payload: " +
-                                       feature.status().message());
-    return StatusOnlyResponse(*failure);
-  }
-  auto constraints = DecodeQueryConstraints(reader);
-  if (!constraints.ok()) {
-    *failure = Status::InvalidArgument("malformed payload: " +
-                                       constraints.status().message());
-    return StatusOnlyResponse(*failure);
-  }
-
+  auto request = DecodeRequest<DirectQueryRequest>(reader, failure);
+  if (!request) return StatusOnlyResponse(*failure);
+  // The legs get the same query under the shard-adjusted constraints.
+  const core::QueryConstraints constraints = std::move(request->constraints);
+  request->constraints = ShardConstraints(constraints);
   io::BinaryWriter leg_request;
-  EncodeFeatureVector(&leg_request, *feature);
-  EncodeQueryConstraints(&leg_request, ShardConstraints(*constraints));
-  auto legs = FanOut(DirectQueryConsultSet(*feature), MsgType::kDirectQuery,
-                     leg_request.buffer(), &DecodeDirectQueryResult);
+  io::Encode(&leg_request, *request);
+  auto legs = FanOut<core::DirectQueryResult>(
+      DirectQueryConsultSet(request->feature), MsgType::kDirectQuery,
+      leg_request.buffer());
 
   // Merge strictly in shard-index order: the answer is a pure function of
   // the per-shard results, never of their completion order.
@@ -731,7 +706,7 @@ std::string Coordinator::HandleDirectQuery(io::BinaryReader* reader,
       // Evicted shards degrade the answer (their cameras went unsearched);
       // pruned shards do not (no representative could have matched).
       if (registry_.Eligible(i)) continue;
-      ExcludeShard(i, *constraints, &merged.degraded,
+      ExcludeShard(i, constraints, &merged.degraded,
                    &merged.excluded_cameras);
       continue;
     }
@@ -739,7 +714,7 @@ std::string Coordinator::HandleDirectQuery(io::BinaryReader* reader,
     if (!legs[i].status.ok()) {
       // Best-effort partial: the failed shard contributes nothing and zero
       // completed fraction, never an error.
-      ExcludeShard(i, *constraints, &merged.degraded,
+      ExcludeShard(i, constraints, &merged.degraded,
                    &merged.excluded_cameras);
       continue;
     }
@@ -771,10 +746,7 @@ std::string Coordinator::HandleDirectQuery(io::BinaryReader* reader,
   CanonicalizeExcluded(&merged.excluded_cameras);
   if (merged.degraded) degraded_answers_.fetch_add(1);
 
-  io::BinaryWriter writer;
-  EncodeWireStatus(&writer, {Status::OK(), 0});
-  EncodeDirectQueryResult(&writer, merged);
-  return writer.buffer();
+  return OkResponse(merged);
 }
 
 std::string Coordinator::HandleClusteringQuery(MsgType type,
@@ -785,22 +757,13 @@ std::string Coordinator::HandleClusteringQuery(MsgType type,
   bool target_shard_down = false;
   size_t owner = 0;
   if (type == MsgType::kClusteringQueryById) {
-    auto id = reader->ReadI64();
-    if (!id.ok()) {
-      *failure = Status::InvalidArgument("malformed payload: " +
-                                         id.status().message());
-      return StatusOnlyResponse(*failure);
-    }
-    auto decoded = DecodeQueryConstraints(reader);
-    if (!decoded.ok()) {
-      *failure = Status::InvalidArgument("malformed payload: " +
-                                         decoded.status().message());
-      return StatusOnlyResponse(*failure);
-    }
-    constraints = *decoded;
-    owner = ShardOfSvsId(*id);
+    auto request = DecodeRequest<ClusteringByIdRequest>(reader, failure);
+    if (!request) return StatusOnlyResponse(*failure);
+    const core::SvsId id = request->target;
+    constraints = std::move(request->constraints);
+    owner = ShardOfSvsId(id);
     if (owner >= registry_.size()) {
-      *failure = Status::NotFound("SVS " + std::to_string(*id) +
+      *failure = Status::NotFound("SVS " + std::to_string(id) +
                                   " names shard " + std::to_string(owner) +
                                   " which does not exist");
       return StatusOnlyResponse(*failure);
@@ -817,7 +780,7 @@ std::string Coordinator::HandleClusteringQuery(MsgType type,
         target_shard_down = true;
       } else {
         std::unique_ptr<Client> client = std::move(*checkout);
-        auto map = client->SvsFeatureMap(LocalSvsId(*id));
+        auto map = client->SvsFeatureMap(LocalSvsId(id));
         if (SettleEdgeCall(owner, map.status(), std::move(client))) {
           target_shard_down = true;
         } else if (!map.ok()) {
@@ -830,20 +793,10 @@ std::string Coordinator::HandleClusteringQuery(MsgType type,
       }
     }
   } else {
-    auto decoded_target = DecodeFeatureMap(reader);
-    if (!decoded_target.ok()) {
-      *failure = Status::InvalidArgument("malformed payload: " +
-                                         decoded_target.status().message());
-      return StatusOnlyResponse(*failure);
-    }
-    auto decoded = DecodeQueryConstraints(reader);
-    if (!decoded.ok()) {
-      *failure = Status::InvalidArgument("malformed payload: " +
-                                         decoded.status().message());
-      return StatusOnlyResponse(*failure);
-    }
-    target = std::move(*decoded_target);
-    constraints = *decoded;
+    auto request = DecodeRequest<ClusteringByMapRequest>(reader, failure);
+    if (!request) return StatusOnlyResponse(*failure);
+    target = std::move(request->target);
+    constraints = std::move(request->constraints);
   }
 
   core::ClusteringQueryResult merged;
@@ -863,17 +816,15 @@ std::string Coordinator::HandleClusteringQuery(MsgType type,
     }
     CanonicalizeExcluded(&merged.excluded_cameras);
     degraded_answers_.fetch_add(1);
-    io::BinaryWriter writer;
-    EncodeWireStatus(&writer, {Status::OK(), 0});
-    EncodeClusteringQueryResult(&writer, merged);
-    return writer.buffer();
+    return OkResponse(merged);
   }
 
+  const ClusteringByMapRequest leg{std::move(target),
+                                   ShardConstraints(constraints)};
   io::BinaryWriter leg_request;
-  EncodeFeatureMap(&leg_request, target);
-  EncodeQueryConstraints(&leg_request, ShardConstraints(constraints));
-  auto legs = FanOut(EligibleSet(), MsgType::kClusteringQueryByMap,
-                     leg_request.buffer(), &DecodeClusteringQueryResult);
+  io::Encode(&leg_request, leg);
+  auto legs = FanOut<core::ClusteringQueryResult>(
+      EligibleSet(), MsgType::kClusteringQueryByMap, leg_request.buffer());
 
   merged.completed_fraction = 0.0;
   size_t consulted = 0;
@@ -908,21 +859,13 @@ std::string Coordinator::HandleClusteringQuery(MsgType type,
                      : fraction_sum / static_cast<double>(consulted);
   CanonicalizeExcluded(&merged.excluded_cameras);
   if (merged.degraded) degraded_answers_.fetch_add(1);
-
-  io::BinaryWriter writer;
-  EncodeWireStatus(&writer, {Status::OK(), 0});
-  EncodeClusteringQueryResult(&writer, merged);
-  return writer.buffer();
+  return OkResponse(merged);
 }
 
 std::string Coordinator::HandleGetMetaData(io::BinaryReader* reader,
                                            Status* failure) {
-  auto id = reader->ReadI64();
-  if (!id.ok()) {
-    *failure = Status::InvalidArgument("malformed payload: " +
-                                       id.status().message());
-    return StatusOnlyResponse(*failure);
-  }
+  auto id = DecodeRequest<core::SvsId>(reader, failure);
+  if (!id) return StatusOnlyResponse(*failure);
   const size_t owner = ShardOfSvsId(*id);
   if (owner >= registry_.size()) {
     *failure = Status::NotFound("SVS " + std::to_string(*id) +
@@ -950,20 +893,13 @@ std::string Coordinator::HandleGetMetaData(io::BinaryReader* reader,
     return StatusOnlyResponse(*failure);
   }
   meta->id = *id;  // back to the global id space
-  io::BinaryWriter writer;
-  EncodeWireStatus(&writer, {Status::OK(), 0});
-  EncodeSvsMetadata(&writer, *meta);
-  return writer.buffer();
+  return OkResponse(*meta);
 }
 
 std::string Coordinator::HandleSvsFeatureMap(io::BinaryReader* reader,
                                              Status* failure) {
-  auto id = reader->ReadI64();
-  if (!id.ok()) {
-    *failure = Status::InvalidArgument("malformed payload: " +
-                                       id.status().message());
-    return StatusOnlyResponse(*failure);
-  }
+  auto id = DecodeRequest<core::SvsId>(reader, failure);
+  if (!id) return StatusOnlyResponse(*failure);
   const size_t owner = ShardOfSvsId(*id);
   if (owner >= registry_.size() || !registry_.Eligible(owner)) {
     *failure = Status::Unavailable("shard " + std::to_string(owner) +
@@ -984,16 +920,12 @@ std::string Coordinator::HandleSvsFeatureMap(io::BinaryReader* reader,
     *failure = map.status();
     return StatusOnlyResponse(*failure);
   }
-  io::BinaryWriter writer;
-  EncodeWireStatus(&writer, {Status::OK(), 0});
-  EncodeFeatureMap(&writer, *map);
-  return writer.buffer();
+  return OkResponse(*map);
 }
 
-std::string Coordinator::HandleMonitorStats(Status* failure) {
-  (void)failure;
-  auto legs = FanOut(EligibleSet(), MsgType::kMonitorStats, "",
-                     &DecodeMonitorStats);
+std::string Coordinator::HandleMonitorStats() {
+  auto legs =
+      FanOut<MonitorStatsReply>(EligibleSet(), MsgType::kMonitorStats, "");
 
   MonitorStatsReply merged;
   for (const auto& leg : legs) {
@@ -1044,31 +976,23 @@ std::string Coordinator::HandleMonitorStats(Status* failure) {
   merged.serving.subscriptions_total = own.subscriptions_total;
   merged.serving.pushes_sent = own.pushes_forwarded;
   merged.serving.push_gaps_sent = own.push_gaps_forwarded;
-  io::BinaryWriter writer;
-  EncodeWireStatus(&writer, {Status::OK(), 0});
-  EncodeMonitorStats(&writer, merged);
-  return writer.buffer();
+  return OkResponse(merged);
 }
 
-std::string Coordinator::HandleCameraHealth(Status* failure) {
-  (void)failure;
-  auto legs = FanOut(EligibleSet(), MsgType::kCameraHealth, "",
-                     &DecodeCameraHealthReport);
+std::string Coordinator::HandleCameraHealth() {
+  auto legs = FanOut<std::vector<CameraHealthEntry>>(
+      EligibleSet(), MsgType::kCameraHealth, "");
   std::vector<CameraHealthEntry> merged;
   for (const auto& leg : legs) {
     if (!leg.consulted || !leg.status.ok()) continue;
     merged.insert(merged.end(), leg.result.begin(), leg.result.end());
   }
-  io::BinaryWriter writer;
-  EncodeWireStatus(&writer, {Status::OK(), 0});
-  EncodeCameraHealthReport(&writer, merged);
-  return writer.buffer();
+  return OkResponse(merged);
 }
 
-std::string Coordinator::HandleQueryLoadStats(Status* failure) {
-  (void)failure;
-  auto legs = FanOut(EligibleSet(), MsgType::kQueryLoadStats, "",
-                     &DecodeQueryLoadStats);
+std::string Coordinator::HandleQueryLoadStats() {
+  auto legs = FanOut<core::QueryLoadStats>(EligibleSet(),
+                                           MsgType::kQueryLoadStats, "");
   core::QueryLoadStats merged;
   for (const auto& leg : legs) {
     if (!leg.consulted || !leg.status.ok()) continue;
@@ -1084,10 +1008,7 @@ std::string Coordinator::HandleQueryLoadStats(Status* failure) {
     merged.max_queue += edge.max_queue;
     merged.omd_failures += edge.omd_failures;
   }
-  io::BinaryWriter writer;
-  EncodeWireStatus(&writer, {Status::OK(), 0});
-  EncodeQueryLoadStats(&writer, merged);
-  return writer.buffer();
+  return OkResponse(merged);
 }
 
 // --- Representative sync and probing. ---

@@ -283,9 +283,9 @@ class Coordinator {
                                     Status* failure);
   std::string HandleGetMetaData(io::BinaryReader* reader, Status* failure);
   std::string HandleSvsFeatureMap(io::BinaryReader* reader, Status* failure);
-  std::string HandleMonitorStats(Status* failure);
-  std::string HandleCameraHealth(Status* failure);
-  std::string HandleQueryLoadStats(Status* failure);
+  std::string HandleMonitorStats();
+  std::string HandleCameraHealth();
+  std::string HandleQueryLoadStats();
 
   /// Carves the per-shard deadline out of a client deadline (see
   /// `merge_reserve_ms`); identity when no deadline travels.
@@ -293,7 +293,7 @@ class Coordinator {
       const core::QueryConstraints& constraints) const;
 
   /// Sends the `type` request `payload` (encoded once) to every shard
-  /// whose slot in `consult` is true and decodes each reply with `decode`,
+  /// whose slot in `consult` is true and decodes each reply as a `Result`,
   /// recording every outcome into the registry. No thread per leg: this
   /// thread starts every leg that has an idle pooled connection, then
   /// awaits them in shard order, each attempt's deadline counted from its
@@ -303,17 +303,13 @@ class Coordinator {
   /// another's. Results come back slotted by shard index — merge order
   /// never depends on completion order.
   template <typename Result>
-  std::vector<Leg<Result>> FanOut(
-      const std::vector<bool>& consult, MsgType type,
-      const std::string& payload,
-      StatusOr<Result> (*decode)(io::BinaryReader*));
+  std::vector<Leg<Result>> FanOut(const std::vector<bool>& consult,
+                                  MsgType type, const std::string& payload);
   /// Decodes one leg's reply into `leg` and settles its edge call (see
   /// `SettleEdgeCall`), counting a transport failure.
   template <typename Result>
   void SettleLeg(size_t edge, std::unique_ptr<Client> client,
-                 StatusOr<std::string> reply,
-                 StatusOr<Result> (*decode)(io::BinaryReader*),
-                 Leg<Result>* leg);
+                 StatusOr<std::string> reply, Leg<Result>* leg);
 
   /// Pops an idle pooled connection to `edge` (null when there is none).
   std::unique_ptr<Client> TakeIdleClient(size_t edge);

@@ -278,6 +278,9 @@ std::string RpcEndpoint::Dispatch(const WireFrame& request, const Call& call,
     return StatusOnlyResponse(*failure);
   }
   if (type == MsgType::kPing) {
+    if (!DecodeRequest<EmptyPayload>(&reader, failure)) {
+      return StatusOnlyResponse(*failure);
+    }
     pings_.fetch_add(1);
     return StatusOnlyResponse(Status::OK());
   }
@@ -322,7 +325,7 @@ size_t RpcEndpoint::Push(
   uint64_t bytes_out = 0;
   for (const SubscriptionEngine::Delivery& delivery : deliveries) {
     io::BinaryWriter writer;
-    EncodePushEvent(&writer, delivery.event);
+    io::Encode(&writer, delivery.event);
     frames.push_back(EncodeFrame(static_cast<uint32_t>(MsgType::kPushEvent),
                                  delivery.correlation, writer.buffer()));
     bytes_out += frames.back().size();

@@ -10,6 +10,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <unordered_map>
@@ -26,6 +27,29 @@ namespace vz::net {
 /// Response payload carrying nothing but a wire status.
 std::string StatusOnlyResponse(const Status& status,
                                int64_t retry_after_ms = 0);
+
+/// Response payload of a successful RPC: an OK status, then `body`.
+template <typename T>
+std::string OkResponse(const T& body) {
+  io::BinaryWriter writer;
+  EncodeWireStatus(&writer, {Status::OK(), 0});
+  io::Encode(&writer, body);
+  return writer.buffer();
+}
+
+/// Decodes the rest of a request payload as one `T`. Bytes that do not
+/// decode (trailing bytes included) are a malformed, if CRC-consistent,
+/// request: `*failure` becomes kInvalidArgument and the result is empty.
+template <typename T>
+std::optional<T> DecodeRequest(io::BinaryReader* reader, Status* failure) {
+  StatusOr<T> decoded = io::Decode<T>(reader);
+  if (!decoded.ok()) {
+    *failure = Status::InvalidArgument("malformed payload: " +
+                                       decoded.status().message());
+    return std::nullopt;
+  }
+  return std::move(*decoded);
+}
 
 /// The RPC front end `Server` and `Coordinator` are built on (see DESIGN.md,
 /// "Network service"): listen and accept with a connection cap, one

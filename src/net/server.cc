@@ -292,7 +292,7 @@ void Server::RegisterHandlers() {
     endpoint_.Handle(type, [this, type](io::BinaryReader* reader,
                                         const RpcEndpoint::Call&,
                                         Status* failure) {
-      auto token = DecodeIdempotencyToken(reader);
+      auto token = io::DecodePrefix<IdempotencyToken>(reader);
       if (!token.ok()) {
         *failure = Status::InvalidArgument("malformed idempotency token: " +
                                            token.status().message());
@@ -312,28 +312,17 @@ void Server::RegisterHandlers() {
   endpoint_.Handle(MsgType::kSubscribe, [this](io::BinaryReader* reader,
                                                const RpcEndpoint::Call& call,
                                                Status* failure) {
-    auto spec = DecodeSubscribeRequest(reader);
-    if (!spec.ok()) {
-      *failure = Status::InvalidArgument("malformed payload: " +
-                                         spec.status().message());
-      return StatusOnlyResponse(*failure);
-    }
+    auto spec = DecodeRequest<SubscribeRequest>(reader, failure);
+    if (!spec) return StatusOnlyResponse(*failure);
     const uint64_t id =
         engine_.Subscribe(call.conn_id, call.correlation, std::move(*spec));
-    io::BinaryWriter writer;
-    EncodeWireStatus(&writer, {Status::OK(), 0});
-    writer.WriteU64(id);
-    return writer.buffer();
+    return OkResponse(id);
   });
   endpoint_.Handle(MsgType::kUnsubscribe, [this](io::BinaryReader* reader,
                                                  const RpcEndpoint::Call& call,
                                                  Status* failure) {
-    auto id = reader->ReadU64();
-    if (!id.ok()) {
-      *failure = Status::InvalidArgument("malformed payload: " +
-                                         id.status().message());
-      return StatusOnlyResponse(*failure);
-    }
+    auto id = DecodeRequest<uint64_t>(reader, failure);
+    if (!id) return StatusOnlyResponse(*failure);
     *failure = engine_.Unsubscribe(call.conn_id, *id);
     return StatusOnlyResponse(*failure);
   });
@@ -575,83 +564,57 @@ std::shared_ptr<Server::Session> Server::GetSession(uint64_t id) {
   return session;
 }
 
-std::string Server::ExecuteRequest(MsgType type, io::BinaryReader* reader_ptr,
+std::string Server::ExecuteRequest(MsgType type, io::BinaryReader* reader,
                                    Status* failure) {
-  io::BinaryReader& reader = *reader_ptr;
   const int64_t retry_after_ms =
       system_->options().admission.retry_after_hint_ms;
-
-  // Everything the payload decoders reject is a malformed (but
-  // CRC-consistent) payload: answer kInvalidArgument, keep the connection.
-  auto malformed = [&](const Status& status) {
-    *failure = Status::InvalidArgument("malformed payload: " +
-                                       status.message());
-    return StatusOnlyResponse(*failure);
+  // A query refused by the system (shed, timed out) carries the admission
+  // gate's retry-after hint.
+  auto answer = [&](const auto& result) {
+    if (!result.ok()) {
+      *failure = result.status();
+      return StatusOnlyResponse(*failure, retry_after_ms);
+    }
+    return OkResponse(*result);
   };
 
   switch (type) {
     case MsgType::kDirectQuery: {
-      auto feature = DecodeFeatureVector(&reader);
-      if (!feature.ok()) return malformed(feature.status());
-      auto constraints = DecodeQueryConstraints(&reader);
-      if (!constraints.ok()) return malformed(constraints.status());
+      auto request = DecodeRequest<DirectQueryRequest>(reader, failure);
+      if (!request) return StatusOnlyResponse(*failure);
       std::shared_lock<std::shared_mutex> lock(state_mu_);
-      auto result = system_->DirectQuery(*feature, *constraints);
-      io::BinaryWriter writer;
-      if (!result.ok()) {
-        *failure = result.status();
-        EncodeWireStatus(&writer, {*failure, retry_after_ms});
-        return writer.buffer();
-      }
-      EncodeWireStatus(&writer, {Status::OK(), 0});
-      EncodeDirectQueryResult(&writer, *result);
-      return writer.buffer();
+      return answer(
+          system_->DirectQuery(request->feature, request->constraints));
     }
-    case MsgType::kClusteringQueryById:
+    case MsgType::kClusteringQueryById: {
+      auto request = DecodeRequest<ClusteringByIdRequest>(reader, failure);
+      if (!request) return StatusOnlyResponse(*failure);
+      std::shared_lock<std::shared_mutex> lock(state_mu_);
+      return answer(
+          system_->ClusteringQuery(request->target, request->constraints));
+    }
     case MsgType::kClusteringQueryByMap: {
-      StatusOr<core::ClusteringQueryResult> result =
-          Status::Internal("unreachable");
-      if (type == MsgType::kClusteringQueryById) {
-        auto id = reader.ReadI64();
-        if (!id.ok()) return malformed(id.status());
-        auto constraints = DecodeQueryConstraints(&reader);
-        if (!constraints.ok()) return malformed(constraints.status());
-        std::shared_lock<std::shared_mutex> lock(state_mu_);
-        result = system_->ClusteringQuery(*id, *constraints);
-      } else {
-        auto target = DecodeFeatureMap(&reader);
-        if (!target.ok()) return malformed(target.status());
-        auto constraints = DecodeQueryConstraints(&reader);
-        if (!constraints.ok()) return malformed(constraints.status());
-        std::shared_lock<std::shared_mutex> lock(state_mu_);
-        result = system_->ClusteringQuery(*target, *constraints);
-      }
-      io::BinaryWriter writer;
-      if (!result.ok()) {
-        *failure = result.status();
-        EncodeWireStatus(&writer, {*failure, retry_after_ms});
-        return writer.buffer();
-      }
-      EncodeWireStatus(&writer, {Status::OK(), 0});
-      EncodeClusteringQueryResult(&writer, *result);
-      return writer.buffer();
+      auto request = DecodeRequest<ClusteringByMapRequest>(reader, failure);
+      if (!request) return StatusOnlyResponse(*failure);
+      std::shared_lock<std::shared_mutex> lock(state_mu_);
+      return answer(
+          system_->ClusteringQuery(request->target, request->constraints));
     }
     case MsgType::kGetMetaData: {
-      auto id = reader.ReadI64();
-      if (!id.ok()) return malformed(id.status());
+      auto id = DecodeRequest<core::SvsId>(reader, failure);
+      if (!id) return StatusOnlyResponse(*failure);
       std::shared_lock<std::shared_mutex> lock(state_mu_);
       auto meta = system_->GetMetaData(*id);
-      io::BinaryWriter writer;
       if (!meta.ok()) {
         *failure = meta.status();
-        EncodeWireStatus(&writer, {*failure, 0});
-        return writer.buffer();
+        return StatusOnlyResponse(*failure);
       }
-      EncodeWireStatus(&writer, {Status::OK(), 0});
-      EncodeSvsMetadata(&writer, *meta);
-      return writer.buffer();
+      return OkResponse(*meta);
     }
     case MsgType::kMonitorStats: {
+      if (!DecodeRequest<EmptyPayload>(reader, failure)) {
+        return StatusOnlyResponse(*failure);
+      }
       std::shared_lock<std::shared_mutex> lock(state_mu_);
       MonitorStatsReply stats;
       stats.ingest = system_->ingest_stats();
@@ -694,32 +657,29 @@ std::string Server::ExecuteRequest(MsgType type, io::BinaryReader* reader_ptr,
       stats.serving.disk_full = serving.disk_full;
       stats.serving.read_only = serving.read_only;
       stats.serving.connections = connection_stats();
-      io::BinaryWriter writer;
-      EncodeWireStatus(&writer, {Status::OK(), 0});
-      EncodeMonitorStats(&writer, stats);
-      return writer.buffer();
+      return OkResponse(stats);
     }
     case MsgType::kCameraHealth: {
+      if (!DecodeRequest<EmptyPayload>(reader, failure)) {
+        return StatusOnlyResponse(*failure);
+      }
       std::shared_lock<std::shared_mutex> lock(state_mu_);
       std::vector<CameraHealthEntry> report;
       for (const auto& [camera, health] : system_->CameraHealthReport()) {
         report.push_back({camera, health});
       }
-      io::BinaryWriter writer;
-      EncodeWireStatus(&writer, {Status::OK(), 0});
-      EncodeCameraHealthReport(&writer, report);
-      return writer.buffer();
+      return OkResponse(report);
     }
     case MsgType::kQueryLoadStats: {
+      if (!DecodeRequest<EmptyPayload>(reader, failure)) {
+        return StatusOnlyResponse(*failure);
+      }
       std::shared_lock<std::shared_mutex> lock(state_mu_);
-      io::BinaryWriter writer;
-      EncodeWireStatus(&writer, {Status::OK(), 0});
-      EncodeQueryLoadStats(&writer, system_->query_load_stats());
-      return writer.buffer();
+      return OkResponse(system_->query_load_stats());
     }
     case MsgType::kWalShip: {
-      auto request = DecodeWalShipRequest(&reader);
-      if (!request.ok()) return malformed(request.status());
+      auto request = DecodeRequest<WalShipRequest>(reader, failure);
+      if (!request) return StatusOnlyResponse(*failure);
       if (wal_ == nullptr) {
         *failure = Status::FailedPrecondition(
             "server runs without a WAL; nothing to ship");
@@ -760,25 +720,21 @@ std::string Server::ExecuteRequest(MsgType type, io::BinaryReader* reader_ptr,
         (void)wal_->WaitDurablePast(request->from_lsn, wait_ms);
         records = wal_->ReadFrom(request->from_lsn, max_records);
       }
-      io::BinaryWriter writer;
       if (!records.ok()) {
         // kOutOfRange = the log was compacted past from_lsn: the standby
         // missed its window and must re-seed from a checkpoint.
         *failure = records.status();
-        EncodeWireStatus(&writer, {*failure, 0});
-        return writer.buffer();
+        return StatusOnlyResponse(*failure);
       }
       WalShipReply reply;
       reply.durable_lsn = wal_->durable_lsn();
       reply.epoch = server_epoch;
       reply.records = std::move(*records);
-      EncodeWireStatus(&writer, {Status::OK(), 0});
-      EncodeWalShipReply(&writer, reply);
-      return writer.buffer();
+      return OkResponse(reply);
     }
     case MsgType::kRepSync: {
-      auto request = DecodeRepSyncRequest(&reader);
-      if (!request.ok()) return malformed(request.status());
+      auto request = DecodeRequest<RepSyncRequest>(reader, failure);
+      if (!request) return StatusOnlyResponse(*failure);
       std::shared_lock<std::shared_mutex> lock(state_mu_);
       RepSyncReply reply;
       reply.version = system_->index_version();
@@ -789,27 +745,23 @@ std::string Server::ExecuteRequest(MsgType type, io::BinaryReader* reader_ptr,
       } else {
         reply.entries = system_->inter_index().entries();
       }
-      io::BinaryWriter writer;
-      EncodeWireStatus(&writer, {Status::OK(), 0});
-      EncodeRepSyncReply(&writer, reply);
-      return writer.buffer();
+      return OkResponse(reply);
     }
     case MsgType::kSvsFeatureMap: {
-      auto id = reader.ReadI64();
-      if (!id.ok()) return malformed(id.status());
+      auto id = DecodeRequest<core::SvsId>(reader, failure);
+      if (!id) return StatusOnlyResponse(*failure);
       std::shared_lock<std::shared_mutex> lock(state_mu_);
       auto svs = system_->svs_store().Get(*id);
-      io::BinaryWriter writer;
       if (!svs.ok()) {
         *failure = svs.status();
-        EncodeWireStatus(&writer, {*failure, 0});
-        return writer.buffer();
+        return StatusOnlyResponse(*failure);
       }
-      EncodeWireStatus(&writer, {Status::OK(), 0});
-      EncodeFeatureMap(&writer, (*svs)->features());
-      return writer.buffer();
+      return OkResponse((*svs)->features());
     }
     case MsgType::kCheckpointFetch: {
+      if (!DecodeRequest<EmptyPayload>(reader, failure)) {
+        return StatusOnlyResponse(*failure);
+      }
       if (wal_ == nullptr) {
         *failure = Status::FailedPrecondition(
             "server runs without a WAL; no checkpoints to fetch");
@@ -846,10 +798,7 @@ std::string Server::ExecuteRequest(MsgType type, io::BinaryReader* reader_ptr,
         reply.epoch = meta->epoch;
         reply.snapshot_bytes = std::move(*snapshot_bytes);
         reply.meta_bytes = std::move(*meta_bytes);
-        io::BinaryWriter writer;
-        EncodeWireStatus(&writer, {Status::OK(), 0});
-        EncodeCheckpointFetchReply(&writer, reply);
-        return writer.buffer();
+        return OkResponse(reply);
       }
       *failure = Status::NotFound("no valid checkpoint pair to fetch");
       return StatusOnlyResponse(*failure);
@@ -862,60 +811,50 @@ std::string Server::ExecuteRequest(MsgType type, io::BinaryReader* reader_ptr,
   return StatusOnlyResponse(*failure);
 }
 
-std::string Server::ExecuteMutating(MsgType type, io::BinaryReader* reader_ptr,
+std::string Server::ExecuteMutating(MsgType type, io::BinaryReader* reader,
                                     Status* failure) {
-  io::BinaryReader& reader = *reader_ptr;
-  auto malformed = [&](const Status& status) {
-    *failure = Status::InvalidArgument("malformed payload: " +
-                                       status.message());
-    return StatusOnlyResponse(*failure);
-  };
-
   switch (type) {
     case MsgType::kCameraStart: {
-      auto camera = reader.ReadString();
-      if (!camera.ok()) return malformed(camera.status());
+      auto camera = DecodeRequest<std::string>(reader, failure);
+      if (!camera) return StatusOnlyResponse(*failure);
       *failure = system_->CameraStart(*camera);
       return StatusOnlyResponse(*failure);
     }
     case MsgType::kCameraTerminate: {
-      auto camera = reader.ReadString();
-      if (!camera.ok()) return malformed(camera.status());
+      auto camera = DecodeRequest<std::string>(reader, failure);
+      if (!camera) return StatusOnlyResponse(*failure);
       *failure = system_->CameraTerminate(*camera);
       return StatusOnlyResponse(*failure);
     }
     case MsgType::kIngestFrame: {
-      auto frame = DecodeFrameObservation(&reader);
-      if (!frame.ok()) return malformed(frame.status());
+      auto frame = DecodeRequest<core::FrameObservation>(reader, failure);
+      if (!frame) return StatusOnlyResponse(*failure);
       *failure = system_->IngestFrame(*frame);
       return StatusOnlyResponse(*failure);
     }
     case MsgType::kIngestBatch: {
-      // N frames per RPC, one token, one WAL record. Per-frame failures
-      // (unknown camera, stale frame id) reject that frame and continue:
-      // the overall RPC succeeds with deterministic accept/reject counts,
-      // so WAL replay regenerates byte-identical state and response.
-      auto count = reader.ReadU32();
-      if (!count.ok()) return malformed(count.status());
+      // N frames per RPC, one token, one WAL record. The whole batch decodes
+      // before any frame applies, so a malformed batch changes nothing.
+      // Per-frame failures (unknown camera, stale frame id) reject that
+      // frame and continue: the overall RPC succeeds with deterministic
+      // accept/reject counts, so WAL replay regenerates byte-identical
+      // state and response.
+      auto batch = DecodeRequest<IngestBatchRequest>(reader, failure);
+      if (!batch) return StatusOnlyResponse(*failure);
       IngestBatchReply result;
-      for (uint32_t i = 0; i < *count; ++i) {
-        auto frame = DecodeFrameObservation(&reader);
-        if (!frame.ok()) return malformed(frame.status());
-        if (system_->IngestFrame(*frame).ok()) {
+      for (const core::FrameObservation& frame : batch->frames) {
+        if (system_->IngestFrame(frame).ok()) {
           ++result.accepted;
         } else {
           ++result.rejected;
         }
       }
       ingest_batches_.fetch_add(1);
-      io::BinaryWriter writer;
-      EncodeWireStatus(&writer, {Status::OK(), 0});
-      EncodeIngestBatchReply(&writer, result);
-      return writer.buffer();
+      return OkResponse(result);
     }
     case MsgType::kAdminTune: {
-      auto request = DecodeAdminTuneRequest(&reader);
-      if (!request.ok()) return malformed(request.status());
+      auto request = DecodeRequest<AdminTuneRequest>(reader, failure);
+      if (!request) return StatusOnlyResponse(*failure);
       if (request->index_mode.has_value() &&
           *request->index_mode >
               static_cast<uint32_t>(core::IndexMode::kFlat)) {
@@ -973,18 +912,18 @@ std::string Server::ExecuteMutating(MsgType type, io::BinaryReader* reader_ptr,
           system_->forced_inter_group_count().value_or(0);
       reply.intra_cluster_count =
           system_->forced_intra_cluster_count().value_or(0);
-      io::BinaryWriter writer;
-      EncodeWireStatus(&writer, {Status::OK(), 0});
-      EncodeAdminTuneReply(&writer, reply);
-      return writer.buffer();
+      return OkResponse(reply);
     }
     case MsgType::kFlush: {
+      if (!DecodeRequest<EmptyPayload>(reader, failure)) {
+        return StatusOnlyResponse(*failure);
+      }
       *failure = system_->Flush();
       return StatusOnlyResponse(*failure);
     }
     case MsgType::kSnapshotSave: {
-      auto path = reader.ReadString();
-      if (!path.ok()) return malformed(path.status());
+      auto path = DecodeRequest<std::string>(reader, failure);
+      if (!path) return StatusOnlyResponse(*failure);
       *failure = io::SaveSvsStore(system_->svs_store(), *path, env_);
       if (!failure->ok() && (failure->code() == StatusCode::kDataLoss ||
                              failure->code() == StatusCode::kResourceExhausted)) {
@@ -993,8 +932,8 @@ std::string Server::ExecuteMutating(MsgType type, io::BinaryReader* reader_ptr,
       return StatusOnlyResponse(*failure);
     }
     case MsgType::kSnapshotLoad: {
-      auto path = reader.ReadString();
-      if (!path.ok()) return malformed(path.status());
+      auto path = DecodeRequest<std::string>(reader, failure);
+      if (!path) return StatusOnlyResponse(*failure);
       core::SvsStore loaded;
       *failure = io::LoadSvsStore(*path, &loaded, {}, nullptr, env_);
       if (failure->ok()) {

@@ -14,7 +14,9 @@
 #include "core/representative.h"
 #include "core/svs.h"
 #include "core/videozilla.h"
+#include "io/archive.h"
 #include "io/binary_format.h"
+#include "io/svs_snapshot.h"
 #include "io/wal.h"
 #include "vector/feature_map.h"
 #include "vector/feature_vector.h"
@@ -37,10 +39,15 @@ namespace vz::net {
 ///
 /// The CRC covers type, correlation, payload length and payload bytes, so a
 /// bit flip anywhere in a frame (including in the framing fields themselves)
-/// is detected. Payloads are encoded with `io::BinaryWriter` — the same
-/// little-endian primitives as the snapshot format — and decoded by
-/// overflow-safe `io::BinaryReader` accessors, so a corrupted length can
-/// never turn into a wild read or a giant allocation.
+/// is detected. The frame layer (this framing, the Hello, `WireStatus`) is
+/// written by hand. Every payload struct below is described once by its
+/// `Visit` (see io/archive.h) and crosses the wire through the generic
+/// `io::Encode` / `io::Decode<T>`; the FeatureMap, Representative, WalRecord,
+/// IngestStats and tuning layouts are the very Visits the snapshot, the WAL
+/// and the checkpoint manifest use. Decoding is overflow-safe and checks
+/// every element count against the element type's derived minimum size, so
+/// a corrupted length can never turn into a wild read or a giant
+/// allocation; a payload with bytes left over is malformed.
 ///
 /// Decode failure taxonomy (relied on by the frame fuzzer):
 ///   kDataLoss        — the bytes are torn or corrupted (truncated frame,
@@ -179,9 +186,17 @@ struct IdempotencyToken {
   uint64_t sequence = 0;
 };
 
-void EncodeIdempotencyToken(io::BinaryWriter* writer,
-                            const IdempotencyToken& token);
-StatusOr<IdempotencyToken> DecodeIdempotencyToken(io::BinaryReader* reader);
+/// Session id 0 is reserved as "no token": decoding refuses it.
+template <typename A>
+Status Visit(A& ar, IdempotencyToken& token) {
+  VZ_RETURN_IF_ERROR(io::Fields(ar, token.session_id, token.sequence));
+  if constexpr (A::kDecoding) {
+    if (token.session_id == 0) {
+      return Status::InvalidArgument("idempotency token with zero session id");
+    }
+  }
+  return Status::OK();
+}
 
 /// Stable numeric mapping of `StatusCode` for the wire. The in-memory enum
 /// is free to reorder; these values are part of the protocol and must not
@@ -243,44 +258,62 @@ inline constexpr uint64_t WireFrameBytes(uint64_t payload_bytes) {
          sizeof(uint32_t);
 }
 
-// --- Payload codecs. Every request/response body used by the RPCs. ---
-
-void EncodeFeatureVector(io::BinaryWriter* writer, const FeatureVector& v);
-StatusOr<FeatureVector> DecodeFeatureVector(io::BinaryReader* reader);
-
-void EncodeFeatureMap(io::BinaryWriter* writer, const FeatureMap& map);
-StatusOr<FeatureMap> DecodeFeatureMap(io::BinaryReader* reader);
-
+/// Writes a kIngestFrame body. Load generators that log frames the way the
+/// server does call it directly.
 void EncodeFrameObservation(io::BinaryWriter* writer,
                             const core::FrameObservation& frame);
-StatusOr<core::FrameObservation> DecodeFrameObservation(
-    io::BinaryReader* reader);
 
-/// Camera/time/deadline qualifiers travel on the wire; the external
-/// `cancel` token does not (a remote caller cancels by deadline or by
-/// dropping the connection).
-void EncodeQueryConstraints(io::BinaryWriter* writer,
-                            const core::QueryConstraints& constraints);
-StatusOr<core::QueryConstraints> DecodeQueryConstraints(
-    io::BinaryReader* reader);
+// --- Request and reply payloads. A reply payload is the WireStatus, then
+// (on success) the body below. Mutating requests carry the idempotency
+// token ahead of their body. Single-value bodies travel as that value: a
+// camera or snapshot path (std::string), an SVS id (core::SvsId), a
+// subscription id or a loaded-SVS count (uint64_t). ---
 
-void EncodeDirectQueryResult(io::BinaryWriter* writer,
-                             const core::DirectQueryResult& result);
-StatusOr<core::DirectQueryResult> DecodeDirectQueryResult(
-    io::BinaryReader* reader);
+/// A body with no fields: the kFlush, kMonitorStats, kCameraHealth,
+/// kQueryLoadStats, kCheckpointFetch and kPing requests, and the reply of
+/// every RPC that answers with its status alone.
+struct EmptyPayload {};
 
-void EncodeClusteringQueryResult(io::BinaryWriter* writer,
-                                 const core::ClusteringQueryResult& result);
-StatusOr<core::ClusteringQueryResult> DecodeClusteringQueryResult(
-    io::BinaryReader* reader);
+template <typename A>
+Status Visit(A&, EmptyPayload&) {
+  return Status::OK();
+}
 
-void EncodeSvsMetadata(io::BinaryWriter* writer,
-                       const core::SvsMetadata& meta);
-StatusOr<core::SvsMetadata> DecodeSvsMetadata(io::BinaryReader* reader);
+/// Body of kDirectQuery.
+struct DirectQueryRequest {
+  FeatureVector feature;
+  /// Camera/time/deadline qualifiers travel on the wire; the external
+  /// `cancel` token does not (a remote caller cancels by deadline or by
+  /// dropping the connection).
+  core::QueryConstraints constraints;
+};
 
-void EncodeQueryLoadStats(io::BinaryWriter* writer,
-                          const core::QueryLoadStats& stats);
-StatusOr<core::QueryLoadStats> DecodeQueryLoadStats(io::BinaryReader* reader);
+/// Body of kClusteringQueryById.
+struct ClusteringByIdRequest {
+  core::SvsId target = 0;
+  core::QueryConstraints constraints;
+};
+
+/// Body of kClusteringQueryByMap.
+struct ClusteringByMapRequest {
+  FeatureMap target;
+  core::QueryConstraints constraints;
+};
+
+template <typename A>
+Status Visit(A& ar, DirectQueryRequest& request) {
+  return io::Fields(ar, request.feature, request.constraints);
+}
+
+template <typename A>
+Status Visit(A& ar, ClusteringByIdRequest& request) {
+  return io::Fields(ar, request.target, request.constraints);
+}
+
+template <typename A>
+Status Visit(A& ar, ClusteringByMapRequest& request) {
+  return io::Fields(ar, request.target, request.constraints);
+}
 
 /// One live connection as reported by the serving layer's registry: its
 /// lifetime, recency and traffic counters, for operator dashboards and the
@@ -293,6 +326,12 @@ struct ConnectionInfo {
   uint64_t bytes_out = 0;
   uint64_t rpcs = 0;
 };
+
+template <typename A>
+Status Visit(A& ar, ConnectionInfo& conn) {
+  return io::Fields(ar, conn.id, conn.age_ms, conn.idle_ms, conn.bytes_in,
+                    conn.bytes_out, conn.rpcs);
+}
 
 /// Shard health ladder (v4), as maintained by a coordinator's EdgeRegistry
 /// and surfaced through its Monitor reply. Values are wire-stable.
@@ -322,6 +361,16 @@ struct ShardHealthInfo {
   uint64_t cameras = 0;
 };
 
+template <typename A>
+Status Visit(A& ar, ShardHealthInfo& shard) {
+  VZ_RETURN_IF_ERROR(io::Fields(ar, shard.host, shard.port));
+  VZ_RETURN_IF_ERROR(io::Enum<uint32_t>(ar, shard.state,
+                                        ShardState::kUnreachable,
+                                        "shard state value"));
+  return io::Fields(ar, shard.consecutive_failures, shard.rep_staleness_ms,
+                    shard.rep_entries, shard.cameras);
+}
+
 /// The serving role a server reports in its Monitor reply (v3).
 enum class ServerRole : uint32_t {
   /// Accepting client traffic; the authority for its WAL.
@@ -332,10 +381,12 @@ enum class ServerRole : uint32_t {
   kPromoted = 2,
 };
 
-/// Serving-layer counters carried in the Monitor reply (v2): connection
-/// lifecycle totals, supervision evictions, exactly-once replays, and the
-/// per-connection registry snapshot. v3 appends the durability counters;
-/// they are all zero when the server runs without a WAL.
+/// Serving-layer counters carried in the Monitor reply: connection
+/// lifecycle totals, supervision evictions, exactly-once replays, the
+/// per-connection registry snapshot, the durability counters (all zero when
+/// the server runs without a WAL), the shard table, the subscription
+/// counters and the disk-health block, always all of them (the Hello admits
+/// only an exact-version peer).
 struct ServingStats {
   uint64_t connections_accepted = 0;
   uint64_t connections_shed = 0;
@@ -365,8 +416,6 @@ struct ServingStats {
   std::vector<ConnectionInfo> connections;
   /// Coordinator only (v4): the per-shard health table (empty on edges).
   std::vector<ShardHealthInfo> shards;
-  // v5 subscription counters (appended at the end of the encoding so v4
-  // decoders that stop after `shards` still parse the prefix).
   uint64_t subscriptions_active = 0;
   uint64_t subscriptions_total = 0;
   /// Push frames written to subscribers.
@@ -377,8 +426,6 @@ struct ServingStats {
   uint64_t push_gaps_sent = 0;
   /// kIngestBatch requests served.
   uint64_t ingest_batches = 0;
-  // Disk-health fields (appended after the v5 counters; old decoders stop
-  // before them, old encoders leave them zero/false).
   /// Failed writes on the durability path (WAL appends, checkpoint and
   /// snapshot saves). ENOSPC and EIO both land here.
   uint64_t disk_io_errors = 0;
@@ -395,6 +442,28 @@ struct ServingStats {
   bool read_only = false;
 };
 
+template <typename A>
+Status Visit(A& ar, ServingStats& stats) {
+  VZ_RETURN_IF_ERROR(io::Fields(ar, stats.connections_accepted,
+                                stats.connections_shed,
+                                stats.connections_evicted_idle,
+                                stats.connections_evicted_slow,
+                                stats.duplicates_replayed, stats.pings_served,
+                                stats.sessions_active, stats.sessions_evicted));
+  VZ_RETURN_IF_ERROR(io::Enum<uint32_t>(ar, stats.role, ServerRole::kPromoted,
+                                        "server role value"));
+  return io::Fields(ar, stats.wal_appends, stats.wal_fsyncs,
+                    stats.wal_replayed_records, stats.wal_salvaged_bytes,
+                    stats.wal_checkpoints, stats.wal_last_lsn,
+                    stats.wal_durable_lsn, stats.replication_lag_records,
+                    stats.replication_reseeds, stats.connections, stats.shards,
+                    stats.subscriptions_active, stats.subscriptions_total,
+                    stats.pushes_sent, stats.push_drops, stats.push_gaps_sent,
+                    stats.ingest_batches, stats.disk_io_errors,
+                    stats.disk_fsync_failures, stats.checkpoints_quarantined,
+                    stats.disk_full, stats.read_only);
+}
+
 /// Body of the Monitor RPC: the system-wide gauges an operator dashboard
 /// polls (ingestion counters, OMD cache effectiveness, corpus size) plus
 /// the serving layer's supervision stats.
@@ -407,20 +476,24 @@ struct MonitorStatsReply {
   ServingStats serving;
 };
 
-void EncodeMonitorStats(io::BinaryWriter* writer,
-                        const MonitorStatsReply& stats);
-StatusOr<MonitorStatsReply> DecodeMonitorStats(io::BinaryReader* reader);
+template <typename A>
+Status Visit(A& ar, MonitorStatsReply& stats) {
+  return io::Fields(ar, stats.ingest, stats.cache, stats.svs_count,
+                    stats.camera_count, stats.now_ms, stats.serving);
+}
 
-/// Body of the CameraHealth RPC.
+/// One row of the CameraHealth reply (a `std::vector<CameraHealthEntry>`).
 struct CameraHealthEntry {
   core::CameraId camera;
   core::CameraHealth health = core::CameraHealth::kHealthy;
 };
 
-void EncodeCameraHealthReport(io::BinaryWriter* writer,
-                              const std::vector<CameraHealthEntry>& report);
-StatusOr<std::vector<CameraHealthEntry>> DecodeCameraHealthReport(
-    io::BinaryReader* reader);
+template <typename A>
+Status Visit(A& ar, CameraHealthEntry& entry) {
+  VZ_RETURN_IF_ERROR(io::Field(ar, entry.camera));
+  return io::Enum<uint8_t>(ar, entry.health, core::CameraHealth::kStalled,
+                           "camera health value");
+}
 
 /// Body of the WalShip RPC (v3). The request is `from_lsn` (records strictly
 /// after it are returned, and everything at or below it is acknowledged as
@@ -439,9 +512,11 @@ struct WalShipRequest {
   uint64_t epoch = 0;
 };
 
-void EncodeWalShipRequest(io::BinaryWriter* writer,
-                          const WalShipRequest& request);
-StatusOr<WalShipRequest> DecodeWalShipRequest(io::BinaryReader* reader);
+template <typename A>
+Status Visit(A& ar, WalShipRequest& request) {
+  return io::Fields(ar, request.from_lsn, request.max_records, request.wait_ms,
+                    request.epoch);
+}
 
 /// The reply: the primary's durable frontier (so a caught-up standby can
 /// report zero lag) plus the shipped records in LSN order.
@@ -453,23 +528,24 @@ struct WalShipReply {
   std::vector<io::WalRecord> records;
 };
 
-void EncodeWalShipReply(io::BinaryWriter* writer, const WalShipReply& reply);
-StatusOr<WalShipReply> DecodeWalShipReply(io::BinaryReader* reader);
+/// Each record is laid out exactly like a WAL record payload. The shipped
+/// batch must be a dense ascending LSN run: a gap would silently drop
+/// records on the standby.
+template <typename A>
+Status Visit(A& ar, WalShipReply& reply) {
+  VZ_RETURN_IF_ERROR(io::Fields(ar, reply.durable_lsn, reply.epoch,
+                                reply.records));
+  if constexpr (A::kDecoding) {
+    for (size_t i = 1; i < reply.records.size(); ++i) {
+      if (reply.records[i].lsn != reply.records[i - 1].lsn + 1) {
+        return Status::InvalidArgument("WAL ship batch has an LSN gap");
+      }
+    }
+  }
+  return Status::OK();
+}
 
 // --- Sharded deployment (v4). See DESIGN.md, "Sharded deployment". ---
-
-void EncodeWeightedCenter(io::BinaryWriter* writer,
-                          const core::WeightedCenter& center);
-StatusOr<core::WeightedCenter> DecodeWeightedCenter(io::BinaryReader* reader);
-
-void EncodeRepresentative(io::BinaryWriter* writer,
-                          const core::Representative& rep);
-StatusOr<core::Representative> DecodeRepresentative(io::BinaryReader* reader);
-
-void EncodeRepEntry(io::BinaryWriter* writer,
-                    const core::InterCameraIndex::RepEntry& entry);
-StatusOr<core::InterCameraIndex::RepEntry> DecodeRepEntry(
-    io::BinaryReader* reader);
 
 /// Body of the RepSync RPC (v4). `since_version` is the edge's
 /// `index_version()` at the caller's last successful sync (0 = never
@@ -478,9 +554,10 @@ struct RepSyncRequest {
   uint64_t since_version = 0;
 };
 
-void EncodeRepSyncRequest(io::BinaryWriter* writer,
-                          const RepSyncRequest& request);
-StatusOr<RepSyncRequest> DecodeRepSyncRequest(io::BinaryReader* reader);
+template <typename A>
+Status Visit(A& ar, RepSyncRequest& request) {
+  return io::Field(ar, request.since_version);
+}
 
 /// The reply: the edge's current index version and — unless the version
 /// still equals `since_version` — the full representative entry set (edges
@@ -491,8 +568,17 @@ struct RepSyncReply {
   std::vector<core::InterCameraIndex::RepEntry> entries;
 };
 
-void EncodeRepSyncReply(io::BinaryWriter* writer, const RepSyncReply& reply);
-StatusOr<RepSyncReply> DecodeRepSyncReply(io::BinaryReader* reader);
+template <typename A>
+Status Visit(A& ar, RepSyncReply& reply) {
+  VZ_RETURN_IF_ERROR(io::Fields(ar, reply.version, reply.unchanged,
+                                reply.entries));
+  if constexpr (A::kDecoding) {
+    if (reply.unchanged && !reply.entries.empty()) {
+      return Status::InvalidArgument("unchanged RepSync reply carries entries");
+    }
+  }
+  return Status::OK();
+}
 
 /// Body of the CheckpointFetch RPC (v4): the newest valid checkpoint pair,
 /// shipped as raw file bytes (the caller writes them into its own WAL
@@ -504,10 +590,11 @@ struct CheckpointFetchReply {
   std::string meta_bytes;      // checkpoint-<lsn>.meta
 };
 
-void EncodeCheckpointFetchReply(io::BinaryWriter* writer,
-                                const CheckpointFetchReply& reply);
-StatusOr<CheckpointFetchReply> DecodeCheckpointFetchReply(
-    io::BinaryReader* reader);
+template <typename A>
+Status Visit(A& ar, CheckpointFetchReply& reply) {
+  return io::Fields(ar, reply.lsn, reply.epoch, reply.snapshot_bytes,
+                    reply.meta_bytes);
+}
 
 // --- Standing queries and server push (v5). See DESIGN.md, "Standing
 // queries and multiplexing". ---
@@ -529,9 +616,28 @@ struct SubscribeRequest {
   bool want_stats = false;
 };
 
-void EncodeSubscribeRequest(io::BinaryWriter* writer,
-                            const SubscribeRequest& request);
-StatusOr<SubscribeRequest> DecodeSubscribeRequest(io::BinaryReader* reader);
+/// The camera list travels only when `has_camera_filter` is set. Decoding
+/// refuses a subscription that wants nothing, and a match subscription
+/// without a query.
+template <typename A>
+Status Visit(A& ar, SubscribeRequest& request) {
+  VZ_RETURN_IF_ERROR(io::Fields(ar, request.query, request.threshold,
+                                request.has_camera_filter));
+  if (request.has_camera_filter) {
+    VZ_RETURN_IF_ERROR(io::Field(ar, request.cameras));
+  }
+  VZ_RETURN_IF_ERROR(io::Fields(ar, request.want_matches, request.want_stats));
+  if constexpr (A::kDecoding) {
+    if (!request.want_matches && !request.want_stats) {
+      return Status::InvalidArgument(
+          "subscription wants neither matches nor stats");
+    }
+    if (request.want_matches && request.query.dim() == 0) {
+      return Status::InvalidArgument("match subscription with an empty query");
+    }
+  }
+  return Status::OK();
+}
 
 /// What one push frame announces.
 enum class PushKind : uint32_t {
@@ -566,8 +672,42 @@ struct PushEvent {
   uint64_t dropped = 0;
 };
 
-void EncodePushEvent(io::BinaryWriter* writer, const PushEvent& event);
-StatusOr<PushEvent> DecodePushEvent(io::BinaryReader* reader);
+/// Only the fields of the announced kind travel. A gap marker claiming zero
+/// drops is well-formed but alien: decoding refuses it.
+template <typename A>
+Status Visit(A& ar, PushEvent& event) {
+  VZ_RETURN_IF_ERROR(io::Fields(ar, event.subscription_id, event.sequence));
+  VZ_RETURN_IF_ERROR(
+      io::Enum<uint32_t>(ar, event.kind, PushKind::kGap, "push event kind"));
+  switch (event.kind) {
+    case PushKind::kMatch:
+      return io::Fields(ar, event.svs_id, event.camera, event.start_ms,
+                        event.end_ms, event.distance);
+    case PushKind::kIndexUpdate:
+      return io::Field(ar, event.index_version);
+    case PushKind::kGap:
+      VZ_RETURN_IF_ERROR(io::Field(ar, event.dropped));
+      if constexpr (A::kDecoding) {
+        if (event.dropped == 0) {
+          return Status::InvalidArgument("gap marker with zero dropped events");
+        }
+      }
+      return Status::OK();
+  }
+  return Status::OK();
+}
+
+/// Body of kIngestBatch: a u32 frame count, then the frames. The server
+/// decodes the whole batch before it applies any frame, so a malformed
+/// batch changes nothing.
+struct IngestBatchRequest {
+  std::vector<core::FrameObservation> frames;
+};
+
+template <typename A>
+Status Visit(A& ar, IngestBatchRequest& request) {
+  return io::Elements<uint32_t>(ar, request.frames);
+}
 
 /// Reply body of `kIngestBatch` (after the WireStatus): deterministic
 /// accept/reject counts, so replaying the batch from the WAL or the dedup
@@ -577,9 +717,10 @@ struct IngestBatchReply {
   uint64_t rejected = 0;
 };
 
-void EncodeIngestBatchReply(io::BinaryWriter* writer,
-                            const IngestBatchReply& reply);
-StatusOr<IngestBatchReply> DecodeIngestBatchReply(io::BinaryReader* reader);
+template <typename A>
+Status Visit(A& ar, IngestBatchReply& reply) {
+  return io::Fields(ar, reply.accepted, reply.rejected);
+}
 
 /// Body of the AdminTune RPC: each knob optional, applied atomically in
 /// declaration order. The reply echoes the server's post-apply settings.
@@ -592,24 +733,93 @@ struct AdminTuneRequest {
   std::optional<uint64_t> intra_cluster_count; // 0 = auto
 };
 
-void EncodeAdminTuneRequest(io::BinaryWriter* writer,
-                            const AdminTuneRequest& request);
-StatusOr<AdminTuneRequest> DecodeAdminTuneRequest(io::BinaryReader* reader);
+template <typename A>
+Status Visit(A& ar, AdminTuneRequest& request) {
+  return io::Fields(ar, request.index_mode, request.boundary_scale,
+                    request.omd_alpha, request.keyframe_selection,
+                    request.inter_group_count, request.intra_cluster_count);
+}
 
-/// The server's settings after applying an AdminTune request.
-struct AdminTuneReply {
-  uint32_t index_mode = 0;
-  double boundary_scale = 1.0;
-  double omd_alpha = 0.0;
-  bool keyframe_selection = true;
-  uint64_t inter_group_count = 0;
-  uint64_t intra_cluster_count = 0;
-};
-
-void EncodeAdminTuneReply(io::BinaryWriter* writer,
-                          const AdminTuneReply& reply);
-StatusOr<AdminTuneReply> DecodeAdminTuneReply(io::BinaryReader* reader);
+/// The server's settings after applying an AdminTune request: the same
+/// type, and bytes, as the checkpoint manifest's tuning block.
+using AdminTuneReply = io::TuningSettings;
 
 }  // namespace vz::net
+
+// The layouts of the core types the RPCs carry, in their own namespace so
+// the generic codec finds them.
+namespace vz::core {
+
+template <typename A>
+Status Visit(A& ar, BoundingBox& box) {
+  return io::Fields(ar, box.top, box.left, box.bottom, box.right);
+}
+
+template <typename A>
+Status Visit(A& ar, DetectedObject& object) {
+  return io::Fields(ar, object.box, object.feature, object.class_hint,
+                    object.class_confidence);
+}
+
+template <typename A>
+Status Visit(A& ar, FrameObservation& frame) {
+  return io::Fields(ar, frame.camera, frame.timestamp_ms, frame.frame_id,
+                    frame.deviation_from_previous, frame.encoded_bytes,
+                    frame.objects);
+}
+
+/// The `cancel` token does not travel.
+template <typename A>
+Status Visit(A& ar, QueryConstraints& constraints) {
+  return io::Fields(ar, constraints.cameras, constraints.time_range_ms,
+                    constraints.deadline_ms);
+}
+
+template <typename A>
+Status Visit(A& ar, DirectQueryResult& result) {
+  return io::Fields(ar, result.candidate_svss, result.matched_svss,
+                    result.total_gpu_ms, result.bottleneck_camera_gpu_ms,
+                    result.per_camera_gpu_ms, result.frames_processed,
+                    result.cameras_searched, result.degraded,
+                    result.excluded_cameras, result.timed_out,
+                    result.completed_fraction);
+}
+
+template <typename A>
+Status Visit(A& ar, ClusteringQueryResult& result) {
+  return io::Fields(ar, result.similar_svss, result.cameras_contributing,
+                    result.degraded, result.excluded_cameras, result.timed_out,
+                    result.completed_fraction, result.fast_omd_routed);
+}
+
+template <typename A>
+Status Visit(A& ar, SvsMetadata& meta) {
+  return io::Fields(ar, meta.id, meta.camera, meta.start_ms, meta.end_ms,
+                    meta.num_frames, meta.encoded_bytes, meta.access_count,
+                    meta.last_access_ms, meta.access_frequency);
+}
+
+template <typename A>
+Status Visit(A& ar, QueryLoadStats& stats) {
+  return io::Fields(ar, stats.in_flight, stats.waiting, stats.admitted,
+                    stats.shed, stats.timed_out, stats.fast_omd_routed,
+                    stats.timeout_overshoot_ms_total, stats.max_in_flight,
+                    stats.max_queue, stats.omd_failures);
+}
+
+template <typename A>
+Status Visit(A& ar, OmdCacheStats& stats) {
+  return io::Fields(ar, stats.hits, stats.misses, stats.insertions,
+                    stats.invalidations, stats.rejected_inserts, stats.entries,
+                    stats.capacity);
+}
+
+template <typename A>
+Status Visit(A& ar, InterCameraIndex::RepEntry& entry) {
+  return io::Fields(ar, entry.camera, entry.intra_cluster_index, entry.map,
+                    entry.rep);
+}
+
+}  // namespace vz::core
 
 #endif  // VZ_NET_WIRE_H_

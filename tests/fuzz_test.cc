@@ -205,57 +205,49 @@ TEST_P(FuzzTest, CorruptedSnapshotsNeverCrashOrPoisonTheStore) {
   const std::string path = ::testing::TempDir() + "/fuzz_snap_" +
                            std::to_string(GetParam()) + ".vzss";
 
-  for (const bool v1 : {false, true}) {
-    for (int trial = 0; trial < 12; ++trial) {
-      ASSERT_TRUE((v1 ? io::SaveSvsStoreV1(original, path)
-                      : io::SaveSvsStore(original, path))
+  for (int trial = 0; trial < 12; ++trial) {
+    ASSERT_TRUE(io::SaveSvsStore(original, path).ok());
+    size_t size = 0;
+    {
+      std::ifstream in(path, std::ios::binary | std::ios::ate);
+      size = static_cast<size_t>(in.tellg());
+    }
+    const bool truncated = rng.Bernoulli(0.5);
+    if (truncated) {
+      ASSERT_TRUE(sim::FaultInjector::TruncateFile(
+                      path, static_cast<size_t>(rng.UniformUint64(size)))
                       .ok());
-      size_t size = 0;
-      {
-        std::ifstream in(path, std::ios::binary | std::ios::ate);
-        size = static_cast<size_t>(in.tellg());
-      }
-      const bool truncated = rng.Bernoulli(0.5);
-      if (truncated) {
-        ASSERT_TRUE(sim::FaultInjector::TruncateFile(
-                        path, static_cast<size_t>(rng.UniformUint64(size)))
-                        .ok());
-      } else {
-        ASSERT_TRUE(sim::FaultInjector::FlipBits(
-                        path, 1 + static_cast<size_t>(rng.UniformUint64(8)),
-                        rng.NextUint64())
-                        .ok());
-      }
+    } else {
+      ASSERT_TRUE(sim::FaultInjector::FlipBits(
+                      path, 1 + static_cast<size_t>(rng.UniformUint64(8)),
+                      rng.NextUint64())
+                      .ok());
+    }
 
-      // Default (all-or-nothing) mode: a clean error leaves the target
-      // store untouched; v1 bit flips may parse (no checksums to catch
-      // them) but must never crash. v2 catches every corruption.
-      core::SvsStore strict;
-      const Status status = io::LoadSvsStore(path, &strict);
-      if (!status.ok()) {
-        EXPECT_EQ(strict.size(), 0u)
-            << "failed load appended records (v1=" << v1
-            << ", truncated=" << truncated << ", trial=" << trial << ")";
-      }
-      if (!v1) {
-        EXPECT_FALSE(status.ok())
-            << "v2 accepted corruption (truncated=" << truncated
-            << ", trial=" << trial << ")";
-      }
+    // Default (all-or-nothing) mode: a clean error leaves the target
+    // store untouched, and the checksums catch every corruption.
+    core::SvsStore strict;
+    const Status status = io::LoadSvsStore(path, &strict);
+    if (!status.ok()) {
+      EXPECT_EQ(strict.size(), 0u)
+          << "failed load appended records (truncated=" << truncated
+          << ", trial=" << trial << ")";
+    }
+    EXPECT_FALSE(status.ok()) << "v2 accepted corruption (truncated="
+                              << truncated << ", trial=" << trial << ")";
 
-      // Salvage mode: success or error, and on success the store holds
-      // exactly the reported prefix.
-      core::SvsStore salvaged;
-      io::SnapshotLoadOptions salvage_options;
-      salvage_options.salvage = true;
-      io::SnapshotLoadReport report;
-      const Status salvage_status =
-          io::LoadSvsStore(path, &salvaged, salvage_options, &report);
-      if (salvage_status.ok()) {
-        EXPECT_EQ(salvaged.size(), report.records_loaded);
-      } else {
-        EXPECT_EQ(salvaged.size(), 0u);
-      }
+    // Salvage mode: success or error, and on success the store holds
+    // exactly the reported prefix.
+    core::SvsStore salvaged;
+    io::SnapshotLoadOptions salvage_options;
+    salvage_options.salvage = true;
+    io::SnapshotLoadReport report;
+    const Status salvage_status =
+        io::LoadSvsStore(path, &salvaged, salvage_options, &report);
+    if (salvage_status.ok()) {
+      EXPECT_EQ(salvaged.size(), report.records_loaded);
+    } else {
+      EXPECT_EQ(salvaged.size(), 0u);
     }
   }
   std::remove(path.c_str());

@@ -1,16 +1,23 @@
 // Fuzzes the wire-frame decoder with the deterministic fault injector:
 // truncated frames at every prefix length, seeded bit flips, and
-// valid-CRC-but-garbage payloads against every payload codec. The contract
+// valid-CRC-but-garbage payloads against every payload codec; pins a
+// golden sample request and reply of every message type, and runs each
+// through one table of codecs (round trip, every truncation, one appended
+// byte, random and bit-flipped payloads). The contract
 // under test is the decode failure taxonomy in net/wire.h — corruption
 // yields kDataLoss, well-formed-but-alien bytes yield kInvalidArgument, and
 // nothing ever crashes, hangs, or allocates from a hostile length field.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <functional>
+#include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
+#include "format_golden.h"
 #include "io/binary_format.h"
 #include "net/wire.h"
 #include "sim/fault_injector.h"
@@ -28,11 +35,11 @@ bool IsFuzzStatus(const Status& status) {
 // A representative request frame with a structured payload.
 std::string SampleFrame() {
   io::BinaryWriter payload;
-  EncodeFeatureVector(&payload, FeatureVector({1.5f, -2.0f, 3.25f, 0.0f}));
+  io::Encode(&payload, FeatureVector({1.5f, -2.0f, 3.25f, 0.0f}));
   core::QueryConstraints constraints;
   constraints.deadline_ms = 250;
   constraints.cameras = std::vector<core::CameraId>{"cam-a", "cam-b"};
-  EncodeQueryConstraints(&payload, constraints);
+  io::Encode(&payload, constraints);
   return EncodeFrame(static_cast<uint32_t>(MsgType::kDirectQuery), 3,
                      payload.buffer());
 }
@@ -76,60 +83,13 @@ TEST(FrameFuzzTest, BadMagicAndUnknownTypeAreInvalidArgument) {
   }
 }
 
-// Frames whose framing is valid (good CRC) but whose payload is random
-// garbage: every payload codec must return a status, not crash — the
-// overflow-safe reader makes giant counts fail before allocation.
-TEST(FrameFuzzTest, RandomPayloadsAgainstEveryCodec) {
-  Rng rng(2026);
-  for (int round = 0; round < 200; ++round) {
-    const size_t size = rng.UniformUint64(96);
-    std::string payload(size, '\0');
-    for (char& c : payload) {
-      c = static_cast<char>(rng.UniformUint64(256));
-    }
-    auto with_reader = [&payload](auto&& decode) {
-      io::BinaryReader reader(payload);
-      auto result = decode(&reader);
-      (void)result;  // only invariant: returns, no crash/hang
-    };
-    with_reader([](io::BinaryReader* r) { return DecodeWireStatus(r); });
-    with_reader([](io::BinaryReader* r) { return DecodeFeatureVector(r); });
-    with_reader([](io::BinaryReader* r) { return DecodeFeatureMap(r); });
-    with_reader(
-        [](io::BinaryReader* r) { return DecodeFrameObservation(r); });
-    with_reader(
-        [](io::BinaryReader* r) { return DecodeQueryConstraints(r); });
-    with_reader(
-        [](io::BinaryReader* r) { return DecodeDirectQueryResult(r); });
-    with_reader(
-        [](io::BinaryReader* r) { return DecodeClusteringQueryResult(r); });
-    with_reader([](io::BinaryReader* r) { return DecodeSvsMetadata(r); });
-    with_reader([](io::BinaryReader* r) { return DecodeQueryLoadStats(r); });
-    with_reader([](io::BinaryReader* r) { return DecodeMonitorStats(r); });
-    with_reader(
-        [](io::BinaryReader* r) { return DecodeCameraHealthReport(r); });
-    with_reader(
-        [](io::BinaryReader* r) { return DecodeIdempotencyToken(r); });
-    // v5 payload codecs.
-    with_reader(
-        [](io::BinaryReader* r) { return DecodeSubscribeRequest(r); });
-    with_reader([](io::BinaryReader* r) { return DecodePushEvent(r); });
-    with_reader(
-        [](io::BinaryReader* r) { return DecodeIngestBatchReply(r); });
-    with_reader(
-        [](io::BinaryReader* r) { return DecodeAdminTuneRequest(r); });
-    with_reader(
-        [](io::BinaryReader* r) { return DecodeAdminTuneReply(r); });
-  }
-}
-
 // --- Protocol-v2 wire fields: tokens, ping, supervision stats. ---
 
 TEST(FrameFuzzTest, IdempotencyTokenRoundTripsAndRejectsReservedSession) {
   io::BinaryWriter writer;
-  EncodeIdempotencyToken(&writer, {0x1122334455667788ULL, 42});
+  io::Encode(&writer, IdempotencyToken{0x1122334455667788ULL, 42});
   io::BinaryReader reader(writer.buffer());
-  auto token = DecodeIdempotencyToken(&reader);
+  auto token = io::Decode<IdempotencyToken>(&reader);
   ASSERT_TRUE(token.ok());
   EXPECT_EQ(token->session_id, 0x1122334455667788ULL);
   EXPECT_EQ(token->sequence, 42u);
@@ -138,22 +98,22 @@ TEST(FrameFuzzTest, IdempotencyTokenRoundTripsAndRejectsReservedSession) {
   // Session id 0 is reserved as "no token": a frame carrying it is
   // well-formed but alien — kInvalidArgument, not kDataLoss.
   io::BinaryWriter reserved;
-  EncodeIdempotencyToken(&reserved, {0, 7});
+  io::Encode(&reserved, IdempotencyToken{0, 7});
   io::BinaryReader reserved_reader(reserved.buffer());
-  auto rejected = DecodeIdempotencyToken(&reserved_reader);
+  auto rejected = io::Decode<IdempotencyToken>(&reserved_reader);
   ASSERT_FALSE(rejected.ok());
   EXPECT_EQ(rejected.status().code(), StatusCode::kInvalidArgument);
 }
 
 TEST(FrameFuzzTest, TruncatedTokenIsAlwaysAnError) {
   io::BinaryWriter writer;
-  EncodeIdempotencyToken(&writer, {99, 3});
+  io::Encode(&writer, IdempotencyToken{99, 3});
   const std::string bytes = writer.buffer();
   for (size_t keep = 0; keep < bytes.size(); ++keep) {
     std::string torn = bytes;
     ASSERT_TRUE(FaultInjector::Truncate(&torn, keep).ok());
     io::BinaryReader reader(torn);
-    EXPECT_FALSE(DecodeIdempotencyToken(&reader).ok()) << keep;
+    EXPECT_FALSE(io::Decode<IdempotencyToken>(&reader).ok()) << keep;
   }
 }
 
@@ -176,7 +136,7 @@ TEST(FrameFuzzTest, PingAndTokenedFramesSurviveTheFuzzSweep) {
   ASSERT_FALSE(IsMutatingType(static_cast<uint32_t>(MsgType::kDirectQuery)));
   ASSERT_FALSE(IsMutatingType(static_cast<uint32_t>(MsgType::kPing)));
   io::BinaryWriter tokened;
-  EncodeIdempotencyToken(&tokened, {77, 8});
+  io::Encode(&tokened, IdempotencyToken{77, 8});
   const std::string frame_bytes =
       EncodeFrame(static_cast<uint32_t>(MsgType::kFlush), 2, tokened.buffer());
   for (size_t keep = 0; keep < frame_bytes.size(); ++keep) {
@@ -226,10 +186,10 @@ TEST(FrameFuzzTest, MonitorStatsV2RoundTripsAndFailsCleanlyWhenTorn) {
   stats.serving.disk_full = true;
   stats.serving.read_only = true;
   io::BinaryWriter writer;
-  EncodeMonitorStats(&writer, stats);
+  io::Encode(&writer, stats);
 
   io::BinaryReader reader(writer.buffer());
-  auto decoded = DecodeMonitorStats(&reader);
+  auto decoded = io::Decode<MonitorStatsReply>(&reader);
   ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
   EXPECT_EQ(reader.remaining(), 0u);
   EXPECT_EQ(decoded->ingest.frames_offered, 123u);
@@ -259,39 +219,15 @@ TEST(FrameFuzzTest, MonitorStatsV2RoundTripsAndFailsCleanlyWhenTorn) {
   EXPECT_TRUE(decoded->serving.disk_full);
   EXPECT_TRUE(decoded->serving.read_only);
 
-  // The v5 subscription counters and the disk-health block are each a
-  // prefix-compatible tail: cutting the payload exactly at the v4 boundary
-  // is a valid v4 payload (both tails decode as zero), cutting exactly at
-  // the pre-disk-health boundary is a valid older-v5 payload (disk fields
-  // decode as zero); every other truncation is an error.
+  // Every truncation is an error: the Hello admits only an exact-version
+  // peer, so every sender writes the full payload.
   const std::string bytes = writer.buffer();
-  const size_t disk_tail_bytes = 3 * sizeof(uint64_t) + 2;
-  const size_t v5_tail_bytes = 6 * sizeof(uint64_t) + disk_tail_bytes;
-  ASSERT_GT(bytes.size(), v5_tail_bytes);
-  const size_t v4_boundary = bytes.size() - v5_tail_bytes;
-  const size_t disk_boundary = bytes.size() - disk_tail_bytes;
   for (size_t keep = 0; keep < bytes.size(); ++keep) {
     std::string torn = bytes;
     ASSERT_TRUE(FaultInjector::Truncate(&torn, keep).ok());
     io::BinaryReader torn_reader(torn);
-    auto torn_stats = DecodeMonitorStats(&torn_reader);
-    if (keep == v4_boundary) {
-      ASSERT_TRUE(torn_stats.ok()) << keep;
-      EXPECT_EQ(torn_stats->serving.pings_served, 5u);
-      EXPECT_EQ(torn_stats->serving.subscriptions_active, 0u);
-      EXPECT_EQ(torn_stats->serving.ingest_batches, 0u);
-      EXPECT_EQ(torn_stats->serving.disk_io_errors, 0u);
-      EXPECT_FALSE(torn_stats->serving.read_only);
-    } else if (keep == disk_boundary) {
-      ASSERT_TRUE(torn_stats.ok()) << keep;
-      EXPECT_EQ(torn_stats->serving.subscriptions_active, 3u);
-      EXPECT_EQ(torn_stats->serving.ingest_batches, 13u);
-      EXPECT_EQ(torn_stats->serving.disk_io_errors, 0u);
-      EXPECT_FALSE(torn_stats->serving.disk_full);
-      EXPECT_FALSE(torn_stats->serving.read_only);
-    } else {
-      EXPECT_FALSE(torn_stats.ok()) << keep;
-    }
+    auto torn_stats = io::Decode<MonitorStatsReply>(&torn_reader);
+    EXPECT_FALSE(torn_stats.ok()) << keep;
   }
 }
 
@@ -323,14 +259,14 @@ std::string SamplePushFrame(uint64_t correlation) {
   event.end_ms = 30'000;
   event.distance = 1.25;
   io::BinaryWriter payload;
-  EncodePushEvent(&payload, event);
+  io::Encode(&payload, event);
   return EncodeFrame(static_cast<uint32_t>(MsgType::kPushEvent), correlation,
                      payload.buffer());
 }
 
 TEST(FrameFuzzV5Test, IntactFrameRoundTripsWithCorrelation) {
   io::BinaryWriter payload;
-  EncodeSubscribeRequest(&payload, {});
+  io::Encode(&payload, SubscribeRequest{});
   const std::string bytes = EncodeFrame(
       static_cast<uint32_t>(MsgType::kSubscribe), 0x1122334455667788ULL,
       payload.buffer());
@@ -420,7 +356,7 @@ TEST(FrameFuzzV5Test, GoldenBytesPinTheLayout) {
   gap.kind = PushKind::kGap;
   gap.dropped = 2;
   io::BinaryWriter push;
-  EncodePushEvent(&push, gap);
+  io::Encode(&push, gap);
   EXPECT_EQ(Hex(EncodeFrame(static_cast<uint32_t>(MsgType::kPushEvent), 5,
                             push.buffer())),
             "35525a561800000005000000000000001c0000000000000003000000000000"
@@ -475,7 +411,7 @@ TEST(FrameFuzzV5Test, TornPushPayloadFailsCleanlyInsideAValidFrame) {
   event.kind = PushKind::kGap;
   event.dropped = 17;
   io::BinaryWriter payload;
-  EncodePushEvent(&payload, event);
+  io::Encode(&payload, event);
   const std::string intact = payload.buffer();
   for (size_t keep = 0; keep < intact.size(); ++keep) {
     std::string torn = intact;
@@ -486,7 +422,7 @@ TEST(FrameFuzzV5Test, TornPushPayloadFailsCleanlyInsideAValidFrame) {
     auto frame = DecodeFrame(&reader);
     ASSERT_TRUE(frame.ok()) << "framing must accept a valid CRC";
     io::BinaryReader payload_reader(frame->payload);
-    EXPECT_FALSE(DecodePushEvent(&payload_reader).ok()) << keep;
+    EXPECT_FALSE(io::Decode<PushEvent>(&payload_reader).ok()) << keep;
   }
 }
 
@@ -507,9 +443,9 @@ TEST(FrameFuzzV5Test, PushEventRoundTripsEveryKind) {
     event.index_version = 33;
     event.dropped = 2;
     io::BinaryWriter writer;
-    EncodePushEvent(&writer, event);
+    io::Encode(&writer, event);
     io::BinaryReader reader(writer.buffer());
-    auto decoded = DecodePushEvent(&reader);
+    auto decoded = io::Decode<PushEvent>(&reader);
     ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
     EXPECT_EQ(reader.remaining(), 0u);
     EXPECT_EQ(decoded->subscription_id, 8u);
@@ -536,9 +472,9 @@ TEST(FrameFuzzV5Test, PushEventRoundTripsEveryKind) {
   empty_gap.kind = PushKind::kGap;
   empty_gap.dropped = 0;
   io::BinaryWriter writer;
-  EncodePushEvent(&writer, empty_gap);
+  io::Encode(&writer, empty_gap);
   io::BinaryReader reader(writer.buffer());
-  EXPECT_EQ(DecodePushEvent(&reader).status().code(),
+  EXPECT_EQ(io::Decode<PushEvent>(&reader).status().code(),
             StatusCode::kInvalidArgument);
 }
 
@@ -551,9 +487,9 @@ TEST(FrameFuzzV5Test, SubscribeAndAdminTunePayloadsRoundTrip) {
   request.want_matches = true;
   request.want_stats = true;
   io::BinaryWriter writer;
-  EncodeSubscribeRequest(&writer, request);
+  io::Encode(&writer, request);
   io::BinaryReader reader(writer.buffer());
-  auto decoded = DecodeSubscribeRequest(&reader);
+  auto decoded = io::Decode<SubscribeRequest>(&reader);
   ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
   EXPECT_EQ(reader.remaining(), 0u);
   EXPECT_EQ(decoded->threshold, 2.75);
@@ -565,9 +501,9 @@ TEST(FrameFuzzV5Test, SubscribeAndAdminTunePayloadsRoundTrip) {
   tune.boundary_scale = 1.5;
   tune.keyframe_selection = false;
   io::BinaryWriter tune_writer;
-  EncodeAdminTuneRequest(&tune_writer, tune);
+  io::Encode(&tune_writer, tune);
   io::BinaryReader tune_reader(tune_writer.buffer());
-  auto tuned = DecodeAdminTuneRequest(&tune_reader);
+  auto tuned = io::Decode<AdminTuneRequest>(&tune_reader);
   ASSERT_TRUE(tuned.ok()) << tuned.status().ToString();
   EXPECT_EQ(tune_reader.remaining(), 0u);
   ASSERT_TRUE(tuned->boundary_scale.has_value());
@@ -585,12 +521,549 @@ TEST(FrameFuzzV5Test, SubscribeAndAdminTunePayloadsRoundTrip) {
       ASSERT_TRUE(FaultInjector::Truncate(&torn, keep).ok());
       io::BinaryReader torn_reader(torn);
       if (bytes == writer.buffer()) {
-        EXPECT_FALSE(DecodeSubscribeRequest(&torn_reader).ok()) << keep;
+        EXPECT_FALSE(io::Decode<SubscribeRequest>(&torn_reader).ok()) << keep;
       } else {
-        EXPECT_FALSE(DecodeAdminTuneRequest(&torn_reader).ok()) << keep;
+        EXPECT_FALSE(io::Decode<AdminTuneRequest>(&torn_reader).ok()) << keep;
       }
     }
   }
+}
+
+// --- Golden payloads: a sample request and reply of every message type. ---
+
+// Sample values. Every field holds a distinct, exactly representable value,
+// so a field that moves or changes width shows up in the golden bytes.
+IdempotencyToken SampleToken(uint64_t sequence) {
+  return {0x0A0B0C0D0E0F1011ULL, sequence};
+}
+
+core::FrameObservation SampleObservation(int64_t frame_id) {
+  core::FrameObservation frame;
+  frame.camera = "cam-a";
+  frame.timestamp_ms = 1'000 * frame_id;
+  frame.frame_id = frame_id;
+  frame.deviation_from_previous = 0.25;
+  frame.encoded_bytes = 4'096;
+  core::DetectedObject object;
+  object.box = {0.125f, 0.25f, 0.5f, 0.75f};
+  object.feature = FeatureVector({1.0f, -2.0f, 0.5f});
+  object.class_hint = 3;
+  object.class_confidence = 0.875;
+  frame.objects.push_back(object);
+  return frame;
+}
+
+core::QueryConstraints SampleConstraints() {
+  core::QueryConstraints constraints;
+  constraints.cameras = std::vector<core::CameraId>{"cam-a", "cam-b"};
+  constraints.time_range_ms = std::make_pair<int64_t, int64_t>(-5, 90'000);
+  constraints.deadline_ms = 250;
+  return constraints;
+}
+
+FeatureMap SampleMap() {
+  FeatureMap map;
+  const float a[] = {0.5f, 1.5f};
+  const float b[] = {-1.0f, 2.0f};
+  EXPECT_TRUE(map.Add(a, 2, 0.75).ok());
+  EXPECT_TRUE(map.Add(b, 2, 0.25).ok());
+  return map;
+}
+
+core::Representative SampleRepresentative() {
+  core::WeightedCenter center;
+  center.center = FeatureVector({0.5f, 1.5f});
+  center.weight = 0.75;
+  center.boundary = 1.25;
+  center.mean_member_distance = 0.5;
+  center.last_hit_ms = 4'000;
+  return core::Representative({center});
+}
+
+core::DirectQueryResult SampleDirectResult() {
+  core::DirectQueryResult result;
+  result.candidate_svss = {4, 9, 12};
+  result.matched_svss = {9};
+  result.total_gpu_ms = 12.5;
+  result.bottleneck_camera_gpu_ms = 8.25;
+  result.per_camera_gpu_ms = {{"cam-a", 8.25}, {"cam-b", 4.25}};
+  result.frames_processed = 31;
+  result.cameras_searched = 2;
+  result.degraded = true;
+  result.excluded_cameras = {"cam-c"};
+  result.timed_out = true;
+  result.completed_fraction = 0.5;
+  return result;
+}
+
+core::ClusteringQueryResult SampleClusteringResult() {
+  core::ClusteringQueryResult result;
+  result.similar_svss = {3, 7};
+  result.cameras_contributing = 2;
+  result.degraded = false;
+  result.excluded_cameras = {"cam-d"};
+  result.timed_out = false;
+  result.completed_fraction = 1.0;
+  result.fast_omd_routed = true;
+  return result;
+}
+
+core::SvsMetadata SampleMetadata() {
+  core::SvsMetadata meta;
+  meta.id = 42;
+  meta.camera = "cam-a";
+  meta.start_ms = 1'000;
+  meta.end_ms = 9'000;
+  meta.num_frames = 8;
+  meta.encoded_bytes = 65'536;
+  meta.access_count = 5;
+  meta.last_access_ms = 8'500;
+  meta.access_frequency = 0.5;
+  return meta;
+}
+
+MonitorStatsReply SampleMonitorStats() {
+  MonitorStatsReply stats;
+  stats.ingest = {1, 2, 3, 4, 5, 6, 7, 8, 9};
+  stats.cache = {10, 11, 12, 13, 14, 15, 16};
+  stats.svs_count = 17;
+  stats.camera_count = 18;
+  stats.now_ms = 19;
+  ServingStats& serving = stats.serving;
+  serving.connections_accepted = 20;
+  serving.connections_shed = 21;
+  serving.connections_evicted_idle = 22;
+  serving.connections_evicted_slow = 23;
+  serving.duplicates_replayed = 24;
+  serving.pings_served = 25;
+  serving.sessions_active = 26;
+  serving.sessions_evicted = 27;
+  serving.role = ServerRole::kPromoted;
+  serving.wal_appends = 28;
+  serving.wal_fsyncs = 29;
+  serving.wal_replayed_records = 30;
+  serving.wal_salvaged_bytes = 31;
+  serving.wal_checkpoints = 32;
+  serving.wal_last_lsn = 33;
+  serving.wal_durable_lsn = 34;
+  serving.replication_lag_records = 35;
+  serving.replication_reseeds = 36;
+  serving.connections.push_back({37, 38, 39, 40, 41, 42});
+  serving.connections.push_back({43, 44, 45, 46, 47, 48});
+  ShardHealthInfo shard;
+  shard.host = "edge-1";
+  shard.port = 7'001;
+  shard.state = ShardState::kDegraded;
+  shard.consecutive_failures = 49;
+  shard.rep_staleness_ms = -1;
+  shard.rep_entries = 50;
+  shard.cameras = 51;
+  serving.shards.push_back(shard);
+  serving.subscriptions_active = 52;
+  serving.subscriptions_total = 53;
+  serving.pushes_sent = 54;
+  serving.push_drops = 55;
+  serving.push_gaps_sent = 56;
+  serving.ingest_batches = 57;
+  serving.disk_io_errors = 58;
+  serving.disk_fsync_failures = 59;
+  serving.checkpoints_quarantined = 60;
+  serving.disk_full = true;
+  serving.read_only = false;
+  return stats;
+}
+
+std::vector<CameraHealthEntry> SampleCameraHealth() {
+  return {{"cam-a", core::CameraHealth::kHealthy},
+          {"cam-b", core::CameraHealth::kStalled}};
+}
+
+core::QueryLoadStats SampleQueryLoad() {
+  core::QueryLoadStats stats;
+  stats.in_flight = 1;
+  stats.waiting = 2;
+  stats.admitted = 3;
+  stats.shed = 4;
+  stats.timed_out = 5;
+  stats.fast_omd_routed = 6;
+  stats.timeout_overshoot_ms_total = -7;
+  stats.max_in_flight = 8;
+  stats.max_queue = 9;
+  stats.omd_failures = 10;
+  return stats;
+}
+
+WalShipReply SampleWalShipReply() {
+  WalShipReply reply;
+  reply.durable_lsn = 43;
+  reply.epoch = 3;
+  io::WalRecord frame;
+  frame.lsn = 42;
+  frame.session_id = 11;
+  frame.sequence = 5;
+  frame.op = static_cast<uint32_t>(MsgType::kIngestFrame);
+  frame.epoch = 3;
+  frame.payload = "frame-42";
+  io::WalRecord marker;
+  marker.lsn = 43;
+  marker.op = io::kWalOpEpochMarker;
+  marker.epoch = 3;
+  reply.records = {frame, marker};
+  return reply;
+}
+
+RepSyncReply SampleRepSyncReply() {
+  RepSyncReply reply;
+  reply.version = 7;
+  core::InterCameraIndex::RepEntry entry;
+  entry.camera = "cam-a";
+  entry.intra_cluster_index = 1;
+  entry.map = SampleMap();
+  entry.rep = SampleRepresentative();
+  reply.entries.push_back(entry);
+  return reply;
+}
+
+CheckpointFetchReply SampleCheckpointFetchReply() {
+  CheckpointFetchReply reply;
+  reply.lsn = 40;
+  reply.epoch = 2;
+  reply.snapshot_bytes = "VZSS-bytes";
+  reply.meta_bytes = "VZWM-bytes";
+  return reply;
+}
+
+SubscribeRequest SampleSubscribeRequest() {
+  SubscribeRequest request;
+  request.query = FeatureVector({0.5f, 1.5f});
+  request.threshold = 2.5;
+  request.has_camera_filter = true;
+  request.cameras = {"cam-a"};
+  request.want_matches = true;
+  request.want_stats = true;
+  return request;
+}
+
+PushEvent SamplePush(PushKind kind) {
+  PushEvent event;
+  event.subscription_id = 3;
+  event.sequence = 12 + static_cast<uint64_t>(kind);
+  event.kind = kind;
+  event.svs_id = 99;
+  event.camera = "cam-harbor";
+  event.start_ms = 10'000;
+  event.end_ms = 30'000;
+  event.distance = 1.25;
+  event.index_version = 77;
+  event.dropped = 5;
+  return event;
+}
+
+AdminTuneRequest SampleAdminTuneRequest() {
+  AdminTuneRequest request;
+  request.index_mode = 1;
+  request.boundary_scale = 1.5;
+  request.keyframe_selection = false;
+  request.intra_cluster_count = 4;
+  return request;
+}
+
+AdminTuneReply SampleAdminTuneReply() {
+  AdminTuneReply reply;
+  reply.index_mode = 1;
+  reply.boundary_scale = 1.5;
+  reply.omd_alpha = 0.25;
+  reply.keyframe_selection = false;
+  reply.inter_group_count = 0;
+  reply.intra_cluster_count = 4;
+  return reply;
+}
+
+// Encodes one sample value the way the wire carries it.
+template <typename T>
+std::string Bytes(const T& value) {
+  io::BinaryWriter writer;
+  io::Encode(&writer, value);
+  return writer.buffer();
+}
+
+std::string StatusBytes(const Status& status, int64_t retry_after_ms) {
+  io::BinaryWriter writer;
+  EncodeWireStatus(&writer, {status, retry_after_ms});
+  return writer.buffer();
+}
+
+// One sample payload per direction of every message type: requests as the
+// client sends them (mutating ones behind their idempotency token), replies
+// as the server answers (behind an OK status).
+std::vector<std::pair<std::string, std::string>> SamplePayloads() {
+  const std::string ok = StatusBytes(Status::OK(), 0);
+  const std::string camera = Bytes(std::string("cam-a"));
+  const std::string path = Bytes(std::string("/var/vz/snap.vzss"));
+  return {
+      {"hello.request", Bytes(kProtocolVersion)},
+      {"hello.reply", ok + Bytes(kProtocolVersion)},
+      {"camera_start.request", Bytes(SampleToken(1)) + camera},
+      {"camera_start.reply", ok},
+      {"camera_terminate.request", Bytes(SampleToken(2)) + camera},
+      {"camera_terminate.reply", ok},
+      {"ingest_frame.request",
+       Bytes(SampleToken(3)) + Bytes(SampleObservation(4))},
+      {"ingest_frame.reply", ok},
+      {"flush.request", Bytes(SampleToken(4))},
+      {"flush.reply", ok},
+      {"direct_query.request", Bytes(FeatureVector({1.5f, -2.0f, 0.25f})) +
+                                   Bytes(SampleConstraints())},
+      {"direct_query.reply", ok + Bytes(SampleDirectResult())},
+      {"clustering_by_id.request",
+       Bytes(int64_t{42}) + Bytes(core::QueryConstraints{})},
+      {"clustering_by_id.reply", ok + Bytes(SampleClusteringResult())},
+      {"clustering_by_map.request",
+       Bytes(SampleMap()) + Bytes(SampleConstraints())},
+      {"clustering_by_map.reply", ok + Bytes(SampleClusteringResult())},
+      {"get_metadata.request", Bytes(int64_t{42})},
+      {"get_metadata.reply", ok + Bytes(SampleMetadata())},
+      {"monitor_stats.request", ""},
+      {"monitor_stats.reply", ok + Bytes(SampleMonitorStats())},
+      {"camera_health.request", ""},
+      {"camera_health.reply", ok + Bytes(SampleCameraHealth())},
+      {"query_load_stats.request", ""},
+      {"query_load_stats.reply", ok + Bytes(SampleQueryLoad())},
+      {"snapshot_save.request", Bytes(SampleToken(5)) + path},
+      {"snapshot_save.reply", ok},
+      {"snapshot_load.request", Bytes(SampleToken(6)) + path},
+      {"snapshot_load.reply", ok + Bytes(uint64_t{3})},
+      {"ping.request", ""},
+      {"ping.reply", ok},
+      {"wal_ship.request", Bytes(WalShipRequest{41, 64, 250, 3})},
+      {"wal_ship.reply", ok + Bytes(SampleWalShipReply())},
+      {"rep_sync.request", Bytes(RepSyncRequest{6})},
+      {"rep_sync.reply", ok + Bytes(SampleRepSyncReply())},
+      {"svs_feature_map.request", Bytes(int64_t{42})},
+      {"svs_feature_map.reply", ok + Bytes(SampleMap())},
+      {"checkpoint_fetch.request", ""},
+      {"checkpoint_fetch.reply", ok + Bytes(SampleCheckpointFetchReply())},
+      {"subscribe.request", Bytes(SampleSubscribeRequest())},
+      {"subscribe.reply", ok + Bytes(uint64_t{5})},
+      {"unsubscribe.request", Bytes(uint64_t{5})},
+      {"unsubscribe.reply", ok},
+      {"ingest_batch.request", Bytes(SampleToken(7)) + Bytes(uint32_t{2}) +
+                                   Bytes(SampleObservation(5)) +
+                                   Bytes(SampleObservation(6))},
+      {"ingest_batch.reply", ok + Bytes(IngestBatchReply{2, 0})},
+      {"admin_tune.request",
+       Bytes(SampleToken(8)) + Bytes(SampleAdminTuneRequest())},
+      {"admin_tune.reply", ok + Bytes(SampleAdminTuneReply())},
+      {"push.match", Bytes(SamplePush(PushKind::kMatch))},
+      {"push.index_update", Bytes(SamplePush(PushKind::kIndexUpdate))},
+      {"push.gap", Bytes(SamplePush(PushKind::kGap))},
+      {"shed.reply",
+       StatusBytes(Status::ResourceExhausted("server overloaded"), 25)},
+  };
+}
+
+TEST(WireGoldenTest, EveryMessagePayloadMatchesItsFixture) {
+  for (const auto& [name, bytes] : SamplePayloads()) {
+    EXPECT_EQ(testing::HexOf(bytes), testing::GoldenHex(name))
+        << "golden " << name << " " << testing::HexOf(bytes);
+  }
+}
+
+// --- Every message type from one table. ---
+
+// Decodes a whole payload and re-encodes what it decoded.
+using RoundTrip = std::function<StatusOr<std::string>(const std::string&)>;
+
+// A request: the body, behind an idempotency token when `type` mutates.
+template <typename Body>
+RoundTrip Request(MsgType type) {
+  return [type](const std::string& payload) -> StatusOr<std::string> {
+    io::BinaryReader reader(payload);
+    io::BinaryWriter writer;
+    if (IsMutatingType(static_cast<uint32_t>(type))) {
+      VZ_ASSIGN_OR_RETURN(IdempotencyToken token,
+                          io::DecodePrefix<IdempotencyToken>(&reader));
+      io::Encode(&writer, token);
+    }
+    VZ_ASSIGN_OR_RETURN(Body body, io::Decode<Body>(&reader));
+    io::Encode(&writer, body);
+    return writer.buffer();
+  };
+}
+
+// A reply: the wire status, then the body.
+template <typename Body>
+RoundTrip Reply() {
+  return [](const std::string& payload) -> StatusOr<std::string> {
+    io::BinaryReader reader(payload);
+    VZ_ASSIGN_OR_RETURN(WireStatus status, DecodeWireStatus(&reader));
+    VZ_ASSIGN_OR_RETURN(Body body, io::Decode<Body>(&reader));
+    io::BinaryWriter writer;
+    EncodeWireStatus(&writer, status);
+    io::Encode(&writer, body);
+    return writer.buffer();
+  };
+}
+
+// One row per message type. `name` prefixes its fixtures:
+// "<name>.request" and "<name>.reply", or one "<name>.<kind>" per push kind
+// for kPushEvent, which has no reply.
+struct MessageCodec {
+  MsgType type;
+  std::string name;
+  RoundTrip request;
+  RoundTrip reply;
+};
+
+std::vector<MessageCodec> MessageTable() {
+  using T = MsgType;
+  return {
+      {T::kHello, "hello", Request<uint32_t>(T::kHello), Reply<uint32_t>()},
+      {T::kCameraStart, "camera_start", Request<std::string>(T::kCameraStart),
+       Reply<EmptyPayload>()},
+      {T::kCameraTerminate, "camera_terminate",
+       Request<std::string>(T::kCameraTerminate), Reply<EmptyPayload>()},
+      {T::kIngestFrame, "ingest_frame",
+       Request<core::FrameObservation>(T::kIngestFrame),
+       Reply<EmptyPayload>()},
+      {T::kFlush, "flush", Request<EmptyPayload>(T::kFlush),
+       Reply<EmptyPayload>()},
+      {T::kDirectQuery, "direct_query",
+       Request<DirectQueryRequest>(T::kDirectQuery),
+       Reply<core::DirectQueryResult>()},
+      {T::kClusteringQueryById, "clustering_by_id",
+       Request<ClusteringByIdRequest>(T::kClusteringQueryById),
+       Reply<core::ClusteringQueryResult>()},
+      {T::kClusteringQueryByMap, "clustering_by_map",
+       Request<ClusteringByMapRequest>(T::kClusteringQueryByMap),
+       Reply<core::ClusteringQueryResult>()},
+      {T::kGetMetaData, "get_metadata", Request<core::SvsId>(T::kGetMetaData),
+       Reply<core::SvsMetadata>()},
+      {T::kMonitorStats, "monitor_stats",
+       Request<EmptyPayload>(T::kMonitorStats), Reply<MonitorStatsReply>()},
+      {T::kCameraHealth, "camera_health",
+       Request<EmptyPayload>(T::kCameraHealth),
+       Reply<std::vector<CameraHealthEntry>>()},
+      {T::kQueryLoadStats, "query_load_stats",
+       Request<EmptyPayload>(T::kQueryLoadStats),
+       Reply<core::QueryLoadStats>()},
+      {T::kSnapshotSave, "snapshot_save",
+       Request<std::string>(T::kSnapshotSave), Reply<EmptyPayload>()},
+      {T::kSnapshotLoad, "snapshot_load",
+       Request<std::string>(T::kSnapshotLoad), Reply<uint64_t>()},
+      {T::kPing, "ping", Request<EmptyPayload>(T::kPing),
+       Reply<EmptyPayload>()},
+      {T::kWalShip, "wal_ship", Request<WalShipRequest>(T::kWalShip),
+       Reply<WalShipReply>()},
+      {T::kRepSync, "rep_sync", Request<RepSyncRequest>(T::kRepSync),
+       Reply<RepSyncReply>()},
+      {T::kSvsFeatureMap, "svs_feature_map",
+       Request<core::SvsId>(T::kSvsFeatureMap), Reply<FeatureMap>()},
+      {T::kCheckpointFetch, "checkpoint_fetch",
+       Request<EmptyPayload>(T::kCheckpointFetch),
+       Reply<CheckpointFetchReply>()},
+      {T::kSubscribe, "subscribe", Request<SubscribeRequest>(T::kSubscribe),
+       Reply<uint64_t>()},
+      {T::kUnsubscribe, "unsubscribe", Request<uint64_t>(T::kUnsubscribe),
+       Reply<EmptyPayload>()},
+      {T::kIngestBatch, "ingest_batch",
+       Request<IngestBatchRequest>(T::kIngestBatch),
+       Reply<IngestBatchReply>()},
+      {T::kAdminTune, "admin_tune", Request<AdminTuneRequest>(T::kAdminTune),
+       Reply<AdminTuneReply>()},
+      {T::kPushEvent, "push", Request<PushEvent>(T::kPushEvent), nullptr},
+  };
+}
+
+// Every fixture payload with the codec that must round-trip it.
+std::vector<std::pair<std::string, RoundTrip>> CodecCases() {
+  std::vector<std::pair<std::string, RoundTrip>> cases;
+  for (const MessageCodec& codec : MessageTable()) {
+    if (codec.reply == nullptr) {
+      for (const char* kind : {"match", "index_update", "gap"}) {
+        cases.emplace_back(codec.name + "." + kind, codec.request);
+      }
+      continue;
+    }
+    cases.emplace_back(codec.name + ".request", codec.request);
+    cases.emplace_back(codec.name + ".reply", codec.reply);
+  }
+  cases.emplace_back("shed.reply", Reply<EmptyPayload>());
+  return cases;
+}
+
+bool HasFixture(const std::string& name) {
+  for (const testing::GoldenBytes& golden : testing::kGoldenBytes) {
+    if (name == golden.name) return true;
+  }
+  return false;
+}
+
+TEST(MessageTableTest, CoversEveryKnownMessageType) {
+  std::set<uint32_t> covered;
+  for (const MessageCodec& codec : MessageTable()) {
+    EXPECT_TRUE(covered.insert(static_cast<uint32_t>(codec.type)).second)
+        << codec.name << " listed twice";
+  }
+  for (uint32_t type = 0; type < 256; ++type) {
+    EXPECT_EQ(IsKnownMessageType(type), covered.count(type) == 1) << type;
+  }
+  for (const auto& [name, codec] : CodecCases()) {
+    EXPECT_TRUE(HasFixture(name)) << name;
+  }
+}
+
+TEST(MessageTableTest, EveryFixtureRoundTripsAndFailsWhenTornOrExtended) {
+  for (const auto& [name, codec] : CodecCases()) {
+    SCOPED_TRACE(name);
+    const std::string bytes = testing::BytesOfHex(testing::GoldenHex(name));
+    auto again = codec(bytes);
+    ASSERT_TRUE(again.ok()) << again.status().ToString();
+    EXPECT_EQ(testing::HexOf(*again), testing::HexOf(bytes));
+    for (size_t keep = 0; keep < bytes.size(); ++keep) {
+      EXPECT_FALSE(codec(bytes.substr(0, keep)).ok()) << "prefix " << keep;
+    }
+    auto extended = codec(bytes + '\0');
+    ASSERT_FALSE(extended.ok());
+    EXPECT_TRUE(IsFuzzStatus(extended.status()))
+        << extended.status().ToString();
+  }
+}
+
+// Random payloads and bit-flipped fixtures against every codec: each call
+// returns a status; none crashes, hangs or allocates from a hostile count.
+TEST(MessageTableTest, RandomAndFlippedPayloadsNeverCrash) {
+  Rng rng(2026);
+  for (const auto& [name, codec] : CodecCases()) {
+    const std::string bytes = testing::BytesOfHex(testing::GoldenHex(name));
+    for (int round = 0; round < 100; ++round) {
+      std::string payload(rng.UniformUint64(128), '\0');
+      for (char& c : payload) c = static_cast<char>(rng.UniformUint64(256));
+      (void)codec(payload);
+      if (bytes.empty()) continue;
+      std::string flipped = bytes;
+      ASSERT_TRUE(
+          FaultInjector::FlipBits(&flipped, 1 + round % 4, rng.NextUint64())
+              .ok());
+      (void)codec(flipped);
+    }
+  }
+}
+
+// The element-count checks use minimum sizes derived from the Visits; each
+// is pinned to the byte count of the element's smallest encoding.
+TEST(MessageTableTest, DerivedMinimumSizesMatchTheWireLayout) {
+  EXPECT_EQ(io::MinEncodedSize<core::SvsId>(), 8u);
+  EXPECT_EQ(io::MinEncodedSize<std::string>(), 8u);
+  EXPECT_EQ(io::MinEncodedSize<io::DecodedFeatureRow>(), 16u);
+  EXPECT_EQ((io::MinEncodedSize<std::pair<core::CameraId, double>>()), 16u);
+  EXPECT_EQ(io::MinEncodedSize<core::DetectedObject>(), 40u);
+  EXPECT_EQ(io::MinEncodedSize<core::WeightedCenter>(), 40u);
+  EXPECT_EQ(io::MinEncodedSize<ConnectionInfo>(), 48u);
+  EXPECT_EQ(io::MinEncodedSize<ShardHealthInfo>(), 48u);
+  EXPECT_EQ(io::MinEncodedSize<CameraHealthEntry>(), 9u);
+  EXPECT_EQ(io::MinEncodedSize<io::WalRecord>(), 44u);
+  EXPECT_EQ(io::MinEncodedSize<core::InterCameraIndex::RepEntry>(), 32u);
 }
 
 // --- The length-prefixed-bytes primitives the frame codec is built on. ---

@@ -11,6 +11,7 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdio>
+#include <filesystem>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -484,8 +485,8 @@ TEST(NetTest, GracefulShutdownDrainsInFlightRequest) {
 
 io::BinaryWriter DirectQueryRequest(const FeatureVector& feature) {
   io::BinaryWriter request;
-  EncodeFeatureVector(&request, feature);
-  EncodeQueryConstraints(&request, {});
+  io::Encode(&request, feature);
+  io::Encode(&request, core::QueryConstraints{});
   return request;
 }
 
@@ -514,7 +515,7 @@ TEST(NetTest, StartedCallsAwaitedInReverseOrderMatchBlockingAnswers) {
     auto reply = client.Await(calls[i]);
     ASSERT_TRUE(reply.ok()) << reply.status().ToString();
     io::BinaryReader reader(std::move(*reply));
-    auto awaited = DecodeDirectQueryResult(&reader);
+    auto awaited = io::Decode<core::DirectQueryResult>(&reader);
     ASSERT_TRUE(awaited.ok()) << awaited.status().ToString();
     auto blocking = client.DirectQuery(queries[i]);
     ASSERT_TRUE(blocking.ok()) << blocking.status().ToString();
@@ -691,7 +692,7 @@ StatusOr<WireFrame> RawTokenedCall(int fd, MsgType type, uint64_t session,
                                    uint64_t sequence,
                                    const std::string& body = "") {
   io::BinaryWriter payload;
-  EncodeIdempotencyToken(&payload, {session, sequence});
+  io::Encode(&payload, IdempotencyToken{session, sequence});
   VZ_RETURN_IF_ERROR(WriteFrame(fd, static_cast<uint32_t>(type), sequence,
                                 payload.buffer() + body));
   return ReadFrame(fd);
@@ -813,6 +814,90 @@ TEST(NetTest, MutatingRpcWithoutTokenRejectedButConnectionSurvives) {
   auto good = RawTokenedCall(fd->get(), MsgType::kFlush, 5, 1);
   ASSERT_TRUE(good.ok());
   EXPECT_TRUE(RawStatusOf(*good).ok());
+  server.Shutdown();
+}
+
+uint64_t FramesOffered(uint16_t port) {
+  auto client = Client::Connect("127.0.0.1", port);
+  EXPECT_TRUE(client.ok()) << client.status().ToString();
+  if (!client.ok()) return ~0ull;
+  auto stats = client->MonitorStats();
+  EXPECT_TRUE(stats.ok()) << stats.status().ToString();
+  return stats.ok() ? stats->ingest.frames_offered : ~0ull;
+}
+
+// A refused kIngestBatch changes nothing. The batch's second frame is torn,
+// so the RPC is answered kInvalidArgument; its first, valid frame must not
+// have been ingested either, because a refused RPC is never logged and a
+// recovery (or a standby) would otherwise diverge from the live server.
+TEST(NetTest, RefusedIngestBatchAppliesNoFrame) {
+  const std::string wal_dir = TempPath("net_refused_batch");
+  std::filesystem::remove_all(wal_dir);
+  ServerOptions options;
+  options.wal_dir = wal_dir;
+  uint64_t live_offered = 0;
+  {
+    Rig rig;
+    Server server(rig.system.get(), options);
+    ASSERT_TRUE(server.Start().ok());
+    auto fd = TcpConnect("127.0.0.1", server.port(), 2'000);
+    ASSERT_TRUE(fd.ok());
+    RawHello(fd->get());
+    const auto& observation = rig.deployment->observations().front();
+    io::BinaryWriter camera;
+    io::Encode(&camera, observation.camera);
+    auto started = RawTokenedCall(fd->get(), MsgType::kCameraStart, 7, 1,
+                                  camera.buffer());
+    ASSERT_TRUE(started.ok());
+    ASSERT_TRUE(RawStatusOf(*started).ok());
+    const uint64_t offered_before = FramesOffered(server.port());
+
+    io::BinaryWriter frame;
+    EncodeFrameObservation(&frame, observation);
+    io::BinaryWriter batch;
+    io::Encode(&batch, uint32_t{2});
+    batch.WriteBytes(frame.buffer());
+    batch.WriteBytes(frame.buffer().substr(0, frame.buffer().size() / 2));
+    auto refused = RawTokenedCall(fd->get(), MsgType::kIngestBatch, 7, 2,
+                                  batch.buffer());
+    ASSERT_TRUE(refused.ok());
+    EXPECT_EQ(RawStatusOf(*refused).code(), StatusCode::kInvalidArgument);
+    live_offered = FramesOffered(server.port());
+    EXPECT_EQ(live_offered, offered_before);
+    server.Shutdown();
+  }
+  Rig rig;
+  Server restarted(rig.system.get(), options);
+  ASSERT_TRUE(restarted.Start().ok());
+  EXPECT_EQ(FramesOffered(restarted.port()), live_offered);
+  restarted.Shutdown();
+  std::filesystem::remove_all(wal_dir);
+}
+
+// A request with bytes left over after its body is malformed: a direct
+// query followed by 8 extra bytes is refused, and the connection keeps
+// serving the same query without them.
+TEST(NetTest, TrailingBytesAfterARequestBodyAreRefused) {
+  Rig rig;
+  Server server(rig.system.get(), {});
+  ASSERT_TRUE(server.Start().ok());
+  auto fd = TcpConnect("127.0.0.1", server.port(), 2'000);
+  ASSERT_TRUE(fd.ok());
+  RawHello(fd->get());
+  Rng rng(5);
+  io::BinaryWriter request;
+  io::Encode(&request, rig.deployment->MakeQueryFeature(0, &rng));
+  io::Encode(&request, core::QueryConstraints{});
+  const std::string body = request.buffer();
+  const uint32_t type = static_cast<uint32_t>(MsgType::kDirectQuery);
+  ASSERT_TRUE(WriteFrame(fd->get(), type, 1, body + std::string(8, '\0')).ok());
+  auto extended = ReadFrame(fd->get());
+  ASSERT_TRUE(extended.ok());
+  EXPECT_EQ(RawStatusOf(*extended).code(), StatusCode::kInvalidArgument);
+  ASSERT_TRUE(WriteFrame(fd->get(), type, 2, body).ok());
+  auto exact = ReadFrame(fd->get());
+  ASSERT_TRUE(exact.ok());
+  EXPECT_TRUE(RawStatusOf(*exact).ok());
   server.Shutdown();
 }
 

@@ -6,6 +6,7 @@
 #include <fstream>
 #include <string>
 
+#include "format_golden.h"
 #include "io/binary_format.h"
 #include "sim/fault_injector.h"
 #include "test_util.h"
@@ -190,23 +191,6 @@ void ExpectStoresEqual(const core::SvsStore& a, const core::SvsStore& b,
   }
 }
 
-TEST(SvsSnapshotTest, LoadsLegacyVersion1Snapshots) {
-  const std::string path = TempPath("legacy.vzss");
-  core::SvsStore original;
-  FillStore(&original);
-  ASSERT_TRUE(SaveSvsStoreV1(original, path).ok());
-
-  core::SvsStore loaded;
-  SnapshotLoadReport report;
-  ASSERT_TRUE(LoadSvsStore(path, &loaded, SnapshotLoadOptions(), &report).ok());
-  EXPECT_EQ(report.version, kSnapshotVersionV1);
-  EXPECT_EQ(report.records_loaded, original.size());
-  EXPECT_FALSE(report.salvaged);
-  ASSERT_EQ(loaded.size(), original.size());
-  ExpectStoresEqual(original, loaded, original.size());
-  std::remove(path.c_str());
-}
-
 TEST(SvsSnapshotTest, DetectsSingleBitFlipAnywhere) {
   const std::string path = TempPath("flip.vzss");
   core::SvsStore original;
@@ -297,6 +281,54 @@ TEST(SvsSnapshotTest, EmptyStoreRoundTrips) {
   core::SvsStore loaded;
   ASSERT_TRUE(LoadSvsStore(path, &loaded).ok());
   EXPECT_EQ(loaded.size(), 0u);
+  std::remove(path.c_str());
+}
+
+// The v2 file layout, pinned byte for byte: two SVSs with hand-picked
+// fields, saved, compared with the golden fixture, then the fixture itself
+// loaded and saved again.
+TEST(SvsSnapshotTest, GoldenVersion2FileIsPinned) {
+  core::SvsStore store;
+  FeatureMap first;
+  const float a[] = {0.5f, 1.5f};
+  const float b[] = {-1.0f, 2.0f};
+  ASSERT_TRUE(first.Add(a, 2, 0.75).ok());
+  ASSERT_TRUE(first.Add(b, 2, 0.25).ok());
+  const core::SvsId id = store.Create("cam-a", 1'000, 9'000, first);
+  auto svs = store.GetMutable(id);
+  ASSERT_TRUE(svs.ok());
+  core::WeightedCenter center;
+  center.center = FeatureVector({0.5f, 1.5f});
+  center.weight = 1.0;
+  center.boundary = 1.25;
+  center.mean_member_distance = 0.5;
+  center.last_hit_ms = 4'000;
+  (*svs)->set_representative(core::Representative({center}));
+  (*svs)->set_frame_ids({7, 8, 9});
+  (*svs)->set_encoded_bytes(65'536);
+  (*svs)->RestoreAccessStats(5, 8'500);
+  FeatureMap second;
+  ASSERT_TRUE(second.Add(b, 2, 1.0).ok());
+  store.Create("cam-b", 2'000, 3'000, second);
+
+  const std::string path = TempPath("golden.vzss");
+  ASSERT_TRUE(SaveSvsStore(store, path).ok());
+  auto saved = BinaryReader::FromFile(path);
+  ASSERT_TRUE(saved.ok());
+  const std::string golden = ::vz::testing::GoldenHex("snapshot.v2");
+  EXPECT_EQ(::vz::testing::HexOf(saved->data()), golden)
+      << "golden snapshot.v2 " << ::vz::testing::HexOf(saved->data());
+
+  BinaryWriter fixture;
+  fixture.WriteBytes(::vz::testing::BytesOfHex(golden));
+  ASSERT_TRUE(fixture.Flush(path).ok());
+  core::SvsStore loaded;
+  ASSERT_TRUE(LoadSvsStore(path, &loaded).ok());
+  ASSERT_EQ(loaded.size(), 2u);
+  ASSERT_TRUE(SaveSvsStore(loaded, path).ok());
+  auto resaved = BinaryReader::FromFile(path);
+  ASSERT_TRUE(resaved.ok());
+  EXPECT_EQ(::vz::testing::HexOf(resaved->data()), golden);
   std::remove(path.c_str());
 }
 

@@ -20,6 +20,7 @@
 
 #include "common/rng.h"
 #include "core/svs.h"
+#include "format_golden.h"
 #include "io/svs_snapshot.h"
 #include "sim/fault_env.h"
 #include "sim/fault_injector.h"
@@ -304,6 +305,99 @@ TEST(WalTest, CheckpointMetaRoundTripAndCorruptionDetection) {
   ASSERT_TRUE(removed.ok());
   EXPECT_TRUE(removed->empty());
   ::rmdir(dir.c_str());
+}
+
+// The v3 manifest layout, pinned byte for byte; the fixture itself loads
+// and saves back to the same bytes.
+TEST(WalTest, GoldenManifestVersion3IsPinned) {
+  const std::string dir = TempDir("wal_golden_meta");
+  ::mkdir(dir.c_str(), 0777);
+  WalCheckpoint checkpoint;
+  checkpoint.lsn = 77;
+  checkpoint.epoch = 2;
+  checkpoint.now_ms = 123'456;
+  checkpoint.ingest = {1, 2, 3, 4, 5, 6, 7, 8, 9};
+  WalCheckpoint::Camera camera;
+  camera.camera = "cam-a";
+  camera.stats = {10, 11, 12, 13, 14, 15, 16};
+  camera.last_frame_id = 41;
+  camera.expected_dim = 32;
+  checkpoint.cameras.push_back(camera);
+  WalCheckpoint::Session session;
+  session.session_id = 4'242;
+  session.evicted_up_to = 3;
+  session.responses.emplace_back(4, std::string("resp-4"));
+  session.responses.emplace_back(5, std::string("resp-5"));
+  checkpoint.sessions.push_back(session);
+  checkpoint.has_tuning = true;
+  checkpoint.tuning.index_mode = 2;
+  checkpoint.tuning.boundary_scale = 1.5;
+  checkpoint.tuning.omd_alpha = 0.25;
+  checkpoint.tuning.keyframe_selection = false;
+  checkpoint.tuning.inter_group_count = 6;
+  checkpoint.tuning.intra_cluster_count = 0;
+
+  const std::string path = WalCheckpointMetaPath(dir, checkpoint.lsn);
+  ASSERT_TRUE(SaveWalCheckpointMeta(checkpoint, path).ok());
+  auto saved = ReadFileBytes(path);
+  ASSERT_TRUE(saved.ok());
+  const std::string golden = ::vz::testing::GoldenHex("manifest.v3");
+  EXPECT_EQ(::vz::testing::HexOf(*saved), golden)
+      << "golden manifest.v3 " << ::vz::testing::HexOf(*saved);
+
+  WriteFileBytes(path, ::vz::testing::BytesOfHex(golden));
+  auto loaded = LoadWalCheckpointMeta(path);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  ASSERT_TRUE(SaveWalCheckpointMeta(*loaded, path).ok());
+  auto resaved = ReadFileBytes(path);
+  ASSERT_TRUE(resaved.ok());
+  EXPECT_EQ(::vz::testing::HexOf(*resaved), golden);
+  std::remove(path.c_str());
+  ::rmdir(dir.c_str());
+}
+
+// The v2 segment layout, pinned byte for byte: the header plus one record;
+// the fixture itself opens as a log holding exactly that record.
+TEST(WalTest, GoldenSegmentHeaderAndRecordArePinned) {
+  const std::string dir = TempDir("wal_golden_segment");
+  RemoveDirRecursive(dir);
+  WalRecord record;
+  record.session_id = 9;
+  record.sequence = 2;
+  record.op = 4;
+  record.epoch = 1;
+  record.payload = "frame-bytes";
+  {
+    WalOptions options;
+    options.dir = dir;
+    auto wal = Wal::Open(options);
+    ASSERT_TRUE(wal.ok()) << wal.status().ToString();
+    auto lsn = (*wal)->Append(record);
+    ASSERT_TRUE(lsn.ok());
+    EXPECT_EQ(*lsn, 1u);
+  }
+  const std::string path = dir + "/" + SegmentName(1);
+  auto saved = ReadFileBytes(path);
+  ASSERT_TRUE(saved.ok());
+  const std::string golden = ::vz::testing::GoldenHex("wal.segment");
+  EXPECT_EQ(::vz::testing::HexOf(*saved), golden)
+      << "golden wal.segment " << ::vz::testing::HexOf(*saved);
+  RemoveDirRecursive(dir);
+
+  ::mkdir(dir.c_str(), 0777);
+  WriteFileBytes(path, ::vz::testing::BytesOfHex(golden));
+  {
+    WalOptions options;
+    options.dir = dir;
+    auto wal = Wal::Open(options);
+    ASSERT_TRUE(wal.ok()) << wal.status().ToString();
+    auto records = (*wal)->ReadFrom(0, 10);
+    ASSERT_TRUE(records.ok());
+    ASSERT_EQ(records->size(), 1u);
+    ExpectRecordsEqual((*records)[0], record, 1);
+    EXPECT_EQ((*records)[0].epoch, 1u);
+  }
+  RemoveDirRecursive(dir);
 }
 
 // Crash-between-renames drill: compaction publishes a checkpoint as two
