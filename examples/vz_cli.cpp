@@ -4,7 +4,8 @@
 // RPC protocol instead of an in-process instance.
 //
 //   vz_cli [--downtown N] [--highway N] [--stations N] [--harbors N]
-//          [--minutes M] [--query CLASS]... [--mode hierarchical|intra|flat]
+//          [--minutes M] [--query CLASS]...
+//          [--mode hierarchical|intra|flatsvs|flat]
 //          [--save PATH] [--load PATH] [--seed S]
 //          [--deadline-ms D] [--max-inflight N] [--connect HOST:PORT]
 //          [--subscribe CLASS|all] [--sub-threshold T] [--sub-camera NAME]...
@@ -30,6 +31,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <iterator>
 #include <string>
 #include <thread>
 #include <vector>
@@ -50,6 +52,17 @@ int ClassByName(const std::string& name) {
   return -1;
 }
 
+// Index mode names, in `core::IndexMode` (and kAdminTune wire) order.
+constexpr const char* kModeNames[] = {"hierarchical", "intra", "flatsvs",
+                                      "flat"};
+
+int ModeByName(const std::string& name) {
+  for (int m = 0; m < static_cast<int>(std::size(kModeNames)); ++m) {
+    if (name == kModeNames[m]) return m;
+  }
+  return -1;
+}
+
 struct CliOptions {
   size_t downtown = 2;
   size_t highway = 2;
@@ -57,7 +70,7 @@ struct CliOptions {
   size_t harbors = 1;
   int64_t minutes = 5;
   std::vector<int> queries;
-  std::string mode = "hierarchical";
+  int mode = 0;  // index into kModeNames
   std::string save_path;
   std::string load_path;
   uint64_t seed = 7;
@@ -107,7 +120,11 @@ bool ParseArgs(int argc, char** argv, CliOptions* options) {
       }
       options->queries.push_back(cls);
     } else if (arg == "--mode" && (value = next_value(&i))) {
-      options->mode = value;
+      options->mode = ModeByName(value);
+      if (options->mode < 0) {
+        std::fprintf(stderr, "unknown index mode: %s\n", value);
+        return false;
+      }
     } else if (arg == "--deadline-ms" && (value = next_value(&i))) {
       options->deadline_ms = std::atoll(value);
     } else if (arg == "--max-inflight" && (value = next_value(&i))) {
@@ -137,19 +154,12 @@ bool ParseArgs(int argc, char** argv, CliOptions* options) {
       options->tune.omd_alpha = std::atof(value);
       options->has_tune = true;
     } else if (arg == "--tune-index-mode" && (value = next_value(&i))) {
-      const std::string mode = value;
-      if (mode == "hierarchical") {
-        options->tune.index_mode = 0;
-      } else if (mode == "intra") {
-        options->tune.index_mode = 1;
-      } else if (mode == "flatsvs") {
-        options->tune.index_mode = 2;
-      } else if (mode == "flat") {
-        options->tune.index_mode = 3;
-      } else {
+      const int mode = ModeByName(value);
+      if (mode < 0) {
         std::fprintf(stderr, "unknown index mode: %s\n", value);
         return false;
       }
+      options->tune.index_mode = static_cast<uint32_t>(mode);
       options->has_tune = true;
     } else if (arg == "--tune-keyframe" && (value = next_value(&i))) {
       options->tune.keyframe_selection = std::strcmp(value, "on") == 0;
@@ -193,7 +203,7 @@ int RunConnected(vz::sim::Deployment* deployment, const CliOptions& cli) {
   net::Client client = std::move(*client_or);
   std::printf("connected to %s (protocol v%u)\n", cli.connect.c_str(),
               client.server_protocol_version());
-  if (cli.mode != "hierarchical") {
+  if (cli.mode != 0) {
     std::fprintf(stderr,
                  "--mode is server-side configuration; ignored in connect "
                  "mode\n");
@@ -206,11 +216,11 @@ int RunConnected(vz::sim::Deployment* deployment, const CliOptions& cli) {
                    tuned.status().ToString().c_str());
       return 1;
     }
-    static const char* kModeNames[] = {"hierarchical", "intra", "flatsvs",
-                                       "flat"};
     std::printf("tuned: index_mode=%s boundary_scale=%.3f omd_alpha=%.3f "
                 "keyframe=%s inter_groups=%llu intra_clusters=%llu\n",
-                tuned->index_mode < 4 ? kModeNames[tuned->index_mode] : "?",
+                tuned->index_mode < std::size(kModeNames)
+                    ? kModeNames[tuned->index_mode]
+                    : "?",
                 tuned->boundary_scale, tuned->omd_alpha,
                 tuned->keyframe_selection ? "on" : "off",
                 static_cast<unsigned long long>(tuned->inter_group_count),
@@ -533,13 +543,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  if (cli.mode == "intra") {
-    vz.SetIndexMode(core::IndexMode::kIntraOnly);
-  } else if (cli.mode == "flatsvs") {
-    vz.SetIndexMode(core::IndexMode::kFlatSvs);
-  } else if (cli.mode == "flat") {
-    vz.SetIndexMode(core::IndexMode::kFlat);
-  }
+  vz.SetIndexMode(static_cast<core::IndexMode>(cli.mode));
 
   sim::HeavyModel heavy;
   sim::SimObjectVerifier verifier(&deployment.space(), &deployment.log(),
@@ -561,7 +565,7 @@ int main(int argc, char** argv) {
     std::printf("\nquery %s [%s mode]: %zu candidates -> %zu matches, "
                 "%.0f ms GPU%s\n",
                 std::string(sim::ObjectClassName(object_class)).c_str(),
-                cli.mode.c_str(), result->candidate_svss.size(),
+                kModeNames[cli.mode], result->candidate_svss.size(),
                 result->matched_svss.size(), result->total_gpu_ms,
                 result->timed_out ? " [timed out: partial result]" : "");
     if (result->timed_out) {

@@ -46,7 +46,7 @@ Coordinator::Coordinator(const CoordinatorOptions& options)
       inter_(&omd_, options.inter, Rng(options.seed ^ 0x1357)),
       edge_entries_(options.edges.size()),
       idle_clients_(options.edges.size()),
-      watch_clients_(options.edges.size()) {
+      push_clients_(options.edges.size()) {
   RegisterHandlers();
 }
 
@@ -73,7 +73,6 @@ Status Coordinator::Start() {
   config.write_timeout_ms = options_.write_timeout_ms;
   VZ_RETURN_IF_ERROR(endpoint_.Start(config, pool_.get()));
   stopping_.store(false);
-  forward_thread_ = std::thread([this] { ForwardLoop(); });
   // Prime the registry and the representative index before the first query
   // can arrive; edges that are down simply start their ladder early.
   (void)SyncPass(/*respect_backoff=*/false);
@@ -92,25 +91,14 @@ void Coordinator::Shutdown() {
   }
   sync_cv_.notify_all();
   if (sync_thread_.joinable()) sync_thread_.join();
+  // Every client connection closes here, and its close hook unsubscribes
+  // the edge legs of its subscriptions.
   endpoint_.Shutdown();
-  push_cv_.notify_all();
-  if (forward_thread_.joinable()) forward_thread_.join();
-  // Closing connections tore their own subscriptions down; anything left is
-  // reclaimed here.
-  std::vector<std::shared_ptr<ClientSub>> leftovers;
   {
+    // Closing a push connection joins its reader thread and voids the
+    // edge's rep-push subscription.
     std::lock_guard<std::mutex> lock(push_mu_);
-    for (auto& [id, sub] : subs_by_id_) leftovers.push_back(sub);
-    subs_by_id_.clear();
-    subs_by_conn_.clear();
-  }
-  for (const auto& sub : leftovers) TeardownSub(sub);
-  {
-    // Dropping a watcher joins its reader thread and voids its edge-side
-    // stats subscription.
-    std::lock_guard<std::mutex> lock(pass_mu_);
-    watch_clients_ =
-        std::vector<std::unique_ptr<Client>>(options_.edges.size());
+    push_clients_.assign(options_.edges.size(), nullptr);
   }
   {
     std::lock_guard<std::mutex> lock(pool_mu_);
@@ -141,13 +129,10 @@ CoordinatorStats Coordinator::stats() const {
     std::shared_lock<std::shared_mutex> lock(index_mu_);
     stats.rep_entries = inter_.size();
   }
-  {
-    std::lock_guard<std::mutex> lock(push_mu_);
-    stats.subscriptions_active = subs_by_id_.size();
-  }
+  stats.subscriptions_active = engine_.stats().subscriptions_active;
   stats.subscriptions_total = subscriptions_total_.load();
-  stats.pushes_forwarded = pushes_forwarded_.load();
-  stats.push_gaps_forwarded = push_gaps_forwarded_.load();
+  stats.pushes_forwarded = front.pushes_sent;
+  stats.push_gaps_forwarded = front.push_gaps_sent;
   stats.rep_push_wakeups = rep_push_wakeups_.load();
   return stats;
 }
@@ -198,8 +183,10 @@ void Coordinator::RegisterHandlers() {
                           const RpcEndpoint::Call& call, Status* failure) {
                      return HandleUnsubscribe(call.conn_id, reader, failure);
                    });
-  endpoint_.OnClose(
-      [this](uint64_t conn_id) { DropSubscriptionsOf(conn_id); });
+  endpoint_.OnClose([this](uint64_t conn_id) {
+    UnsubscribeLegs(engine_.DropConnection(conn_id));
+  });
+  endpoint_.ServePushes(&engine_);
 }
 
 std::string Coordinator::ExecuteRequest(MsgType type,
@@ -240,66 +227,49 @@ std::string Coordinator::HandleSubscribe(const RpcEndpoint::Call& call,
                                          Status* failure) {
   auto spec = DecodeRequest<SubscribeRequest>(reader, failure);
   if (!spec) return StatusOnlyResponse(*failure);
-
-  auto sub = std::make_shared<ClientSub>();
-  {
-    // The id is assigned BEFORE any edge subscription goes live, so the
-    // first push (which can race this handler) already remaps to it.
-    std::lock_guard<std::mutex> lock(push_mu_);
-    sub->id = next_sub_id_++;
-  }
-  sub->conn_id = call.conn_id;
-  sub->correlation = call.correlation;
-  sub->edge_clients.resize(registry_.size());
-
-  // One dedicated connection per eligible edge: pushes arrive on the
-  // connection that subscribed, so pooled (shared) clients cannot carry
-  // them. Zero reconnect budget — a silently reconnected client would have
-  // silently lost its subscription.
-  size_t subscribed = 0;
+  // Registered BEFORE any leg goes live, so the first edge push (which can
+  // race this handler) already has a subscription to land in.
+  const uint64_t id = engine_.Subscribe(call.conn_id, call.correlation, *spec);
+  std::vector<EdgeLeg> legs;
   for (size_t i = 0; i < registry_.size(); ++i) {
     if (!registry_.Eligible(i)) continue;
-    const EdgeEndpoint endpoint = registry_.endpoint(i);
-    ClientOptions client_options;
-    client_options.connect_timeout_ms = options_.edge_connect_timeout_ms;
-    client_options.io_timeout_ms = options_.edge_io_timeout_ms;
-    client_options.max_shed_retries = 1;
-    client_options.max_reconnects = 0;
-    auto connected =
-        Client::Connect(endpoint.host, endpoint.port, client_options);
-    if (!connected.ok()) {
+    std::shared_ptr<Client> client = PushConnection(i);
+    if (client == nullptr) {
       registry_.RecordFailure(i, NowMs());
       continue;
     }
-    auto client = std::make_unique<Client>(std::move(*connected));
-    std::weak_ptr<ClientSub> weak = sub;
-    auto result = client->Subscribe(
-        *spec, [this, weak, shard = i](const PushEvent& event) {
-          OnEdgePush(weak, shard, event);
+    auto leg = client->Subscribe(
+        *spec, [this, id, shard = i](const PushEvent& event) {
+          // Runs on the push connection's reader thread: a non-blocking
+          // enqueue (a no-op once the subscription is gone).
+          PushEvent global = event;
+          if (global.kind == PushKind::kMatch) {
+            global.svs_id = GlobalSvsId(shard, event.svs_id);
+          }
+          (void)engine_.Forward(id, std::move(global));
         });
-    if (!result.ok()) {
-      if (IsEdgeTransportFailure(result.status().code())) {
+    if (!leg.ok()) {
+      if (IsEdgeTransportFailure(leg.status().code())) {
         registry_.RecordFailure(i, NowMs());
+        DropPushConnection(i, client);
       }
-      continue;  // the client closes on scope exit
+      continue;
     }
     registry_.RecordSuccess(i, NowMs());
-    sub->edge_clients[i] = std::move(client);
-    ++subscribed;
+    legs.push_back({i, *leg, client});
   }
-  if (subscribed == 0) {
-    TeardownSub(sub);
+  if (legs.empty()) {
+    (void)engine_.Unsubscribe(call.conn_id, id);
     *failure = Status::Unavailable(
         "no eligible shard accepted the subscription");
     return StatusOnlyResponse(*failure);
   }
   {
     std::lock_guard<std::mutex> lock(push_mu_);
-    subs_by_id_.emplace(sub->id, sub);
-    subs_by_conn_[call.conn_id].push_back(sub->id);
+    legs_.emplace(id, std::move(legs));
   }
   subscriptions_total_.fetch_add(1);
-  return OkResponse(sub->id);
+  return OkResponse(id);
 }
 
 std::string Coordinator::HandleUnsubscribe(uint64_t conn_id,
@@ -307,27 +277,10 @@ std::string Coordinator::HandleUnsubscribe(uint64_t conn_id,
                                            Status* failure) {
   auto id = DecodeRequest<uint64_t>(reader, failure);
   if (!id) return StatusOnlyResponse(*failure);
-  std::shared_ptr<ClientSub> victim;
-  {
-    std::lock_guard<std::mutex> lock(push_mu_);
-    auto it = subs_by_id_.find(*id);
-    // A connection may only cancel its own subscriptions.
-    if (it == subs_by_id_.end() || it->second->conn_id != conn_id) {
-      *failure = Status::NotFound("unknown subscription id " +
-                                  std::to_string(*id));
-      return StatusOnlyResponse(*failure);
-    }
-    victim = it->second;
-    subs_by_id_.erase(it);
-    auto conn_it = subs_by_conn_.find(conn_id);
-    if (conn_it != subs_by_conn_.end()) {
-      std::erase(conn_it->second, *id);
-      if (conn_it->second.empty()) subs_by_conn_.erase(conn_it);
-    }
-  }
-  // Outside push_mu_: closing the edge clients joins their reader threads.
-  TeardownSub(victim);
-  return StatusOnlyResponse(Status::OK());
+  // A connection may only cancel its own subscriptions.
+  *failure = engine_.Unsubscribe(conn_id, *id);
+  if (failure->ok()) UnsubscribeLegs({*id});
+  return StatusOnlyResponse(*failure);
 }
 
 std::string Coordinator::HandleAdminTune(io::BinaryReader* reader,
@@ -372,122 +325,56 @@ std::string Coordinator::HandleAdminTune(io::BinaryReader* reader,
   return OkResponse(*echo);
 }
 
-void Coordinator::TeardownSub(const std::shared_ptr<ClientSub>& sub) {
-  // Closing a dedicated edge client joins its reader thread and voids the
-  // edge-side subscription (the edge reclaims it on disconnect).
-  for (auto& client : sub->edge_clients) {
-    if (client != nullptr) client->Close();
-  }
-  sub->edge_clients.clear();
-}
-
-void Coordinator::DropSubscriptionsOf(uint64_t conn_id) {
-  std::vector<std::shared_ptr<ClientSub>> victims;
+void Coordinator::UnsubscribeLegs(const std::vector<uint64_t>& ids) {
+  std::vector<EdgeLeg> legs;
   {
     std::lock_guard<std::mutex> lock(push_mu_);
-    auto it = subs_by_conn_.find(conn_id);
-    if (it == subs_by_conn_.end()) return;
-    for (uint64_t id : it->second) {
-      auto sit = subs_by_id_.find(id);
-      if (sit != subs_by_id_.end()) {
-        victims.push_back(sit->second);
-        subs_by_id_.erase(sit);
-      }
+    for (uint64_t id : ids) {
+      auto it = legs_.find(id);
+      if (it == legs_.end()) continue;
+      legs.insert(legs.end(), it->second.begin(), it->second.end());
+      legs_.erase(it);
     }
-    subs_by_conn_.erase(it);
   }
-  for (const auto& sub : victims) TeardownSub(sub);
+  for (const EdgeLeg& leg : legs) {
+    std::shared_ptr<Client> client = leg.connection.lock();
+    if (client == nullptr) continue;
+    const Status status = client->Unsubscribe(leg.id);
+    if (IsEdgeTransportFailure(status.code())) {
+      DropPushConnection(leg.edge, client);
+    }
+  }
 }
 
-void Coordinator::OnEdgePush(const std::weak_ptr<ClientSub>& weak,
-                             size_t shard, const PushEvent& event) {
-  // Runs on the edge client's reader thread; must stay non-blocking.
-  std::shared_ptr<ClientSub> sub = weak.lock();
-  if (sub == nullptr) return;
-  ClientSub::Buffered buffered;
-  buffered.shard = shard;
-  buffered.edge_sequence = event.sequence;
-  buffered.event = event;
-  buffered.event.subscription_id = sub->id;
-  if (event.kind == PushKind::kMatch) {
-    buffered.event.svs_id = GlobalSvsId(shard, event.svs_id);
-  }
+std::shared_ptr<Client> Coordinator::PushConnection(size_t edge) {
   {
-    std::lock_guard<std::mutex> lock(sub->mu);
-    if (sub->buffer.size() >= options_.subscription_queue_capacity) {
-      // Drop-oldest with gap accounting, exactly like the edge engine; a
-      // dropped gap marker folds its own count in.
-      const PushEvent& oldest = sub->buffer.front().event;
-      sub->dropped_pending +=
-          oldest.kind == PushKind::kGap ? oldest.dropped : 1;
-      sub->buffer.pop_front();
-    }
-    sub->buffer.push_back(std::move(buffered));
+    std::lock_guard<std::mutex> lock(push_mu_);
+    if (push_clients_[edge] != nullptr) return push_clients_[edge];
   }
-  push_cv_.notify_all();
-}
-
-void Coordinator::DeliverPending(const std::shared_ptr<ClientSub>& sub) {
-  {
-    std::lock_guard<std::mutex> lock(sub->mu);
-    if (sub->buffer.empty() && sub->dropped_pending == 0) return;
-  }
-  uint64_t gaps = 0;
-  const size_t sent = endpoint_.Push(sub->conn_id, [&] {
-    std::vector<SubscriptionEngine::Delivery> out;
-    std::lock_guard<std::mutex> lock(sub->mu);
-    size_t budget = options_.subscription_max_drain;
-    if (sub->dropped_pending > 0 && budget > 0) {
-      PushEvent gap;
-      gap.subscription_id = sub->id;
-      gap.kind = PushKind::kGap;
-      gap.dropped = sub->dropped_pending;
-      sub->dropped_pending = 0;
-      out.push_back({sub->correlation, std::move(gap)});
-      --budget;
-    }
-    // Merge order is (shard index, edge sequence) — a pure function of the
-    // per-edge streams, never of callback arrival interleaving.
-    std::stable_sort(sub->buffer.begin(), sub->buffer.end(),
-                     [](const ClientSub::Buffered& a,
-                        const ClientSub::Buffered& b) {
-                       return a.shard != b.shard
-                                  ? a.shard < b.shard
-                                  : a.edge_sequence < b.edge_sequence;
-                     });
-    while (!sub->buffer.empty() && budget > 0) {
-      out.push_back(
-          {sub->correlation, std::move(sub->buffer.front().event)});
-      sub->buffer.pop_front();
-      --budget;
-    }
-    // Coordinator-level sequences are dense as delivered, so a subscriber
-    // can prove it saw every frame the coordinator sent.
-    for (SubscriptionEngine::Delivery& delivery : out) {
-      delivery.event.sequence = sub->next_sequence++;
-      if (delivery.event.kind == PushKind::kGap) ++gaps;
-    }
-    return out;
+  auto dialed = DialClient(edge, /*max_reconnects=*/0);
+  if (!dialed.ok()) return nullptr;
+  std::shared_ptr<Client> client = std::move(*dialed);
+  // Rep-push: the edge's index advances wake the sync thread instead of
+  // waiting out the interval.
+  SubscribeRequest rep_push;
+  rep_push.want_matches = false;
+  rep_push.want_stats = true;
+  auto subscribed = client->Subscribe(rep_push, [this](const PushEvent&) {
+    rep_dirty_.store(true);
+    sync_cv_.notify_all();
   });
-  if (sent == 0) return;
-  pushes_forwarded_.fetch_add(sent);
-  push_gaps_forwarded_.fetch_add(gaps);
+  if (!subscribed.ok()) return nullptr;
+  std::lock_guard<std::mutex> lock(push_mu_);
+  // A racing caller that dialed first wins; this connection closes once
+  // `client` goes out of scope, after the lock.
+  if (push_clients_[edge] == nullptr) push_clients_[edge] = client;
+  return push_clients_[edge];
 }
 
-void Coordinator::ForwardLoop() {
-  const int64_t poll_ms = options_.push_poll_ms > 0 ? options_.push_poll_ms
-                                                    : 50;
-  std::unique_lock<std::mutex> lock(push_mu_);
-  while (!stopping_.load()) {
-    push_cv_.wait_for(lock, std::chrono::milliseconds(poll_ms));
-    if (stopping_.load()) return;
-    std::vector<std::shared_ptr<ClientSub>> subs;
-    subs.reserve(subs_by_id_.size());
-    for (const auto& [id, sub] : subs_by_id_) subs.push_back(sub);
-    lock.unlock();
-    for (const auto& sub : subs) DeliverPending(sub);
-    lock.lock();
-  }
+void Coordinator::DropPushConnection(size_t edge,
+                                     const std::shared_ptr<Client>& client) {
+  std::lock_guard<std::mutex> lock(push_mu_);
+  if (push_clients_[edge] == client) push_clients_[edge].reset();
 }
 
 // --- Edge connection pool. ---
@@ -500,13 +387,14 @@ std::unique_ptr<Client> Coordinator::TakeIdleClient(size_t edge) {
   return client;
 }
 
-StatusOr<std::unique_ptr<Client>> Coordinator::DialClient(size_t edge) {
+StatusOr<std::unique_ptr<Client>> Coordinator::DialClient(
+    size_t edge, size_t max_reconnects) {
   const EdgeEndpoint endpoint = registry_.endpoint(edge);
   ClientOptions client_options;
   client_options.connect_timeout_ms = options_.edge_connect_timeout_ms;
   client_options.io_timeout_ms = options_.edge_io_timeout_ms;
   client_options.max_shed_retries = 1;
-  client_options.max_reconnects = 1;
+  client_options.max_reconnects = max_reconnects;
   auto connected = Client::Connect(endpoint.host, endpoint.port,
                                    client_options);
   VZ_RETURN_IF_ERROR(connected.status());
@@ -1018,8 +906,8 @@ size_t Coordinator::PollEdgesNow() { return SyncPass(false); }
 void Coordinator::SyncLoop() {
   std::unique_lock<std::mutex> lock(sync_mu_);
   while (!stopping_.load()) {
-    // Wake early when a rep-push watcher reports an edge's index moved;
-    // the interval remains as the fallback for edges without a watcher.
+    // Wake early when a rep-push reports an edge's index moved; the
+    // interval remains as the fallback for edges without a push connection.
     sync_cv_.wait_for(lock,
                       std::chrono::milliseconds(options_.sync_interval_ms),
                       [this] { return stopping_.load() || rep_dirty_.load(); });
@@ -1078,36 +966,14 @@ size_t Coordinator::SyncPass(bool respect_backoff) {
       registry_.RecordCameras(i, std::move(cameras));
     }
     CheckinClient(i, std::move(client));
-    // Rep-push: keep a dedicated stats subscription on this edge so the
-    // next index advance wakes the sync thread instead of waiting out the
-    // interval. A dead watcher is detected by its failed ping (its
-    // reconnect budget is zero, so the failure is honest — a silently
-    // reconnected watcher would have silently lost its subscription) and
-    // re-established here.
-    if (watch_clients_[i] != nullptr && !watch_clients_[i]->Ping().ok()) {
-      watch_clients_[i].reset();
-    }
-    if (watch_clients_[i] == nullptr) {
-      const EdgeEndpoint endpoint = registry_.endpoint(i);
-      ClientOptions watch_options;
-      watch_options.connect_timeout_ms = options_.edge_connect_timeout_ms;
-      watch_options.io_timeout_ms = options_.edge_io_timeout_ms;
-      watch_options.max_shed_retries = 0;
-      watch_options.max_reconnects = 0;
-      auto watch_conn =
-          Client::Connect(endpoint.host, endpoint.port, watch_options);
-      if (watch_conn.ok()) {
-        auto watcher = std::make_unique<Client>(std::move(*watch_conn));
-        SubscribeRequest watch_spec;
-        watch_spec.want_matches = false;
-        watch_spec.want_stats = true;
-        auto subscribed =
-            watcher->Subscribe(watch_spec, [this](const PushEvent&) {
-              rep_dirty_.store(true);
-              sync_cv_.notify_all();
-            });
-        if (subscribed.ok()) watch_clients_[i] = std::move(watcher);
-      }
+    // The push connection carries the rep-push subscription and every
+    // client leg on this edge. A dead one is detected by its failed ping
+    // (its reconnect budget is zero, so the failure is honest) and
+    // re-dialed; the legs it carried died with it.
+    std::shared_ptr<Client> push = PushConnection(i);
+    if (push != nullptr && !push->Ping().ok()) {
+      DropPushConnection(i, push);
+      (void)PushConnection(i);
     }
   }
   if (changed) {

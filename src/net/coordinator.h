@@ -4,7 +4,6 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <mutex>
 #include <shared_mutex>
@@ -20,6 +19,7 @@
 #include "core/query.h"
 #include "net/edge_registry.h"
 #include "net/rpc_endpoint.h"
+#include "net/subscription.h"
 #include "net/wire.h"
 
 namespace vz::net {
@@ -83,16 +83,6 @@ struct CoordinatorOptions {
   /// Boundary scale of the coordinator-side hit tests; must match the
   /// edges' `VideoZillaOptions::boundary_scale`.
   double boundary_scale = 1.0;
-
-  // --- Standing-query fan-out (v5). ---
-
-  /// Bounded per-client-subscription forward buffer; drop-oldest with gap
-  /// accounting once full (mirrors the edge engine's contract).
-  size_t subscription_queue_capacity = 256;
-  /// Cap on pushes forwarded per subscription per delivery round.
-  size_t subscription_max_drain = 64;
-  /// Fallback poll of the forward-delivery thread.
-  int64_t push_poll_ms = 50;
 
   // --- Representative sync / probing. ---
 
@@ -171,16 +161,24 @@ struct CoordinatorStats {
 /// ingest goes to the edges, the coordinator is a read-only query plane.
 /// Two exceptions: `kAdminTune` fans out to every eligible shard (tuning is
 /// fleet-wide operator state), and `kSubscribe` registers a standing query
-/// that the coordinator re-subscribes on every eligible edge over dedicated
-/// connections — edge pushes are remapped into the global id space and
-/// forwarded to the client merged in (shard index, edge sequence) order,
-/// with the same bounded-queue / drop-oldest / gap-marker contract the
-/// edges themselves give slow subscribers.
+/// in the coordinator's own `SubscriptionEngine` and subscribes one leg of
+/// it on every eligible edge. Edge pushes are remapped into the global id
+/// space and forwarded into that engine, so the client gets the contract
+/// an edge gives its own subscribers: bounded queue, drop-oldest, gap
+/// markers, dense sequences. Per-edge order is kept; legs of different
+/// edges interleave as their pushes arrive.
+///
+/// Edge connections: the checkout pool that queries, rep-sync and tuning
+/// share, plus one push connection per edge. The push connection carries
+/// the rep-push stats subscription and every client subscription's leg on
+/// that edge, however many standing queries the coordinator serves. A leg
+/// is unsubscribed explicitly when its client subscription ends; legs on a
+/// push connection that dies die with it.
 ///
 /// The client-facing front end is an `RpcEndpoint`, so connection
 /// supervision (deadlines, slow-client eviction, the connection registry
-/// and its Monitor counters) works exactly as on an edge `Server`; idle
-/// eviction stays off.
+/// and its Monitor counters) and push delivery work exactly as on an edge
+/// `Server`; idle eviction stays off.
 class Coordinator {
  public:
   explicit Coordinator(const CoordinatorOptions& options);
@@ -226,26 +224,13 @@ class Coordinator {
     Result result;
   };
 
-  /// One client subscription and its fan-out: dedicated edge clients whose
-  /// push callbacks feed a bounded merge buffer, drained by the
-  /// forward-delivery thread into the client connection.
-  struct ClientSub {
-    uint64_t id = 0;  // coordinator-assigned subscription id
-    uint64_t conn_id = 0;  // the subscribing client connection
-    /// The client's Subscribe correlation — forwarded pushes ride it.
-    uint64_t correlation = 0;
-    std::mutex mu;  // guards the buffer below (leaf lock)
-    struct Buffered {
-      size_t shard = 0;
-      uint64_t edge_sequence = 0;
-      PushEvent event;  // already remapped to the global id space
-    };
-    std::deque<Buffered> buffer;
-    uint64_t dropped_pending = 0;
-    uint64_t next_sequence = 0;
-    /// One dedicated connection per subscribed edge (slot empty when that
-    /// edge was ineligible or refused at subscribe time).
-    std::vector<std::unique_ptr<Client>> edge_clients;
+  /// One edge's part of a client subscription: an edge-side subscription
+  /// on that edge's push connection.
+  struct EdgeLeg {
+    size_t edge = 0;
+    uint64_t id = 0;  // the edge's subscription id
+    /// Expired once the connection was replaced; the leg died with it.
+    std::weak_ptr<Client> connection;
   };
 
   static int64_t NowMs();
@@ -255,28 +240,26 @@ class Coordinator {
   std::string ExecuteRequest(MsgType type, io::BinaryReader* reader,
                              Status* failure);
 
-  /// kSubscribe: fan the standing query out over the eligible edges and
-  /// register the forwarding state. kUnsubscribe / connection teardown undo
-  /// it (closing the dedicated edge clients voids the edge subscriptions).
+  /// kSubscribe: registers the standing query in `engine_`, then a leg on
+  /// every eligible edge whose pushes are remapped into the global id
+  /// space and forwarded into `engine_`. kUnsubscribe and connection
+  /// teardown cancel the legs (`UnsubscribeLegs`).
   std::string HandleSubscribe(const RpcEndpoint::Call& call,
                               io::BinaryReader* reader, Status* failure);
   std::string HandleUnsubscribe(uint64_t conn_id, io::BinaryReader* reader,
                                 Status* failure);
   std::string HandleAdminTune(io::BinaryReader* reader, Status* failure);
-  /// Tears down every subscription owned by `conn_id` (connection closed).
-  void DropSubscriptionsOf(uint64_t conn_id);
-  /// Closes a subscription's edge clients outside any coordinator lock.
-  static void TeardownSub(const std::shared_ptr<ClientSub>& sub);
-  /// Edge push callback (runs on an edge client's reader thread): remaps
-  /// the event into the global id space and enqueues it (drop-oldest).
-  void OnEdgePush(const std::weak_ptr<ClientSub>& weak, size_t shard,
-                  const PushEvent& event);
-  /// Drains one subscription's buffer (gap marker first, then events in
-  /// (shard, edge sequence) order) into its client connection.
-  void DeliverPending(const std::shared_ptr<ClientSub>& sub);
-  /// The forward-delivery thread: drains subscription buffers in (shard
-  /// index, edge sequence) order and writes push frames to clients.
-  void ForwardLoop();
+  /// Unsubscribes the edge legs of the client subscriptions `ids`, each on
+  /// the push connection it rides, holding no coordinator lock across the
+  /// edge RPCs.
+  void UnsubscribeLegs(const std::vector<uint64_t>& ids);
+  /// The push connection to `edge`, dialed with its rep-push stats
+  /// subscription when there is none. Null when dialing or subscribing
+  /// fails.
+  std::shared_ptr<Client> PushConnection(size_t edge);
+  /// Forgets `client` as `edge`'s push connection if it still is (its
+  /// transport failed), so the next `PushConnection` re-dials.
+  void DropPushConnection(size_t edge, const std::shared_ptr<Client>& client);
 
   std::string HandleDirectQuery(io::BinaryReader* reader, Status* failure);
   std::string HandleClusteringQuery(MsgType type, io::BinaryReader* reader,
@@ -313,8 +296,11 @@ class Coordinator {
 
   /// Pops an idle pooled connection to `edge` (null when there is none).
   std::unique_ptr<Client> TakeIdleClient(size_t edge);
-  /// Dials a new connection to `edge`.
-  StatusOr<std::unique_ptr<Client>> DialClient(size_t edge);
+  /// Dials a new connection to `edge`. A push connection gets no reconnect
+  /// budget: a silently reconnected one would have silently lost its
+  /// subscriptions.
+  StatusOr<std::unique_ptr<Client>> DialClient(size_t edge,
+                                               size_t max_reconnects = 1);
   /// Pops a pooled connection to `edge` or dials a new one.
   StatusOr<std::unique_ptr<Client>> CheckoutClient(size_t edge);
   void CheckinClient(size_t edge, std::unique_ptr<Client> client);
@@ -367,6 +353,20 @@ class Coordinator {
   std::mutex pool_mu_;
   std::vector<std::vector<std::unique_ptr<Client>>> idle_clients_;
 
+  // --- Standing queries. ---
+  /// The client subscriptions, fed by the legs' pushes and delivered by
+  /// `endpoint_`.
+  SubscriptionEngine engine_;
+  /// Guards the two fields below. A leaf lock, never held across an edge
+  /// RPC.
+  std::mutex push_mu_;
+  /// One push connection per edge (null until dialed or after its
+  /// transport failed; the next sync pass re-dials).
+  std::vector<std::shared_ptr<Client>> push_clients_;
+  /// Client subscription id -> its edge legs.
+  std::unordered_map<uint64_t, std::vector<EdgeLeg>> legs_;
+  std::atomic<uint64_t> subscriptions_total_{0};
+
   // --- Client-facing front end. ---
   std::unique_ptr<ThreadPool> pool_;
   RpcEndpoint endpoint_;
@@ -378,21 +378,8 @@ class Coordinator {
   std::condition_variable sync_cv_;
   /// Serializes sync passes (the background thread vs `PollEdgesNow`).
   std::mutex pass_mu_;
-  /// Per-edge rep-push watchers (guarded by `pass_mu_`): dedicated
-  /// clients holding a stats subscription whose callback sets `rep_dirty_`
-  /// and wakes the sync thread. Re-established by the next pass when an
-  /// edge connection dies (their reconnect budget is zero: a silently
-  /// reconnected watcher would have silently lost its subscription).
-  std::vector<std::unique_ptr<Client>> watch_clients_;
+  /// Set by a rep-push (an edge's index moved); wakes the sync thread.
   std::atomic<bool> rep_dirty_{false};
-
-  // --- Standing-query forwarding. ---
-  std::thread forward_thread_;
-  mutable std::mutex push_mu_;  // guards the two maps below
-  std::condition_variable push_cv_;
-  uint64_t next_sub_id_ = 1;
-  std::unordered_map<uint64_t, std::shared_ptr<ClientSub>> subs_by_id_;
-  std::unordered_map<uint64_t, std::vector<uint64_t>> subs_by_conn_;
 
   std::atomic<uint64_t> fanout_legs_{0};
   std::atomic<uint64_t> fanout_failures_{0};
@@ -400,9 +387,6 @@ class Coordinator {
   std::atomic<uint64_t> pruned_legs_{0};
   std::atomic<uint64_t> rep_sync_updates_{0};
   std::atomic<uint64_t> probes_sent_{0};
-  std::atomic<uint64_t> subscriptions_total_{0};
-  std::atomic<uint64_t> pushes_forwarded_{0};
-  std::atomic<uint64_t> push_gaps_forwarded_{0};
   std::atomic<uint64_t> rep_push_wakeups_{0};
 };
 

@@ -52,6 +52,11 @@ void RpcEndpoint::OnClose(std::function<void(uint64_t conn_id)> hook) {
   on_close_ = std::move(hook);
 }
 
+void RpcEndpoint::ServePushes(SubscriptionEngine* engine, int64_t poll_ms) {
+  engine_ = engine;
+  push_poll_ms_ = poll_ms > 0 ? poll_ms : 50;
+}
+
 Status RpcEndpoint::Start(const Config& config, ThreadPool* pool) {
   config_ = config;
   pool_ = pool;
@@ -60,6 +65,9 @@ Status RpcEndpoint::Start(const Config& config, ThreadPool* pool) {
   VZ_ASSIGN_OR_RETURN(port_, LocalPort(listen_fd_.get()));
   stopping_.store(false);
   accept_thread_ = std::thread([this] { AcceptLoop(); });
+  if (engine_ != nullptr) {
+    delivery_thread_ = std::thread([this] { DeliveryLoop(); });
+  }
   return Status::OK();
 }
 
@@ -88,6 +96,7 @@ void RpcEndpoint::Stop(bool drain) {
   for (std::future<void>& loop : loops) {
     if (loop.valid()) loop.wait();
   }
+  if (delivery_thread_.joinable()) delivery_thread_.join();
 }
 
 RpcEndpoint::Stats RpcEndpoint::stats() const {
@@ -103,6 +112,8 @@ RpcEndpoint::Stats RpcEndpoint::stats() const {
   stats.connections_evicted_idle = evicted_idle_.load();
   stats.connections_evicted_slow = evicted_slow_.load();
   stats.pings_served = pings_.load();
+  stats.pushes_sent = pushes_.load();
+  stats.push_gaps_sent = push_gaps_.load();
   return stats;
 }
 
@@ -299,14 +310,22 @@ Status RpcEndpoint::Write(Conn* conn, uint32_t type, uint64_t correlation,
   return WriteFrame(conn->fd, type, correlation, payload, WriteTimeout());
 }
 
-size_t RpcEndpoint::Push(
-    uint64_t conn_id,
-    const std::function<std::vector<SubscriptionEngine::Delivery>()>& drain) {
+void RpcEndpoint::DeliveryLoop() {
+  while (!stopping_.load()) {
+    if (!engine_->WaitForWork(push_poll_ms_)) continue;
+    for (const uint64_t conn_id : engine_->ConnectionsWithPending()) {
+      if (stopping_.load()) break;
+      Push(conn_id);
+    }
+  }
+}
+
+void RpcEndpoint::Push(uint64_t conn_id) {
   std::shared_ptr<Conn> conn;
   {
     std::lock_guard<std::mutex> lock(mu_);
     auto it = conns_.find(conn_id);
-    if (it == conns_.end()) return 0;  // mid-teardown; its hook reclaims
+    if (it == conns_.end()) return;  // mid-teardown; its hook reclaims
     conn = it->second;
   }
   {
@@ -314,26 +333,29 @@ size_t RpcEndpoint::Push(
     // full is skipped this round — backpressure lands on it alone, never on
     // ingest or on other connections.
     std::lock_guard<std::mutex> write_lock(conn->write_mu);
-    if (conn->closed) return 0;
+    if (conn->closed) return;
     auto writable = WaitWritable(conn->fd, 0);
-    if (!writable.ok() || !*writable) return 0;
+    if (!writable.ok() || !*writable) return;
   }
-  const std::vector<SubscriptionEngine::Delivery> deliveries = drain();
-  if (deliveries.empty()) return 0;
+  const std::vector<SubscriptionEngine::Delivery> deliveries =
+      engine_->Drain(conn_id);
+  if (deliveries.empty()) return;
   std::vector<std::string> frames;
   frames.reserve(deliveries.size());
   uint64_t bytes_out = 0;
+  uint64_t gaps = 0;
   for (const SubscriptionEngine::Delivery& delivery : deliveries) {
     io::BinaryWriter writer;
     io::Encode(&writer, delivery.event);
     frames.push_back(EncodeFrame(static_cast<uint32_t>(MsgType::kPushEvent),
                                  delivery.correlation, writer.buffer()));
     bytes_out += frames.back().size();
+    if (delivery.event.kind == PushKind::kGap) ++gaps;
   }
   Status written;
   {
     std::lock_guard<std::mutex> write_lock(conn->write_mu);
-    if (conn->closed) return 0;  // drained events die with the connection
+    if (conn->closed) return;  // drained events die with the connection
     // The probe said writable, so this normally completes without
     // blocking; a peer that stalls mid-frame still runs into the write
     // deadline and is evicted — never a torn frame.
@@ -342,12 +364,13 @@ size_t RpcEndpoint::Push(
   }
   if (!written.ok()) {
     if (written.code() == StatusCode::kUnavailable) evicted_slow_.fetch_add(1);
-    return 0;
+    return;
   }
+  pushes_.fetch_add(deliveries.size());
+  push_gaps_.fetch_add(gaps);
   std::lock_guard<std::mutex> lock(mu_);
   conn->last_activity = SteadyClock::now();
   conn->bytes_out += bytes_out;
-  return deliveries.size();
 }
 
 }  // namespace vz::net

@@ -55,7 +55,7 @@ std::optional<T> DecodeRequest(io::BinaryReader* reader, Status* failure) {
 /// "Network service"): listen and accept with a connection cap, one
 /// supervised request loop per connection on a borrowed `ThreadPool`, the
 /// Hello handshake, `kPing`, dispatch through a `MsgType` → handler table,
-/// the connection registry, and the push-write path.
+/// the connection registry, and push delivery from a `SubscriptionEngine`.
 ///
 /// Per connection: Hello comes first and must name exactly
 /// `kProtocolVersion`; a response or push frame sent as a request is
@@ -103,6 +103,9 @@ class RpcEndpoint {
     uint64_t connections_evicted_idle = 0;
     uint64_t connections_evicted_slow = 0;
     uint64_t pings_served = 0;
+    /// Push frames written, and the gap markers among them.
+    uint64_t pushes_sent = 0;
+    uint64_t push_gaps_sent = 0;
   };
 
   /// Who sent a request: its connection and its correlation id.
@@ -129,6 +132,12 @@ class RpcEndpoint {
   /// Registers the hook run once per connection as it closes, after its
   /// last push write.
   void OnClose(std::function<void(uint64_t conn_id)> hook);
+  /// Delivers `engine`'s events, whose connection ids are this endpoint's:
+  /// a thread living as long as the listener waits for work (enqueues wake
+  /// it; `poll_ms` bounds an idle wait), then hands each pending
+  /// connection's drained batch to the push-write path. Call before
+  /// `Start`; `engine` must outlive the endpoint's `Shutdown`.
+  void ServePushes(SubscriptionEngine* engine, int64_t poll_ms = 50);
 
   /// Binds and starts accepting; connection loops run on `pool`.
   Status Start(const Config& config, ThreadPool* pool);
@@ -146,23 +155,21 @@ class RpcEndpoint {
   /// The per-connection registry, ordered by connection id.
   std::vector<ConnectionInfo> connections() const;
 
-  /// The push-write path. Probes `conn_id` for writability first and skips
-  /// it when its receive window is full; only then calls `drain` for the
-  /// events to send, so a stalled subscriber's queue keeps dropping its
-  /// oldest events instead of losing a drained batch. Writes the events as
-  /// one gathered burst of `kPushEvent` frames; a write that misses the
-  /// deadline evicts the connection as slow. Returns the number of events
-  /// written (0 when skipped, closed or failed).
-  size_t Push(
-      uint64_t conn_id,
-      const std::function<std::vector<SubscriptionEngine::Delivery>()>& drain);
-
  private:
   using SteadyClock = std::chrono::steady_clock;
   struct Conn;
 
   void Stop(bool drain);
   void AcceptLoop();
+  /// The push-delivery thread (see `ServePushes`).
+  void DeliveryLoop();
+  /// The push-write path. Probes `conn_id` for writability first and skips
+  /// it when its receive window is full; only then drains its events from
+  /// the engine, so a stalled subscriber's queue keeps dropping its oldest
+  /// events instead of losing a drained batch. Writes the events as one
+  /// gathered burst of `kPushEvent` frames; a write that misses the
+  /// deadline evicts the connection as slow.
+  void Push(uint64_t conn_id);
   void Serve(UniqueFd fd, std::shared_ptr<Conn> conn);
   /// Serves one readable request; false when the connection should close.
   bool ServeOne(Conn* conn, bool* hello_done);
@@ -179,6 +186,8 @@ class RpcEndpoint {
   ThreadPool* pool_ = nullptr;
   std::unordered_map<uint32_t, Handler> handlers_;
   std::function<void(uint64_t)> on_close_;
+  SubscriptionEngine* engine_ = nullptr;
+  int64_t push_poll_ms_ = 50;
 
   UniqueFd listen_fd_;
   uint16_t port_ = 0;
@@ -197,9 +206,12 @@ class RpcEndpoint {
   std::atomic<uint64_t> evicted_idle_{0};
   std::atomic<uint64_t> evicted_slow_{0};
   std::atomic<uint64_t> pings_{0};
+  std::atomic<uint64_t> pushes_{0};
+  std::atomic<uint64_t> push_gaps_{0};
 
-  // Declared after everything the accept loop uses.
+  // Declared after everything the accept and delivery loops use.
   std::thread accept_thread_;
+  std::thread delivery_thread_;
 };
 
 }  // namespace vz::net

@@ -55,8 +55,7 @@ Server::Server(core::VideoZilla* system, const ServerOptions& options)
     : system_(system),
       options_(options),
       engine_(SubscriptionEngine::Options{
-          options.subscription_queue_capacity,
-          options.subscription_max_drain}) {
+          .queue_capacity = options.subscription_queue_capacity}) {
   env_ = options_.env != nullptr ? options_.env : io::Env::Default();
   RegisterHandlers();
 }
@@ -118,13 +117,9 @@ Status Server::StartListener() {
   config.write_timeout_ms = options_.write_timeout_ms;
   config.idle_timeout_ms = options_.idle_timeout_ms;
   config.eviction_grace_ms = options_.eviction_grace_ms;
-  VZ_RETURN_IF_ERROR(endpoint_.Start(config, pool_));
-  // The push-delivery thread lives exactly as long as the listener (a
-  // standby starts it at promotion, with the listener).
-  if (!delivery_thread_.joinable()) {
-    delivery_thread_ = std::thread([this] { DeliveryLoop(); });
-  }
-  return Status::OK();
+  // Push delivery lives exactly as long as the listener (a standby starts
+  // it at promotion, with the listener).
+  return endpoint_.Start(config, pool_);
 }
 
 void Server::StopReplication() {
@@ -156,7 +151,6 @@ void Server::Stop(bool drain) {
   } else {
     endpoint_.Kill();
   }
-  if (delivery_thread_.joinable()) delivery_thread_.join();
   system_->SetSegmentObserver(nullptr);
   started_ = false;
 }
@@ -248,8 +242,8 @@ ServerStats Server::StatsLocked() const {
   stats.subscriptions_active = subs.subscriptions_active;
   stats.subscriptions_total = subs.subscriptions_total;
   stats.push_drops = subs.events_dropped;
-  stats.pushes_sent = pushes_sent_.load();
-  stats.push_gaps_sent = push_gaps_sent_.load();
+  stats.pushes_sent = front.pushes_sent;
+  stats.push_gaps_sent = front.push_gaps_sent;
   stats.ingest_batches = ingest_batches_.load();
   stats.disk_io_errors = disk_io_errors_.load();
   stats.disk_fsync_failures = disk_fsync_failures_.load();
@@ -327,31 +321,8 @@ void Server::RegisterHandlers() {
     return StatusOnlyResponse(*failure);
   });
   endpoint_.OnClose(
-      [this](uint64_t conn_id) { engine_.DropConnection(conn_id); });
-}
-
-void Server::DeliveryLoop() {
-  while (!stopping_.load()) {
-    if (!engine_.WaitForWork(options_.push_poll_ms > 0 ? options_.push_poll_ms
-                                                       : 50)) {
-      continue;
-    }
-    for (const uint64_t conn_id : engine_.ConnectionsWithPending()) {
-      if (stopping_.load()) break;
-      uint64_t gaps = 0;
-      const size_t sent = endpoint_.Push(conn_id, [&] {
-        std::vector<SubscriptionEngine::Delivery> deliveries =
-            engine_.Drain(conn_id);
-        for (const SubscriptionEngine::Delivery& delivery : deliveries) {
-          if (delivery.event.kind == PushKind::kGap) ++gaps;
-        }
-        return deliveries;
-      });
-      if (sent == 0) continue;
-      pushes_sent_.fetch_add(sent);
-      push_gaps_sent_.fetch_add(gaps);
-    }
-  }
+      [this](uint64_t conn_id) { (void)engine_.DropConnection(conn_id); });
+  endpoint_.ServePushes(&engine_, options_.push_poll_ms);
 }
 
 std::string Server::DispatchMutating(MsgType type,

@@ -70,8 +70,6 @@ struct ServerOptions {
   /// dropped and counted into the next `PushKind::kGap` marker. A slow
   /// subscriber therefore loses events, never stalls ingest.
   size_t subscription_queue_capacity = 256;
-  /// Events delivered per subscription per delivery round.
-  size_t subscription_max_drain = 64;
   /// Delivery-thread wakeup cadence when idle (it is also woken eagerly by
   /// enqueues).
   int64_t push_poll_ms = 50;
@@ -318,12 +316,8 @@ class Server {
   void RegisterHandlers();
   /// Shutdown (`drain`) and Kill.
   void Stop(bool drain);
-  /// Starts `endpoint_` on `options().port` and the push-delivery thread.
+  /// Starts `endpoint_` (and with it push delivery) on `options().port`.
   Status StartListener();
-  /// The delivery thread: waits on the subscription engine and hands each
-  /// pending connection's events to `RpcEndpoint::Push` (a non-writable
-  /// socket is simply skipped — its queues drop oldest).
-  void DeliveryLoop();
   /// Runs a tokened mutating request exactly once: replays from the session
   /// window, waits out a concurrent execution of the same sequence, or
   /// executes, logs, caches the response, and waits for durability (and,
@@ -421,9 +415,6 @@ class Server {
   // --- Standing-query push state. ---
 
   SubscriptionEngine engine_;
-  std::thread delivery_thread_;
-  std::atomic<uint64_t> pushes_sent_{0};
-  std::atomic<uint64_t> push_gaps_sent_{0};
   std::atomic<uint64_t> ingest_batches_{0};
 
   // --- Durability state. ---

@@ -48,13 +48,15 @@ Status SubscriptionEngine::Unsubscribe(uint64_t conn_id,
   return Status::OK();
 }
 
-void SubscriptionEngine::DropConnection(uint64_t conn_id) {
+std::vector<uint64_t> SubscriptionEngine::DropConnection(uint64_t conn_id) {
   std::lock_guard<std::mutex> lock(mu_);
   auto conn_it = by_conn_.find(conn_id);
-  if (conn_it == by_conn_.end()) return;
-  for (uint64_t id : conn_it->second) subscriptions_.erase(id);
+  if (conn_it == by_conn_.end()) return {};
+  std::vector<uint64_t> ids = std::move(conn_it->second);
   by_conn_.erase(conn_it);
+  for (uint64_t id : ids) subscriptions_.erase(id);
   stats_.subscriptions_active = subscriptions_.size();
+  return ids;
 }
 
 void SubscriptionEngine::EnqueueLocked(Subscription* sub, PushEvent event) {
@@ -143,6 +145,18 @@ void SubscriptionEngine::OnIndexVersion(uint64_t version) {
     }
   }
   if (enqueued) work_cv_.notify_all();
+}
+
+bool SubscriptionEngine::Forward(uint64_t subscription_id, PushEvent event) {
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    auto it = subscriptions_.find(subscription_id);
+    if (it == subscriptions_.end()) return false;
+    event.subscription_id = subscription_id;
+    EnqueueLocked(&it->second, std::move(event));
+  }
+  work_cv_.notify_all();
+  return true;
 }
 
 bool SubscriptionEngine::WaitForWork(int64_t timeout_ms) {

@@ -23,16 +23,21 @@ namespace vz::net {
 ///    never block on a subscriber: match evaluation is a handful of
 ///    Euclidean kernels against the new segment's feature map, and delivery
 ///    is an O(1) enqueue into a bounded per-subscription queue.
-///  - The *delivery* plane (one server thread) waits on `WaitForWork`,
-///    drains pending events per connection with `Drain`, and writes them to
-///    sockets it has verified writable. A subscriber that stops reading
-///    simply stops being drained; its queue saturates and drop-oldest kicks
-///    in, recorded by a `PushKind::kGap` marker that is materialized as the
-///    FIRST event of the next successful drain.
+///  - The *delivery* plane (the front end's `RpcEndpoint` push thread)
+///    waits on `WaitForWork`, drains pending events per connection with
+///    `Drain`, and writes them to sockets it has verified writable. A
+///    subscriber that stops reading simply stops being drained; its queue
+///    saturates and drop-oldest kicks in, recorded by a `PushKind::kGap`
+///    marker that is materialized as the FIRST event of the next successful
+///    drain.
 ///
 /// Delivery is therefore at-most-once with explicit loss accounting:
 /// sequences are assigned at drain time, so as-delivered sequence numbers
 /// are dense and a subscriber can prove it saw every frame the server sent.
+///
+/// An edge server feeds the engine from its own ingest (`OnSegment`,
+/// `OnIndexVersion`); a coordinator feeds it the remapped pushes of its
+/// edges (`Forward`). Both deliver under the same contract.
 ///
 /// Thread-safe; every public method takes the engine mutex. Subscription
 /// state is connection-scoped: `DropConnection` reclaims everything a
@@ -76,8 +81,8 @@ class SubscriptionEngine {
   Status Unsubscribe(uint64_t conn_id, uint64_t subscription_id);
 
   /// Reclaims every subscription owned by `conn_id` (connection closed or
-  /// evicted). Idempotent.
-  void DropConnection(uint64_t conn_id);
+  /// evicted) and returns their ids. Idempotent.
+  std::vector<uint64_t> DropConnection(uint64_t conn_id);
 
   /// Ingest-plane hook: evaluate `svs` against every match subscription and
   /// enqueue a `kMatch` event for each hit. Non-blocking (bounded queues
@@ -89,6 +94,14 @@ class SubscriptionEngine {
   /// `version`. Consecutive updates coalesce: a queue whose newest pending
   /// event is an index update is overwritten in place rather than grown.
   void OnIndexVersion(uint64_t version);
+
+  /// Enqueues `event`, produced elsewhere (a coordinator forwarding an edge
+  /// push), for `subscription_id`, stamped with that id. The queue bound
+  /// and drop-oldest apply as to local events; a forwarded gap marker keeps
+  /// its place in the stream, and its count folds into the next local one
+  /// if it is dropped. Returns false, enqueueing nothing, when the id is
+  /// unknown (the subscription is gone).
+  bool Forward(uint64_t subscription_id, PushEvent event);
 
   /// Delivery-plane wait: blocks until any subscription has a pending event
   /// or `timeout_ms` elapses. Returns true when work may be pending.
@@ -119,8 +132,7 @@ class SubscriptionEngine {
     uint64_t seen_index_version = 0;
   };
 
-  /// Enqueues under `mu_`, applying drop-oldest. Returns true if enqueued
-  /// an event (as opposed to coalescing into an existing one).
+  /// Enqueues under `mu_`, applying drop-oldest.
   void EnqueueLocked(Subscription* sub, PushEvent event);
 
   const Options options_;

@@ -86,6 +86,7 @@ class TestCluster {
   }
 
   Coordinator& coordinator() { return *coordinator_; }
+  Server& server(size_t i) { return *servers_[i]; }
   core::VideoZilla& system(size_t i) { return *systems_[i]; }
   uint16_t edge_port(size_t i) const { return edge_ports_[i]; }
   size_t num_edges() const { return shards_.size(); }

@@ -15,7 +15,9 @@
 //     the post-apply settings;
 //   - coordinator fan-out: a subscription against the coordinator spans
 //     every shard, pushes arrive with global svs ids in dense coordinator
-//     sequences, and an edge index push wakes rep-sync before its interval.
+//     sequences, every leg rides its edge's one push connection and is
+//     reclaimed with its subscription, and an edge index push wakes
+//     rep-sync before its interval.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -523,6 +525,57 @@ TEST(SubscriptionEngineTest, IndexUpdatesCoalesceInPlace) {
   ASSERT_EQ(engine.Drain(1).size(), 1u);
 }
 
+// A coordinator forwards its edges' pushes into its own engine: the same
+// bound, drop-oldest and gap accounting apply, a dropped edge gap marker
+// folds its count into the local one, and sequences and ids are the
+// engine's own.
+TEST(SubscriptionEngineTest, ForwardedEventsKeepTheDeliveryContract) {
+  SubscriptionEngine::Options options;
+  options.queue_capacity = 4;
+  SubscriptionEngine engine(options);
+  const uint64_t sub = engine.Subscribe(/*conn_id=*/1, /*correlation=*/5,
+                                        MatchAllQuery(4));
+  // As pushed by an edge: the edge's own subscription id and sequences.
+  PushEvent edge_event;
+  edge_event.subscription_id = 77;
+  edge_event.kind = PushKind::kGap;
+  edge_event.dropped = 3;
+  edge_event.sequence = 12;
+  EXPECT_TRUE(engine.Forward(sub, edge_event));
+  edge_event.kind = PushKind::kMatch;
+  edge_event.dropped = 0;
+  for (core::SvsId id = 0; id < 5; ++id) {
+    edge_event.svs_id = id;
+    edge_event.sequence = 13 + static_cast<uint64_t>(id);
+    EXPECT_TRUE(engine.Forward(sub, edge_event));
+  }
+
+  // Capacity 4: the edge's gap marker was dropped first (its 3 fold in),
+  // then match 0; matches 1..4 survive behind one gap marker.
+  const auto deliveries = engine.Drain(1);
+  ASSERT_EQ(deliveries.size(), 5u);
+  EXPECT_EQ(deliveries[0].event.kind, PushKind::kGap);
+  EXPECT_EQ(deliveries[0].event.dropped, 4u);
+  for (size_t i = 0; i < deliveries.size(); ++i) {
+    EXPECT_EQ(deliveries[i].correlation, 5u);
+    EXPECT_EQ(deliveries[i].event.subscription_id, sub);
+    EXPECT_EQ(deliveries[i].event.sequence, i);
+    if (i == 0) continue;
+    EXPECT_EQ(deliveries[i].event.kind, PushKind::kMatch);
+    EXPECT_EQ(deliveries[i].event.svs_id, static_cast<core::SvsId>(i));
+  }
+
+  // An unknown or unsubscribed id enqueues nothing.
+  EXPECT_FALSE(engine.Forward(sub + 1, edge_event));
+  ASSERT_TRUE(engine.Unsubscribe(1, sub).ok());
+  EXPECT_FALSE(engine.Forward(sub, edge_event));
+  EXPECT_FALSE(engine.WaitForWork(0));
+  EXPECT_TRUE(engine.Drain(1).empty());
+  const auto stats = engine.stats();
+  EXPECT_EQ(stats.events_enqueued, 6u);
+  EXPECT_EQ(stats.events_dropped, 2u);
+}
+
 // The seeded slow-subscriber drill: random interleavings of enqueue bursts
 // and drains against a tiny queue. Whatever the schedule, the bounded-queue
 // contract holds: drains respect the per-round budget, a gap marker leads
@@ -783,6 +836,105 @@ TEST(CoordinatorSubscribeTest, FanOutPushesArriveWithGlobalIds) {
   EXPECT_EQ(cluster.coordinator().stats().subscriptions_active, 0u);
 
   client.Close();
+}
+
+// Every leg of every client subscription rides its edge's one push
+// connection: ten standing queries over one client cost each edge no
+// connection beyond the checkout pool and that push connection, so no
+// edge sheds one and none loses its health.
+TEST(CoordinatorSubscribeTest, SubscriptionsShareOneEdgeConnection) {
+  sim::Deployment deployment(SmallDeployment());
+  (void)deployment.observations();
+  const size_t kEdges = 2;
+  TestCluster cluster(&deployment, kEdges, SmallSystemOptions());
+  ASSERT_TRUE(cluster.StartEdges().ok());
+  ASSERT_TRUE(cluster.StartCoordinator().ok());
+
+  auto connected = cluster.Connect(701);
+  ASSERT_TRUE(connected.ok()) << connected.status().ToString();
+  Client client = std::move(*connected);
+  Rng query_rng(71);
+  const FeatureVector query = deployment.MakeQueryFeature(0, &query_rng);
+  auto warm = client.DirectQuery(query);
+  ASSERT_TRUE(warm.ok()) << warm.status().ToString();
+
+  const size_t kSubscriptions = 10;
+  for (size_t s = 0; s < kSubscriptions; ++s) {
+    auto id = client.Subscribe(MatchAllQuery(), [](const PushEvent&) {});
+    ASSERT_TRUE(id.ok()) << "subscription " << s << ": "
+                         << id.status().ToString();
+  }
+  EXPECT_EQ(cluster.coordinator().stats().subscriptions_active,
+            kSubscriptions);
+  for (const ShardHealthInfo& shard : cluster.coordinator().shard_health()) {
+    EXPECT_EQ(shard.state, ShardState::kHealthy) << "port " << shard.port;
+  }
+  for (size_t i = 0; i < kEdges; ++i) {
+    const ServerStats stats = cluster.server(i).stats();
+    EXPECT_EQ(stats.connections_shed, 0u) << "edge " << i;
+    // The ten legs plus the coordinator's rep-push subscription.
+    EXPECT_EQ(stats.subscriptions_active, kSubscriptions + 1)
+        << "edge " << i;
+  }
+
+  auto after = client.DirectQuery(query);
+  ASSERT_TRUE(after.ok()) << after.status().ToString();
+  EXPECT_FALSE(after->degraded);
+  EXPECT_TRUE(after->excluded_cameras.empty());
+  client.Close();
+}
+
+// A client subscription's edge legs end with it: on Unsubscribe, on the
+// client's disconnect, and on the coordinator's shutdown, which also ends
+// the rep-push subscription.
+TEST(CoordinatorSubscribeTest, EdgeLegsAreReclaimed) {
+  sim::Deployment deployment(SmallDeployment());
+  (void)deployment.observations();
+  const size_t kEdges = 2;
+  TestCluster cluster(&deployment, kEdges, SmallSystemOptions());
+  ASSERT_TRUE(cluster.StartEdges().ok());
+  ASSERT_TRUE(cluster.StartCoordinator().ok());
+
+  // Waits until every edge holds exactly `n` subscriptions.
+  auto edges_hold = [&](uint64_t n) {
+    for (int waited = 0; waited < 1'000; ++waited) {
+      bool all = true;
+      for (size_t i = 0; i < kEdges; ++i) {
+        all = all && cluster.server(i).stats().subscriptions_active == n;
+      }
+      if (all) return true;
+      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    }
+    return false;
+  };
+  auto subscribe = [](Client* client) {
+    auto id = client->Subscribe(MatchAllQuery(), [](const PushEvent&) {});
+    EXPECT_TRUE(id.ok()) << id.status().ToString();
+    return id.ok() ? *id : 0;
+  };
+  // The rep-push subscription alone.
+  ASSERT_TRUE(edges_hold(1));
+
+  auto unsubscriber = cluster.Connect(801);
+  ASSERT_TRUE(unsubscriber.ok());
+  const uint64_t id = subscribe(&*unsubscriber);
+  EXPECT_TRUE(edges_hold(2));
+  ASSERT_TRUE(unsubscriber->Unsubscribe(id).ok());
+  EXPECT_TRUE(edges_hold(1)) << "legs outlived Unsubscribe";
+
+  auto leaver = cluster.Connect(802);
+  ASSERT_TRUE(leaver.ok());
+  (void)subscribe(&*leaver);
+  (void)subscribe(&*leaver);
+  EXPECT_TRUE(edges_hold(3));
+  leaver->Close();
+  EXPECT_TRUE(edges_hold(1)) << "legs outlived their client's connection";
+
+  (void)subscribe(&*unsubscriber);
+  EXPECT_TRUE(edges_hold(2));
+  cluster.coordinator().Shutdown();
+  EXPECT_TRUE(edges_hold(0)) << "subscriptions outlived the coordinator";
+  unsubscriber->Close();
 }
 
 TEST(CoordinatorSubscribeTest, AdminTuneFansOutToEveryEdge) {
