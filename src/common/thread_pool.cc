@@ -92,22 +92,6 @@ void ThreadPool::WorkerLoop() {
   }
 }
 
-std::future<void> ThreadPool::Submit(std::function<void()> task) {
-  auto packaged =
-      std::make_shared<std::packaged_task<void()>>(std::move(task));
-  std::future<void> future = packaged->get_future();
-  if (workers_.empty()) {
-    (*packaged)();  // single-lane pool: run inline
-    return future;
-  }
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    queue_.emplace_back([packaged] { (*packaged)(); });
-  }
-  cv_.notify_one();
-  return future;
-}
-
 void ThreadPool::ParallelFor(size_t n,
                              const std::function<void(size_t)>& fn) {
   ParallelFor(n, fn, nullptr);

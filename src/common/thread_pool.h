@@ -5,7 +5,6 @@
 #include <cstddef>
 #include <deque>
 #include <functional>
-#include <future>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -15,13 +14,14 @@
 namespace vz {
 
 /// Fixed-size pool of worker threads shared by the parallel execution paths
-/// (OMD ground-distance matrix fill, query candidate verification).
+/// (OMD ground-distance matrix fill, query candidate verification). It runs
+/// nothing but `ParallelFor` work; connection loops have threads of their
+/// own (see `net::RpcEndpoint`), so every worker stays free for queries.
 ///
-/// Tasks are plain closures executed FIFO. `ParallelFor` is the primary entry
-/// point: the calling thread always participates in the iteration work, so
-/// nested calls (a parallel query task evaluating a parallel OMD on the same
-/// pool) cannot deadlock even when every worker is busy — the caller alone
-/// can drain its own range.
+/// The calling thread always participates in the iteration work, so nested
+/// calls (a parallel query task evaluating a parallel OMD on the same pool)
+/// cannot deadlock even when every worker is busy — the caller alone can
+/// drain its own range.
 class ThreadPool {
  public:
   /// A pool of `num_threads` execution lanes: the caller of `ParallelFor`
@@ -36,11 +36,6 @@ class ThreadPool {
 
   /// Total execution lanes (spawned workers + the participating caller).
   size_t num_threads() const { return workers_.size() + 1; }
-
-  /// Enqueues one task. The future reports completion or rethrows the task's
-  /// exception. With a single-lane pool the task runs inline. Tasks must not
-  /// block on other submitted tasks (use `ParallelFor` for fork/join work).
-  std::future<void> Submit(std::function<void()> task);
 
   /// Runs `fn(i)` for every `i` in `[0, n)` and blocks until all started
   /// iterations finished. Iterations are claimed dynamically by the caller

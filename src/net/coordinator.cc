@@ -23,6 +23,13 @@ bool IsEdgeTransportFailure(StatusCode code) {
          code == StatusCode::kInternal;
 }
 
+/// Connect budget of every edge dial.
+constexpr int64_t kEdgeConnectTimeoutMs = 2'000;
+
+/// Reserved from a client deadline for the coordinator-side merge (see
+/// `ShardConstraints`).
+constexpr int64_t kMergeReserveMs = 20;
+
 /// Sorts and dedups a merged `excluded_cameras` list so the answer does not
 /// depend on which legs contributed exclusions in which order.
 void CanonicalizeExcluded(std::vector<core::CameraId>* excluded) {
@@ -59,19 +66,16 @@ Status Coordinator::Start() {
   if (options_.edges.empty()) {
     return Status::InvalidArgument("a coordinator needs at least one edge");
   }
-  // One worker per connection plus the caller's lane, like Server's
-  // owned-pool fallback. Idle eviction stays off (the Config default).
-  pool_ = std::make_unique<ThreadPool>(options_.max_connections + 1);
+  // Idle eviction stays off (the Config default).
   RpcEndpoint::Config config;
   config.bind_address = options_.bind_address;
   config.port = options_.port;
   config.max_connections = options_.max_connections;
   config.shed_retry_after_ms = options_.shed_retry_after_ms;
   config.idle_poll_ms = options_.idle_poll_ms;
-  config.drain_timeout_ms = options_.drain_timeout_ms;
   config.read_timeout_ms = options_.read_timeout_ms;
   config.write_timeout_ms = options_.write_timeout_ms;
-  VZ_RETURN_IF_ERROR(endpoint_.Start(config, pool_.get()));
+  VZ_RETURN_IF_ERROR(endpoint_.Start(config));
   stopping_.store(false);
   // Prime the registry and the representative index before the first query
   // can arrive; edges that are down simply start their ladder early.
@@ -391,7 +395,7 @@ StatusOr<std::unique_ptr<Client>> Coordinator::DialClient(
     size_t edge, size_t max_reconnects) {
   const EdgeEndpoint endpoint = registry_.endpoint(edge);
   ClientOptions client_options;
-  client_options.connect_timeout_ms = options_.edge_connect_timeout_ms;
+  client_options.connect_timeout_ms = kEdgeConnectTimeoutMs;
   client_options.io_timeout_ms = options_.edge_io_timeout_ms;
   client_options.max_shed_retries = 1;
   client_options.max_reconnects = max_reconnects;
@@ -435,7 +439,7 @@ core::QueryConstraints Coordinator::ShardConstraints(
   shard.cancel = nullptr;  // does not travel
   if (shard.deadline_ms.has_value()) {
     shard.deadline_ms =
-        std::max<int64_t>(1, *shard.deadline_ms - options_.merge_reserve_ms);
+        std::max<int64_t>(1, *shard.deadline_ms - kMergeReserveMs);
   }
   return shard;
 }

@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "common/status.h"
-#include "common/thread_pool.h"
 #include "core/inter_camera_index.h"
 #include "core/omd.h"
 #include "core/query.h"
@@ -53,27 +52,21 @@ struct CoordinatorOptions {
   /// in the same order.
   std::vector<EdgeEndpoint> edges;
 
-  // --- Client-facing connection handling (mirrors ServerOptions). ---
+  // --- Client-facing connection handling (see `RpcEndpoint::Config`; the
+  // --- coordinator never evicts idle connections). ---
   size_t max_connections = 8;
   int64_t shed_retry_after_ms = 50;
   int64_t idle_poll_ms = 50;
-  int64_t drain_timeout_ms = 10'000;
   int64_t read_timeout_ms = 10'000;
   int64_t write_timeout_ms = 10'000;
 
   // --- Fan-out. ---
 
-  /// Transport budget per edge RPC (connect and per-frame I/O) — the hard
-  /// backstop bounding how long a stalled or blackholed shard can hold a
-  /// fan-out leg. A killed edge fails much faster (connection refused /
-  /// reset).
-  int64_t edge_connect_timeout_ms = 2'000;
+  /// Per-frame I/O budget of every edge RPC — the hard backstop bounding
+  /// how long a stalled or blackholed shard can hold a fan-out leg (connects
+  /// get the fixed `kEdgeConnectTimeoutMs`). A killed edge fails much faster
+  /// (connection refused / reset).
   int64_t edge_io_timeout_ms = 5'000;
-  /// Reserved from a client deadline for the coordinator-side merge: each
-  /// shard leg travels with `deadline_ms - merge_reserve_ms` (floored at
-  /// 1 ms) so partial per-shard answers are back before the client's own
-  /// budget expires.
-  int64_t merge_reserve_ms = 20;
   /// Prune direct-query fan-out through the local representative index:
   /// shards none of whose synced representatives pass the hit test are not
   /// consulted (never-synced shards always are — there is nothing to prune
@@ -270,8 +263,10 @@ class Coordinator {
   std::string HandleCameraHealth();
   std::string HandleQueryLoadStats();
 
-  /// Carves the per-shard deadline out of a client deadline (see
-  /// `merge_reserve_ms`); identity when no deadline travels.
+  /// Carves the per-shard deadline out of a client deadline: each leg
+  /// travels with `kMergeReserveMs` less (floored at 1 ms), reserved for
+  /// the merge, so partial per-shard answers are back before the client's
+  /// own budget expires. Identity when no deadline travels.
   core::QueryConstraints ShardConstraints(
       const core::QueryConstraints& constraints) const;
 
@@ -368,7 +363,6 @@ class Coordinator {
   std::atomic<uint64_t> subscriptions_total_{0};
 
   // --- Client-facing front end. ---
-  std::unique_ptr<ThreadPool> pool_;
   RpcEndpoint endpoint_;
   std::atomic<bool> stopping_{false};
   bool started_ = false;

@@ -2,6 +2,7 @@
 
 #include <sys/socket.h>
 
+#include <system_error>
 #include <utility>
 
 namespace vz::net {
@@ -16,6 +17,10 @@ int64_t ElapsedMs(std::chrono::steady_clock::time_point since,
 
 constexpr uint32_t kConnectionErrorType =
     static_cast<uint32_t>(MsgType::kHello) | kResponseFlag;
+
+/// Budget `Shutdown` grants in-flight requests before force-closing the
+/// remaining sockets.
+constexpr std::chrono::milliseconds kDrainTimeout{10'000};
 
 }  // namespace
 
@@ -57,9 +62,8 @@ void RpcEndpoint::ServePushes(SubscriptionEngine* engine, int64_t poll_ms) {
   push_poll_ms_ = poll_ms > 0 ? poll_ms : 50;
 }
 
-Status RpcEndpoint::Start(const Config& config, ThreadPool* pool) {
+Status RpcEndpoint::Start(const Config& config) {
   config_ = config;
-  pool_ = pool;
   VZ_ASSIGN_OR_RETURN(listen_fd_,
                       TcpListen(config_.bind_address, config_.port));
   VZ_ASSIGN_OR_RETURN(port_, LocalPort(listen_fd_.get()));
@@ -86,8 +90,7 @@ void RpcEndpoint::Stop(bool drain) {
   {
     std::unique_lock<std::mutex> lock(mu_);
     if (drain) {
-      drained_cv_.wait_for(lock,
-                           std::chrono::milliseconds(config_.drain_timeout_ms),
+      drained_cv_.wait_for(lock, kDrainTimeout,
                            [this] { return conns_.empty(); });
     }
     for (const auto& [id, conn] : conns_) ::shutdown(conn->fd, SHUT_RDWR);
@@ -141,33 +144,38 @@ void RpcEndpoint::AcceptLoop() {
 
     std::lock_guard<std::mutex> lock(mu_);
     accepted_.fetch_add(1);
-    if (stopping_.load() || conns_.size() >= config_.max_connections) {
-      // Connection-level shedding: answer with the same wire status an
-      // admission shed produces, so one client backoff path covers both.
-      shed_.fetch_add(1);
-      const Status shed = Status::ResourceExhausted(
-          "server at connection capacity (" +
-          std::to_string(config_.max_connections) + "); retry later");
-      (void)WriteFrame(fd.get(), kConnectionErrorType, 0,
-                       StatusOnlyResponse(shed, config_.shed_retry_after_ms),
-                       WriteTimeout());
-      continue;  // fd closes on scope exit
+    if (!stopping_.load() && conns_.size() < config_.max_connections) {
+      auto conn = std::make_shared<Conn>();
+      conn->id = ++next_conn_id_;
+      conn->fd = fd.get();
+      conn->connected_at = conn->last_activity = SteadyClock::now();
+      // Finished loops leave ready futures behind; reap them while we hold
+      // the lock anyway.
+      std::erase_if(loops_, [](std::future<void>& f) {
+        return !f.valid() ||
+               f.wait_for(std::chrono::seconds(0)) == std::future_status::ready;
+      });
+      const int raw = fd.Release();
+      try {
+        loops_.push_back(std::async(std::launch::async, [this, raw, conn] {
+          Serve(UniqueFd(raw), conn);
+        }));
+        conns_.emplace(conn->id, conn);
+        continue;
+      } catch (const std::system_error&) {
+        fd = UniqueFd(raw);  // no thread ever owned it; shed it below
+      }
     }
-    auto conn = std::make_shared<Conn>();
-    conn->id = ++next_conn_id_;
-    conn->fd = fd.get();
-    conn->connected_at = conn->last_activity = SteadyClock::now();
-    conns_.emplace(conn->id, conn);
-    // Finished loops leave ready futures behind; reap them while we hold
-    // the lock anyway.
-    std::erase_if(loops_, [](std::future<void>& f) {
-      return !f.valid() ||
-             f.wait_for(std::chrono::seconds(0)) == std::future_status::ready;
-    });
-    loops_.push_back(pool_->Submit([this, raw = fd.Release(), conn] {
-      Serve(UniqueFd(raw), conn);
-    }));
-  }
+    // Connection-level shedding: answer with the same wire status an
+    // admission shed produces, so one client backoff path covers both.
+    shed_.fetch_add(1);
+    const Status shed = Status::ResourceExhausted(
+        "server at connection capacity (" +
+        std::to_string(config_.max_connections) + "); retry later");
+    (void)WriteFrame(fd.get(), kConnectionErrorType, 0,
+                     StatusOnlyResponse(shed, config_.shed_retry_after_ms),
+                     WriteTimeout());
+  }  // a shed fd closes here
 }
 
 void RpcEndpoint::Serve(UniqueFd fd, std::shared_ptr<Conn> conn) {

@@ -18,7 +18,6 @@
 
 #include "common/socket.h"
 #include "common/status.h"
-#include "common/thread_pool.h"
 #include "net/subscription.h"
 #include "net/wire.h"
 
@@ -53,8 +52,9 @@ std::optional<T> DecodeRequest(io::BinaryReader* reader, Status* failure) {
 
 /// The RPC front end `Server` and `Coordinator` are built on (see DESIGN.md,
 /// "Network service"): listen and accept with a connection cap, one
-/// supervised request loop per connection on a borrowed `ThreadPool`, the
-/// Hello handshake, `kPing`, dispatch through a `MsgType` → handler table,
+/// supervised request loop per connection on a thread of its own (so open
+/// connections never hold a worker of the query `ThreadPool`), the Hello
+/// handshake, `kPing`, dispatch through a `MsgType` → handler table,
 /// the connection registry, and push delivery from a `SubscriptionEngine`.
 ///
 /// Per connection: Hello comes first and must name exactly
@@ -71,25 +71,39 @@ std::optional<T> DecodeRequest(io::BinaryReader* reader, Status* failure) {
 /// closed (or recycled) descriptor.
 class RpcEndpoint {
  public:
-  /// Connection handling settings, copied by the owner from its options.
+  /// Connection handling settings: `ServerOptions` extends them, and the
+  /// coordinator copies its own into them.
   struct Config {
     std::string bind_address = "127.0.0.1";
+    /// Port to listen on; 0 lets the kernel pick (read back with `port()`).
     uint16_t port = 0;
-    /// Connections served at once; arrivals beyond it are answered with
-    /// `kResourceExhausted` (retry-after attached) and closed. The pool
-    /// passed to `Start` needs a free worker per connection.
+    /// Concurrent connections served, each on a thread of its own; arrivals
+    /// beyond it are answered with a wire-level `kResourceExhausted`
+    /// (retry-after attached) and closed — connection-level shedding
+    /// mirroring the admission controller's query-level shedding. An
+    /// arrival whose thread cannot start is shed the same way.
     size_t max_connections = 8;
+    /// Retry-after hint attached to connection-level sheds.
     int64_t shed_retry_after_ms = 50;
     /// Cadence at which idle connection loops re-check the stop flag.
     int64_t idle_poll_ms = 50;
-    /// Budget `Shutdown` grants in-flight requests before force-closing.
-    int64_t drain_timeout_ms = 10'000;
-    /// Frame read/write deadlines; <= 0 disables them.
+
+    // --- Connection supervision (see DESIGN.md, "Exactly-once and
+    // --- connection supervision"). ---
+
+    /// Once the first byte of a request frame is readable, the whole frame
+    /// must arrive within this budget; a sender trickling bytes past it is
+    /// evicted as a slow client. <= 0 disables the read deadline.
     int64_t read_timeout_ms = 10'000;
+    /// A response must be accepted by the peer's receive window within this
+    /// budget; a reader that stops draining is evicted as a slow client.
+    /// <= 0 disables the write deadline.
     int64_t write_timeout_ms = 10'000;
-    /// Idle eviction after `idle_timeout_ms + eviction_grace_ms` without a
-    /// completed request; <= 0 disables it.
+    /// A connection with no completed request for longer than
+    /// `idle_timeout_ms + eviction_grace_ms` is evicted. `kPing` resets the
+    /// idle clock without touching any state. <= 0 disables idle eviction.
     int64_t idle_timeout_ms = 0;
+    /// Grace granted past the idle deadline before the connection is closed.
     int64_t eviction_grace_ms = 100;
   };
 
@@ -116,7 +130,7 @@ class RpcEndpoint {
 
   /// Builds the response payload (a wire status first) of one request,
   /// setting `*failure` when the RPC failed. Runs on the connection's own
-  /// pool worker.
+  /// thread.
   using Handler = std::function<std::string(
       io::BinaryReader* reader, const Call& call, Status* failure)>;
 
@@ -139,11 +153,11 @@ class RpcEndpoint {
   /// `Start`; `engine` must outlive the endpoint's `Shutdown`.
   void ServePushes(SubscriptionEngine* engine, int64_t poll_ms = 50);
 
-  /// Binds and starts accepting; connection loops run on `pool`.
-  Status Start(const Config& config, ThreadPool* pool);
+  /// Binds and starts accepting.
+  Status Start(const Config& config);
   /// Stops accepting, lets every connection finish the request it is
-  /// serving, and force-closes what is still open after the drain timeout.
-  /// Idempotent.
+  /// serving, and force-closes what is still open after a 10 s drain
+  /// budget. Idempotent.
   void Shutdown() { Stop(/*drain=*/true); }
   /// Stops without draining: sockets are torn down under in-flight
   /// requests.
@@ -183,7 +197,6 @@ class RpcEndpoint {
   }
 
   Config config_;
-  ThreadPool* pool_ = nullptr;
   std::unordered_map<uint32_t, Handler> handlers_;
   std::function<void(uint64_t)> on_close_;
   SubscriptionEngine* engine_ = nullptr;

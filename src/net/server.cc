@@ -14,6 +14,9 @@ namespace vz::net {
 
 namespace {
 
+/// Records a standby fetches per WalShip request.
+constexpr uint32_t kReplicationBatch = 256;
+
 /// True for mutating RPCs whose request bytes go into the WAL. Exactly the
 /// state-changing ones: SnapshotSave carries a token (retrying it is
 /// ambiguous) but only reads state, so logging it would replay side-effect
@@ -70,15 +73,6 @@ Status Server::Start() {
         "a standby needs its own wal_dir: it mirrors the primary's log and "
         "must survive its own crashes");
   }
-  // Connection loops live on pool workers for the whole connection, so the
-  // shared pool must actually have workers; a serial system gets a
-  // server-owned pool sized to the connection cap instead.
-  pool_ = system_->thread_pool();
-  if (pool_ == nullptr || pool_->num_threads() < 2) {
-    owned_pool_ = std::make_unique<ThreadPool>(options_.max_connections + 1);
-    pool_ = owned_pool_.get();
-  }
-
   // The subscription engine taps segment finalization before recovery runs:
   // replayed segments fire the observer too, but with no subscribers yet the
   // calls are cheap no-ops.
@@ -104,22 +98,9 @@ Status Server::Start() {
 }
 
 Status Server::StartListener() {
-  RpcEndpoint::Config config;
-  config.bind_address = options_.bind_address;
-  config.port = options_.port;
-  // One pool worker per connection, leaving the caller's lane free.
-  config.max_connections = std::max<size_t>(
-      1, std::min(options_.max_connections, pool_->num_threads() - 1));
-  config.shed_retry_after_ms = options_.shed_retry_after_ms;
-  config.idle_poll_ms = options_.idle_poll_ms;
-  config.drain_timeout_ms = options_.drain_timeout_ms;
-  config.read_timeout_ms = options_.read_timeout_ms;
-  config.write_timeout_ms = options_.write_timeout_ms;
-  config.idle_timeout_ms = options_.idle_timeout_ms;
-  config.eviction_grace_ms = options_.eviction_grace_ms;
   // Push delivery lives exactly as long as the listener (a standby starts
   // it at promotion, with the listener).
-  return endpoint_.Start(config, pool_);
+  return endpoint_.Start(options_);
 }
 
 void Server::StopReplication() {
@@ -516,21 +497,50 @@ std::shared_ptr<Server::Session> Server::GetSession(uint64_t id) {
     it->second->last_used_tick = tick;
     return it->second;
   }
-  if (sessions_.size() >= std::max<size_t>(options_.max_sessions, 1)) {
+  auto session = std::make_shared<Session>();
+  session->last_used_tick = tick;
+  if (auto record = evicted_sessions_.find(id);
+      record != evicted_sessions_.end()) {
+    session->evicted_up_to = record->second.high_sequence;
+    evicted_sessions_.erase(record);
+  }
+  const size_t max_sessions = std::max<size_t>(options_.max_sessions, 1);
+  if (sessions_.size() >= max_sessions) {
     // LRU eviction: drop the session idle the longest. Its dedup window is
-    // lost, so a late duplicate from that client gets the loud
-    // kFailedPrecondition refusal rather than a silent double-apply.
+    // lost, but its highest sequence is recorded, so a late duplicate from
+    // that client gets the loud kFailedPrecondition refusal rather than a
+    // silent double-apply.
     auto lru = sessions_.begin();
     for (auto cand = sessions_.begin(); cand != sessions_.end(); ++cand) {
       if (cand->second->last_used_tick < lru->second->last_used_tick) {
         lru = cand;
       }
     }
+    EvictedSession record{0, tick};
+    {
+      std::lock_guard<std::mutex> session_lock(lru->second->mu);
+      const Session& evicted = *lru->second;
+      record.high_sequence = evicted.evicted_up_to;
+      if (!evicted.done.empty()) {
+        record.high_sequence =
+            std::max(record.high_sequence, evicted.done.rbegin()->first);
+      }
+      if (!evicted.executing.empty()) {
+        record.high_sequence =
+            std::max(record.high_sequence, *evicted.executing.rbegin());
+      }
+    }
+    if (evicted_sessions_.size() >= max_sessions) {
+      evicted_sessions_.erase(std::min_element(
+          evicted_sessions_.begin(), evicted_sessions_.end(),
+          [](const auto& a, const auto& b) {
+            return a.second.evicted_tick < b.second.evicted_tick;
+          }));
+    }
+    evicted_sessions_[lru->first] = record;
     sessions_.erase(lru);
     sessions_evicted_.fetch_add(1);
   }
-  auto session = std::make_shared<Session>();
-  session->last_used_tick = tick;
   sessions_.emplace(id, session);
   return session;
 }
@@ -593,40 +603,7 @@ std::string Server::ExecuteRequest(MsgType type, io::BinaryReader* reader,
       stats.svs_count = system_->svs_store().size();
       stats.camera_count = system_->cameras().size();
       stats.now_ms = system_->now_ms();
-      const ServerStats serving = StatsLocked();
-      stats.serving.connections_accepted = serving.connections_accepted;
-      stats.serving.connections_shed = serving.connections_shed;
-      stats.serving.connections_evicted_idle =
-          serving.connections_evicted_idle;
-      stats.serving.connections_evicted_slow =
-          serving.connections_evicted_slow;
-      stats.serving.duplicates_replayed = serving.duplicates_replayed;
-      stats.serving.pings_served = serving.pings_served;
-      stats.serving.sessions_active = serving.sessions_active;
-      stats.serving.sessions_evicted = serving.sessions_evicted;
-      stats.serving.role = serving.role;
-      stats.serving.wal_appends = serving.wal_appends;
-      stats.serving.wal_fsyncs = serving.wal_fsyncs;
-      stats.serving.wal_replayed_records = serving.wal_replayed_records;
-      stats.serving.wal_salvaged_bytes = serving.wal_salvaged_bytes;
-      stats.serving.wal_checkpoints = serving.wal_checkpoints;
-      stats.serving.wal_last_lsn = serving.wal_last_lsn;
-      stats.serving.wal_durable_lsn = serving.wal_durable_lsn;
-      stats.serving.replication_lag_records =
-          serving.replication_lag_records;
-      stats.serving.replication_reseeds = serving.replication_reseeds;
-      stats.serving.subscriptions_active = serving.subscriptions_active;
-      stats.serving.subscriptions_total = serving.subscriptions_total;
-      stats.serving.pushes_sent = serving.pushes_sent;
-      stats.serving.push_drops = serving.push_drops;
-      stats.serving.push_gaps_sent = serving.push_gaps_sent;
-      stats.serving.ingest_batches = serving.ingest_batches;
-      stats.serving.disk_io_errors = serving.disk_io_errors;
-      stats.serving.disk_fsync_failures = serving.disk_fsync_failures;
-      stats.serving.checkpoints_quarantined =
-          serving.checkpoints_quarantined;
-      stats.serving.disk_full = serving.disk_full;
-      stats.serving.read_only = serving.read_only;
+      stats.serving = StatsLocked();
       stats.serving.connections = connection_stats();
       return OkResponse(stats);
     }
@@ -989,6 +966,7 @@ Status Server::RestoreCheckpointState(const io::WalCheckpoint& checkpoint,
   // the checkpoint's capture.
   std::lock_guard<std::mutex> sessions_lock(sessions_mu_);
   sessions_.clear();
+  evicted_sessions_.clear();
   for (const io::WalCheckpoint::Session& entry : checkpoint.sessions) {
     auto session = std::make_shared<Session>();
     session->evicted_up_to = entry.evicted_up_to;
@@ -1216,7 +1194,7 @@ void Server::ReplicationLoop() {
     // The applied frontier doubles as the windowed ack.
     const uint64_t applied = wal_->last_lsn();
     auto reply = client->WalShip(
-        applied, options_.replication_batch,
+        applied, kReplicationBatch,
         static_cast<uint32_t>(options_.replication_poll_ms),
         wal_epoch_.load());
     if (!reply.ok()) {

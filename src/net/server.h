@@ -15,7 +15,6 @@
 #include <vector>
 
 #include "common/status.h"
-#include "common/thread_pool.h"
 #include "core/videozilla.h"
 #include "io/wal.h"
 #include "net/rpc_endpoint.h"
@@ -26,43 +25,10 @@ namespace vz::net {
 
 class Client;
 
-/// Configuration of the TCP serving front end.
-struct ServerOptions {
-  /// Port to listen on; 0 lets the kernel pick (read back with `port()`).
-  uint16_t port = 0;
-  std::string bind_address = "127.0.0.1";
-  /// Concurrent connections served; arrivals beyond this are answered with a
-  /// wire-level `kResourceExhausted` (retry-after attached) and closed —
-  /// connection-level shedding mirroring the admission controller's
-  /// query-level shedding. Also capped by the worker count of the pool the
-  /// server runs on (a connection handler needs a worker for its lifetime).
-  size_t max_connections = 8;
-  /// Retry-after hint attached to connection-level sheds.
-  int64_t shed_retry_after_ms = 50;
-  /// Cadence at which idle connection handlers re-check the shutdown flag.
-  int64_t idle_poll_ms = 50;
-  /// Budget `Shutdown` grants in-flight requests before force-closing the
-  /// remaining sockets.
-  int64_t drain_timeout_ms = 10'000;
-
-  // --- Connection supervision (see DESIGN.md, "Exactly-once and connection
-  // --- supervision"). ---
-
-  /// Once the first byte of a request frame is readable, the whole frame
-  /// must arrive within this budget; a sender trickling bytes past it is
-  /// evicted as a slow client. <= 0 disables the read deadline.
-  int64_t read_timeout_ms = 10'000;
-  /// A response must be accepted by the peer's receive window within this
-  /// budget; a reader that stops draining is evicted as a slow client.
-  /// <= 0 disables the write deadline.
-  int64_t write_timeout_ms = 10'000;
-  /// A connection with no completed request for longer than
-  /// `idle_timeout_ms + eviction_grace_ms` is evicted. `kPing` resets the
-  /// idle clock without touching any state. <= 0 disables idle eviction.
-  int64_t idle_timeout_ms = 0;
-  /// Grace granted past the idle deadline before the connection is closed.
-  int64_t eviction_grace_ms = 100;
-
+/// Configuration of the TCP serving front end: the endpoint's connection
+/// handling (`RpcEndpoint::Config`: address, connection cap, supervision)
+/// plus the server's own settings below.
+struct ServerOptions : RpcEndpoint::Config {
   // --- Standing-query push delivery (protocol v5; see DESIGN.md, "Standing
   // --- queries and multiplexing"). ---
 
@@ -136,73 +102,24 @@ struct ServerOptions {
   /// Long-poll budget per WalShip request (also the reconnect backoff when
   /// the primary is unreachable).
   int64_t replication_poll_ms = 50;
-  /// Records fetched per WalShip request.
-  uint32_t replication_batch = 256;
 };
 
-/// Counters of the serving layer (all lifetime totals except the gauges).
-struct ServerStats {
-  uint64_t connections_accepted = 0;
-  uint64_t connections_shed = 0;
+/// Counters of the serving layer: the Monitor reply's `ServingStats` (its
+/// `connections` and `shards` stay empty here; see `connection_stats()`)
+/// plus the fields below, which only in-process callers read.
+struct ServerStats : ServingStats {
   size_t connections_active = 0;  // gauge
   uint64_t requests_served = 0;
   uint64_t request_errors = 0;
-  /// Supervision evictions: no completed request past the idle deadline
-  /// plus grace / a frame read or write that overran its deadline.
-  uint64_t connections_evicted_idle = 0;
-  uint64_t connections_evicted_slow = 0;
-  /// Mutating RPCs answered from a session's dedup window instead of being
-  /// re-applied (exactly-once in action).
-  uint64_t duplicates_replayed = 0;
-  uint64_t pings_served = 0;
-  size_t sessions_active = 0;  // gauge
-  uint64_t sessions_evicted = 0;
-  /// Durability counters (all zero without a WAL).
-  ServerRole role = ServerRole::kPrimary;
-  uint64_t wal_appends = 0;
-  uint64_t wal_fsyncs = 0;
-  uint64_t wal_replayed_records = 0;
-  uint64_t wal_salvaged_bytes = 0;
-  uint64_t wal_checkpoints = 0;
-  uint64_t wal_last_lsn = 0;
-  uint64_t wal_durable_lsn = 0;  // gauge
-  /// Standby gauge: durable primary records not yet applied locally.
-  uint64_t replication_lag_records = 0;
   /// WalShip errors observed by the standby's replication loop (reconnects).
   uint64_t replication_errors = 0;
-  /// Standby: automatic checkpoint re-seeds after the primary's compaction
-  /// outran the replication cursor (each one re-fetches the newest
-  /// checkpoint pair and resumes tailing from its LSN).
-  uint64_t replication_reseeds = 0;
   /// The promotion epoch this server serves under (1 = never failed over).
   uint64_t wal_epoch = 0;
-  /// Standing-query subscriptions (protocol v5 push path).
-  uint64_t subscriptions_active = 0;  // gauge
-  uint64_t subscriptions_total = 0;
-  uint64_t pushes_sent = 0;
-  /// Events lost to drop-oldest backpressure (each run of losses surfaces
-  /// to the subscriber as one gap marker).
-  uint64_t push_drops = 0;
-  uint64_t push_gaps_sent = 0;
-  uint64_t ingest_batches = 0;
-  /// Disk health (all zero/false while the disk behaves). Write failures on
-  /// the durability path land in `disk_io_errors`, failed fsyncs in
-  /// `disk_fsync_failures`; either flips `read_only` when
-  /// `ServerOptions::read_only_on_disk_error` is set, and an ENOSPC-shaped
-  /// failure additionally raises `disk_full`.
-  uint64_t disk_io_errors = 0;
-  uint64_t disk_fsync_failures = 0;
-  /// Checkpoint pairs recovery probed and skipped as torn or corrupt (the
-  /// crash-between-renames shape) before settling on an older valid pair.
-  uint64_t checkpoints_quarantined = 0;
-  bool disk_full = false;
-  bool read_only = false;
 };
 
 /// TCP front end over one `VideoZilla` instance: the RPC handlers of an
-/// `RpcEndpoint` whose connection loops run on the shared `ThreadPool` (the
-/// system's query pool when it has workers, otherwise a pool owned by the
-/// server).
+/// `RpcEndpoint`, which serves each connection on a thread of its own and
+/// leaves the system's query `ThreadPool` to the queries.
 ///
 /// Request handling preserves the library's concurrency contract: queries
 /// and stats reads from different connections run concurrently (shared
@@ -216,7 +133,9 @@ struct ServerStats {
 /// cached responses; a duplicate sequence is answered byte-identically from
 /// the window without re-executing, and a sequence already executing (the
 /// client timed out and retried while the original is still running) waits
-/// for the original instead of racing it.
+/// for the original instead of racing it. A session evicted from the LRU
+/// registry leaves its highest sequence behind, so its late duplicates are
+/// refused rather than re-executed.
 ///
 /// Supervision: per-connection read/write deadlines plus idle eviction with
 /// a grace period bound every connection's lifetime; `kPing` is the
@@ -230,7 +149,7 @@ struct ServerStats {
 ///
 /// `Shutdown` is graceful: stop accepting, let every handler finish the
 /// request it is serving (responses are written before sockets close), then
-/// force-close whatever is still open after `drain_timeout_ms`.
+/// force-close whatever is still open after a 10 s drain budget.
 ///
 /// Durability (opt-in via `wal_dir`): the commit rule is apply -> log (the
 /// verbatim post-token request bytes, inside the state lock) -> ack only
@@ -306,10 +225,18 @@ class Server {
     std::set<uint64_t> executing;
     /// Completed sequence -> cached response, trimmed to the window.
     std::map<uint64_t, CachedResponse> done;
-    /// Highest sequence trimmed out of `done`; duplicates at or below it
-    /// can no longer be replayed and are refused.
+    /// Highest sequence trimmed out of `done` (or, for a session re-created
+    /// after an LRU eviction, the highest its evicted predecessor saw);
+    /// duplicates at or below it can no longer be replayed and are refused.
     uint64_t evicted_up_to = 0;
     uint64_t last_used_tick = 0;
+  };
+
+  /// What an LRU-evicted session leaves behind: its highest sequence (the
+  /// newest of its `evicted_up_to`, `done` and `executing`).
+  struct EvictedSession {
+    uint64_t high_sequence = 0;
+    uint64_t evicted_tick = 0;
   };
 
   /// Registers the RPC handlers on `endpoint_`.
@@ -336,7 +263,8 @@ class Server {
   std::string ExecuteMutating(MsgType type, io::BinaryReader* reader,
                               Status* failure);
   /// The session for `id`, creating it (and LRU-evicting beyond
-  /// `max_sessions`) as needed.
+  /// `max_sessions`) as needed. A re-created session starts its
+  /// `evicted_up_to` from its evicted predecessor's record.
   std::shared_ptr<Session> GetSession(uint64_t id);
   /// Completes `sequence`: caches the response (window-trimmed) and wakes
   /// duplicate waiters.
@@ -393,8 +321,6 @@ class Server {
 
   core::VideoZilla* system_;
   const ServerOptions options_;
-  std::unique_ptr<ThreadPool> owned_pool_;  // when the system runs serial
-  ThreadPool* pool_ = nullptr;
   RpcEndpoint endpoint_;
   std::atomic<bool> stopping_{false};
   bool started_ = false;
@@ -407,6 +333,10 @@ class Server {
   /// per-session lock takes over.
   mutable std::mutex sessions_mu_;
   std::unordered_map<uint64_t, std::shared_ptr<Session>> sessions_;
+  /// Records of LRU-evicted sessions: at most `max_sessions`, the oldest
+  /// dropped first. Cleared wherever `sessions_` is replaced; checkpoints
+  /// do not carry them.
+  std::unordered_map<uint64_t, EvictedSession> evicted_sessions_;
   uint64_t session_tick_ = 0;
 
   std::atomic<uint64_t> duplicates_replayed_{0};

@@ -390,8 +390,12 @@ enum class ServerRole : uint32_t {
 struct ServingStats {
   uint64_t connections_accepted = 0;
   uint64_t connections_shed = 0;
+  /// Supervision evictions: no completed request past the idle deadline
+  /// plus grace / a frame read or write that overran its deadline.
   uint64_t connections_evicted_idle = 0;
   uint64_t connections_evicted_slow = 0;
+  /// Mutating RPCs answered from a session's dedup window instead of being
+  /// re-applied (exactly-once in action).
   uint64_t duplicates_replayed = 0;
   uint64_t pings_served = 0;
   uint64_t sessions_active = 0;

@@ -14,6 +14,7 @@
 #include <filesystem>
 #include <memory>
 #include <mutex>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -131,6 +132,43 @@ class LatchedVerifier : public core::ObjectVerifier {
   bool first_seen_ = false;
   bool entered_ = false;
   bool released_ = false;
+};
+
+// A verifier that records the threads verification runs on. Its first call
+// waits (up to 2 s) for a second thread to arrive, so a pool with a free
+// worker shows up as two threads however fast one lane alone could drain
+// the candidates; a pool with none runs on one thread after the wait.
+class ThreadRecordingVerifier : public core::ObjectVerifier {
+ public:
+  explicit ThreadRecordingVerifier(core::ObjectVerifier* inner)
+      : inner_(inner) {}
+
+  Verification Verify(const core::Svs& svs,
+                      const FeatureVector& query_feature) override {
+    {
+      std::unique_lock<std::mutex> lock(mu_);
+      threads_.insert(std::this_thread::get_id());
+      cv_.notify_all();
+      if (!waited_) {
+        waited_ = true;
+        cv_.wait_for(lock, std::chrono::seconds(2),
+                     [this] { return threads_.size() > 1; });
+      }
+    }
+    return inner_->Verify(svs, query_feature);
+  }
+
+  size_t threads() {
+    std::lock_guard<std::mutex> lock(mu_);
+    return threads_.size();
+  }
+
+ private:
+  core::ObjectVerifier* inner_;
+  std::mutex mu_;
+  std::condition_variable cv_;
+  std::set<std::thread::id> threads_;
+  bool waited_ = false;
 };
 
 TEST(NetTest, RemoteRoundTripBitIdenticalToInProcess) {
@@ -432,6 +470,67 @@ TEST(NetTest, ConnectionShedIsRetryableAndHonorsRetryAfter) {
   EXPECT_GE(second->call_stats().backoff_ms_total, 21);
   EXPECT_TRUE(second->MonitorStats().ok());
   EXPECT_GE(server.stats().connections_shed, 2u);
+  server.Shutdown();
+}
+
+VideoZillaOptions FourLaneSystemOptions() {
+  VideoZillaOptions options = SmallSystemOptions();
+  options.num_threads = 4;
+  return options;
+}
+
+// Clients that give up at the first shed.
+std::vector<Client> ConnectWithoutShedRetries(uint16_t port, size_t count) {
+  ClientOptions no_retry;
+  no_retry.max_shed_retries = 0;
+  std::vector<Client> clients;
+  for (size_t i = 0; i < count; ++i) {
+    auto client = Client::Connect("127.0.0.1", port, no_retry);
+    EXPECT_TRUE(client.ok()) << "client " << i << ": "
+                             << client.status().ToString();
+    if (!client.ok()) break;
+    clients.push_back(std::move(*client));
+  }
+  return clients;
+}
+
+TEST(NetTest, ParallelEdgeAdmitsMaxConnectionsClients) {
+  // The query pool's size does not cap connections: a 4-lane edge at the
+  // default max_connections serves all 8.
+  Rig rig(FourLaneSystemOptions());
+  const ServerOptions defaults;
+  Server server(rig.system.get(), defaults);
+  ASSERT_TRUE(server.Start().ok());
+
+  std::vector<Client> clients =
+      ConnectWithoutShedRetries(server.port(), defaults.max_connections);
+  ASSERT_EQ(clients.size(), defaults.max_connections);
+  for (Client& client : clients) EXPECT_TRUE(client.Ping().ok());
+  const ServerStats stats = server.stats();
+  EXPECT_EQ(stats.connections_shed, 0u);
+  EXPECT_EQ(stats.connections_active, defaults.max_connections);
+  server.Shutdown();
+}
+
+TEST(NetTest, OpenConnectionsLeaveVerificationItsPoolLanes) {
+  // Open connections hold no query-pool worker, so a DirectQuery served
+  // beside them still verifies its candidates on more than one lane.
+  Rig rig(FourLaneSystemOptions());
+  ASSERT_TRUE(rig.deployment->IngestAll(rig.system.get()).ok());
+  ThreadRecordingVerifier recording(rig.verifier.get());
+  rig.system->SetVerifier(&recording);
+  Server server(rig.system.get(), {});
+  ASSERT_TRUE(server.Start().ok());
+
+  std::vector<Client> clients = ConnectWithoutShedRetries(server.port(), 3);
+  ASSERT_EQ(clients.size(), 3u);
+  Rng rng(2);
+  auto result = clients[0].DirectQuery(
+      rig.deployment->MakeQueryFeature(sim::kTruck, &rng));
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  ASSERT_GE(result->candidate_svss.size(), 2u);
+  EXPECT_GT(recording.threads(), 1u);
+  clients.clear();
   server.Shutdown();
 }
 
@@ -785,6 +884,38 @@ TEST(NetTest, DuplicateOlderThanDedupWindowRefused) {
   auto recent = RawTokenedCall(fd->get(), MsgType::kFlush, 9, 3);
   ASSERT_TRUE(recent.ok());
   EXPECT_TRUE(RawStatusOf(*recent).ok());
+  server.Shutdown();
+}
+
+TEST(NetTest, DuplicateFromAnEvictedSessionRefused) {
+  Rig rig;
+  ServerOptions options;
+  options.max_sessions = 1;
+  Server server(rig.system.get(), options);
+  ASSERT_TRUE(server.Start().ok());
+  auto fd = TcpConnect("127.0.0.1", server.port(), 2'000);
+  ASSERT_TRUE(fd.ok());
+  RawHello(fd->get());
+
+  auto first = RawTokenedCall(fd->get(), MsgType::kFlush, 77, 1);
+  ASSERT_TRUE(first.ok());
+  EXPECT_TRUE(RawStatusOf(*first).ok());
+  // Session 88 evicts session 77, dedup window and all.
+  auto other = RawTokenedCall(fd->get(), MsgType::kFlush, 88, 1);
+  ASSERT_TRUE(other.ok());
+  EXPECT_TRUE(RawStatusOf(*other).ok());
+  EXPECT_EQ(server.stats().sessions_evicted, 1u);
+
+  // The late duplicate can no longer be replayed, and the server still
+  // knows how far session 77 got, so it refuses instead of re-executing.
+  auto stale = RawTokenedCall(fd->get(), MsgType::kFlush, 77, 1);
+  ASSERT_TRUE(stale.ok());
+  EXPECT_EQ(RawStatusOf(*stale).code(), StatusCode::kFailedPrecondition);
+  // The session's next sequence still executes.
+  auto next = RawTokenedCall(fd->get(), MsgType::kFlush, 77, 2);
+  ASSERT_TRUE(next.ok());
+  EXPECT_TRUE(RawStatusOf(*next).ok());
+  EXPECT_EQ(server.stats().duplicates_replayed, 0u);
   server.Shutdown();
 }
 

@@ -19,31 +19,6 @@ TEST(ThreadPoolTest, ReportsLaneCount) {
   EXPECT_GE(automatic.num_threads(), 1u);
 }
 
-TEST(ThreadPoolTest, SubmittedTasksAllComplete) {
-  ThreadPool pool(4);
-  std::atomic<int> counter{0};
-  std::vector<std::future<void>> futures;
-  for (int i = 0; i < 64; ++i) {
-    futures.push_back(pool.Submit([&counter] { ++counter; }));
-  }
-  for (auto& future : futures) future.get();
-  EXPECT_EQ(counter.load(), 64);
-}
-
-TEST(ThreadPoolTest, SubmitPropagatesException) {
-  ThreadPool pool(2);
-  auto future = pool.Submit([] { throw std::runtime_error("boom"); });
-  EXPECT_THROW(future.get(), std::runtime_error);
-}
-
-TEST(ThreadPoolTest, SingleLanePoolRunsSubmitInline) {
-  ThreadPool pool(1);
-  bool ran = false;
-  auto future = pool.Submit([&ran] { ran = true; });
-  EXPECT_TRUE(ran);
-  future.get();
-}
-
 TEST(ThreadPoolTest, ParallelForCoversEveryIndexExactlyOnce) {
   ThreadPool pool(4);
   constexpr size_t kN = 1000;
@@ -103,16 +78,6 @@ TEST(ThreadPoolTest, NestedParallelForDoesNotDeadlock) {
     pool.ParallelFor(8, [&](size_t) { ++total; });
   });
   EXPECT_EQ(total.load(), 64);
-}
-
-TEST(ThreadPoolTest, ParallelForInsideSubmittedTask) {
-  ThreadPool pool(2);
-  std::atomic<int> total{0};
-  auto future = pool.Submit([&] {
-    pool.ParallelFor(32, [&](size_t) { ++total; });
-  });
-  future.get();
-  EXPECT_EQ(total.load(), 32);
 }
 
 TEST(ThreadPoolTest, ZeroIterationsIsANoOp) {
