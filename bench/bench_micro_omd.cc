@@ -7,8 +7,10 @@
 
 #include <memory>
 
+#include "clustering/silhouette.h"
 #include "common/thread_pool.h"
 #include "core/omd.h"
+#include "core/representative.h"
 #include "sim/dataset.h"
 #include "vector/simd_kernels.h"
 
@@ -135,6 +137,62 @@ void BM_QuantizedLowerBound(benchmark::State& state) {
   state.counters["simd"] = vz::simd::Avx2Active() ? 1.0 : 0.0;
 }
 BENCHMARK(BM_QuantizedLowerBound)->ArgsProduct({{64, 128, 256}, {128, 512}});
+
+// What one SVS's representative is fitted to: `points` 48-d vectors (the
+// benchmark world's dimension) in four modes, four SVSs of four types.
+vz::sim::SyntheticDataset MakeModes(size_t points) {
+  vz::sim::SyntheticDatasetOptions options;
+  options.num_svs = 4;
+  options.vectors_per_svs = points / 4;
+  options.dim = 48;
+  options.num_types = 4;
+  options.seed = 73;
+  return vz::sim::MakeSyntheticDataset(options);
+}
+
+// The silhouette sweep of Sec. 3.3 as representatives run it: k-means fits
+// for k = 2..12 over one point tile, then one scoring pass (Args: {points}).
+// The `simd` counter records whether the AVX2 kernel table is active.
+void BM_ChooseKBySilhouette(benchmark::State& state) {
+  const auto data = MakeModes(static_cast<size_t>(state.range(0)));
+  std::vector<vz::FeatureVector> points;
+  for (const vz::FeatureMap& map : data.svss) {
+    for (size_t i = 0; i < map.size(); ++i) points.push_back(map.vector(i));
+  }
+  const vz::core::RepresentativeOptions options;
+  for (auto _ : state) {
+    vz::Rng rng(5);
+    auto sweep = vz::clustering::ChooseKBySilhouette(points, options.min_k,
+                                                     options.max_k, &rng);
+    benchmark::DoNotOptimize(sweep);
+  }
+  state.counters["points"] = static_cast<double>(points.size());
+  state.counters["simd"] = vz::simd::Avx2Active() ? 1.0 : 0.0;
+}
+BENCHMARK(BM_ChooseKBySilhouette)
+    ->Arg(64)->Arg(256)->Arg(512)->Unit(benchmark::kMicrosecond);
+
+// One SVS representative end to end: the sweep, the final weighted fit and
+// the boundaries (Args: {points}).
+void BM_BuildRepresentative(benchmark::State& state) {
+  const auto data = MakeModes(static_cast<size_t>(state.range(0)));
+  std::vector<const vz::FeatureMap*> maps;
+  size_t points = 0;
+  for (const vz::FeatureMap& map : data.svss) {
+    maps.push_back(&map);
+    points += map.size();
+  }
+  const vz::core::RepresentativeOptions options;
+  for (auto _ : state) {
+    vz::Rng rng(5);
+    auto rep = vz::core::BuildRepresentative(maps, options, &rng);
+    benchmark::DoNotOptimize(rep);
+  }
+  state.counters["points"] = static_cast<double>(points);
+  state.counters["simd"] = vz::simd::Avx2Active() ? 1.0 : 0.0;
+}
+BENCHMARK(BM_BuildRepresentative)
+    ->Arg(64)->Arg(256)->Arg(512)->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 

@@ -7,6 +7,7 @@
 #include "common/rng.h"
 #include "common/statusor.h"
 #include "vector/feature_vector.h"
+#include "vector/point_tile.h"
 
 namespace vz::clustering {
 
@@ -39,9 +40,21 @@ struct KMeansResult {
 /// Runs weighted k-means++ / Lloyd over `points`.
 ///
 /// `weights` may be empty (uniform) or one non-negative weight per point.
-/// Deterministic given `rng`'s state. Errors on empty input or mismatched
-/// weights.
+/// Deterministic given `rng`'s state. Errors on empty input, points of
+/// different dimensions or mismatched weights.
+///
+/// Lloyd stops when the total centroid movement is within `tolerance`, when
+/// `max_iterations` passes have run, or when an assignment pass after the
+/// first changes no assignment: the update would then rebuild the same
+/// centroids bit for bit, so every later pass would repeat this one.
 StatusOr<KMeansResult> KMeans(const std::vector<FeatureVector>& points,
+                              const std::vector<double>& weights,
+                              const KMeansOptions& options, Rng* rng);
+
+/// As above, over `tile` = `PointTile::FromPoints(points)`: callers fitting
+/// one point set many times transpose it once.
+StatusOr<KMeansResult> KMeans(const std::vector<FeatureVector>& points,
+                              const PointTile& tile,
                               const std::vector<double>& weights,
                               const KMeansOptions& options, Rng* rng);
 

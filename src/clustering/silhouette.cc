@@ -86,6 +86,9 @@ StatusOr<SilhouetteSweepResult> ChooseKBySilhouette(
   max_k = std::min(max_k, points.size() - 1);
   if (min_k > max_k) max_k = min_k;
 
+  // One tile serves every fit and the scoring pass.
+  VZ_ASSIGN_OR_RETURN(const PointTile tile, PointTile::FromPoints(points));
+
   // Fit every k first: the k-means runs consume `rng` in ascending k, exactly
   // as a fit-then-score loop would (scoring never reads it).
   std::vector<std::vector<size_t>> assignments;
@@ -93,16 +96,19 @@ StatusOr<SilhouetteSweepResult> ChooseKBySilhouette(
   for (size_t k = min_k; k <= max_k; ++k) {
     KMeansOptions options;
     options.k = k;
-    VZ_ASSIGN_OR_RETURN(KMeansResult km, KMeans(points, options, rng));
+    VZ_ASSIGN_OR_RETURN(KMeansResult km,
+                        KMeans(points, tile, {}, options, rng));
     assignments.push_back(std::move(km.assignments));
   }
 
   // Score every k from one distance pass: each point's distance row is
-  // computed once, with the batched kernel (bit-identical to
-  // `EuclideanDistance`), and feeds the per-cluster sums of every k. Per k,
-  // the sums accumulate in ascending j and s(i) in ascending i, as in
-  // `SilhouetteScore`, so every score is bit-identical to scoring that k on
-  // its own. Memory stays O(n) per k: no n x n matrix is kept.
+  // computed once, from the tile (bit-identical to `EuclideanDistance`), and
+  // feeds the per-cluster sums of every k. Per k, the sums accumulate in
+  // ascending j and s(i) in ascending i, as in `SilhouetteScore`, so every
+  // score is bit-identical to scoring that k on its own. Points go four to
+  // a pass: one walk over j feeds four independent sums, where one point's
+  // consecutive adds to the same cluster would wait on each other. Memory
+  // stays O(n) per k: no n x n matrix is kept.
   struct KScore {
     std::vector<size_t> sizes;
     bool scored = false;  // false: fewer than two populated clusters, s = 0
@@ -115,22 +121,41 @@ StatusOr<SilhouetteSweepResult> ChooseKBySilhouette(
     const bool scored = CountPopulated(sizes) >= 2;
     per_k.push_back({std::move(sizes), scored});
   }
+  constexpr size_t kLanes = 4;
   const size_t n = points.size();
-  std::vector<double> row(n);
-  std::vector<double> sum_to;
-  for (size_t i = 0; i < n; ++i) {
-    EuclideanDistancesTo(points[i], points, row.data());
+  std::vector<double> rows[kLanes];
+  std::vector<double> sum_to[kLanes];
+  for (std::vector<double>& row : rows) row.assign(n, 0.0);
+  for (size_t i0 = 0; i0 < n; i0 += kLanes) {
+    const size_t lanes = std::min(kLanes, n - i0);
+    for (size_t l = 0; l < lanes; ++l) {
+      tile.EuclideanDistancesTo(points[i0 + l].data(), rows[l].data());
+      // Leaving j == i out of its own sums is adding +0.0 to them, which
+      // changes no sum: each is +0.0, positive, +inf or NaN.
+      rows[l][i0 + l] = 0.0;
+    }
     for (size_t f = 0; f < per_k.size(); ++f) {
       const std::vector<size_t>& assigned = assignments[f];
       KScore& ks = per_k[f];
-      const size_t ci = assigned[i];
-      if (!ks.scored || ks.sizes[ci] <= 1) continue;
-      sum_to.assign(ks.sizes.size(), 0.0);
-      for (size_t j = 0; j < n; ++j) {
-        if (j == i) continue;
-        sum_to[assigned[j]] += row[j];
+      if (!ks.scored) continue;
+      bool any = false;  // does some lane's point need its s(i)?
+      for (size_t l = 0; l < lanes; ++l) {
+        any = any || ks.sizes[assigned[i0 + l]] > 1;
       }
-      ks.total += SilhouetteOf(sum_to, ks.sizes, ci);
+      if (!any) continue;
+      for (std::vector<double>& sums : sum_to) {
+        sums.assign(ks.sizes.size(), 0.0);
+      }
+      // Lanes past `lanes` sum stale rows into sums nobody reads.
+      for (size_t j = 0; j < n; ++j) {
+        const size_t c = assigned[j];
+        for (size_t l = 0; l < kLanes; ++l) sum_to[l][c] += rows[l][j];
+      }
+      for (size_t l = 0; l < lanes; ++l) {
+        const size_t ci = assigned[i0 + l];
+        if (ks.sizes[ci] <= 1) continue;  // singleton contributes s(i) = 0
+        ks.total += SilhouetteOf(sum_to[l], ks.sizes, ci);
+      }
     }
   }
 

@@ -7,6 +7,7 @@
 
 #include "common/logging.h"
 #include "solver/emd.h"
+#include "vector/point_tile.h"
 #include "vector/simd_kernels.h"
 
 namespace vz::core {
@@ -39,10 +40,10 @@ void Subsample(const FeatureMap& in, size_t cap,
 // cursor; callers must re-check the token before trusting the matrix — rows
 // skipped after cancellation are left zeroed.
 //
-// When the AVX2 table is active the B side is transposed once into a
-// column-major tile so the kernel vectorizes across output columns; every
-// per-pair sum keeps the scalar accumulation order, so the filled matrix is
-// bit-identical to the row-kernel (and to the seed's per-pair) fill.
+// The B side is transposed once into a column-major `PointTile` so the
+// kernel vectorizes across output columns; every per-pair sum keeps the
+// scalar accumulation order, so the filled matrix is bit-identical to the
+// seed's per-pair fill.
 double FillGroundMatrix(ThreadPool* pool, const std::vector<const float*>& av,
                         const std::vector<const float*>& bv, size_t dim,
                         std::vector<double>* cost, const CancelToken* cancel) {
@@ -50,20 +51,10 @@ double FillGroundMatrix(ThreadPool* pool, const std::vector<const float*>& av,
   const size_t m = bv.size();
   cost->assign(n * m, 0.0);
   std::vector<double> row_max(n, 0.0);
-  const simd::KernelTable& kernels = simd::Active();
-  std::vector<float, simd::AlignedAllocator<float>> tile;
-  const bool use_cols = simd::Avx2Active() && m >= 8 && dim > 0;
-  if (use_cols) {
-    tile.resize(m * dim);
-    simd::TransposeRows(bv.data(), m, dim, tile.data());
-  }
+  const PointTile tile(bv.data(), m, dim);
   ParallelFor(pool, n, [&](size_t i) {
     double* row = cost->data() + i * m;
-    if (use_cols) {
-      kernels.euclidean_cols(av[i], tile.data(), m, dim, row);
-    } else {
-      kernels.euclidean_rows(av[i], bv.data(), m, dim, row);
-    }
+    tile.EuclideanDistancesTo(av[i], row);
     double mx = 0.0;
     for (size_t j = 0; j < m; ++j) mx = std::max(mx, row[j]);
     row_max[i] = mx;

@@ -48,9 +48,9 @@ struct OmdOptions {
 /// `Distance` is safe to call concurrently (the computation counter is
 /// atomic and the solver is stateless) as long as the configuration setters
 /// are not raced against it. When a thread pool is attached, the dense
-/// ground-distance matrix is filled row-parallel with the batched
-/// `EuclideanDistancesTo` kernel; results are bit-identical to the serial
-/// fill for any thread count.
+/// ground-distance matrix is filled row-parallel from one `PointTile` of the
+/// second map; results are bit-identical to the serial fill for any thread
+/// count.
 class OmdCalculator {
  public:
   explicit OmdCalculator(const OmdOptions& options = OmdOptions());

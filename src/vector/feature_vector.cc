@@ -53,29 +53,6 @@ double EuclideanDistance(const float* a, const float* b, size_t dim) {
   return std::sqrt(simd::Active().squared_distance(a, b, dim));
 }
 
-void EuclideanDistancesTo(const FeatureVector& a,
-                          const FeatureVector* const* bs, size_t count,
-                          double* out) {
-  const float* pa = a.data();
-  const size_t dim = a.dim();
-  const simd::KernelTable& kernels = simd::Active();
-  for (size_t j = 0; j < count; ++j) {
-    assert(bs[j]->dim() == dim);
-    out[j] = std::sqrt(kernels.squared_distance(pa, bs[j]->data(), dim));
-  }
-}
-
-void EuclideanDistancesTo(const FeatureVector& a,
-                          const std::vector<FeatureVector>& bs, double* out) {
-  const float* pa = a.data();
-  const size_t dim = a.dim();
-  const simd::KernelTable& kernels = simd::Active();
-  for (size_t j = 0; j < bs.size(); ++j) {
-    assert(bs[j].dim() == dim);
-    out[j] = std::sqrt(kernels.squared_distance(pa, bs[j].data(), dim));
-  }
-}
-
 void EuclideanDistancesTo(const float* a, const float* const* rows,
                           size_t count, size_t dim, double* out) {
   simd::Active().euclidean_rows(a, rows, count, dim, out);

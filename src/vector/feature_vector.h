@@ -82,25 +82,12 @@ double EuclideanDistance(const FeatureVector& a, const FeatureVector& b);
 double SquaredDistance(const float* a, const float* b, size_t dim);
 double EuclideanDistance(const float* a, const float* b, size_t dim);
 
-/// Batched one-vs-many Euclidean distances: writes
-/// `EuclideanDistance(a, *bs[j])` into `out[j]` for every `j < count`.
-///
-/// This is the ground-distance-matrix row kernel of the OMD path: one tight
-/// pass per pair with `a`'s buffer hoisted out of the loop and no per-pair
-/// function-call overhead, leaving the inner dimension loop free for the
-/// compiler to vectorize. The summation order matches `SquaredDistance`
-/// exactly, so results are bit-identical to `count` individual calls.
-void EuclideanDistancesTo(const FeatureVector& a,
-                          const FeatureVector* const* bs, size_t count,
-                          double* out);
-
-/// As above over a contiguous array of vectors.
-void EuclideanDistancesTo(const FeatureVector& a,
-                          const std::vector<FeatureVector>& bs, double* out);
-
-/// Raw-row variant: `rows[j]` points at `dim` contiguous floats (an SoA row
-/// from `FeatureMap`). This is the form `FillGroundMatrix` feeds the
-/// runtime-dispatched kernels.
+/// Batched one-vs-many Euclidean distances over raw rows: writes
+/// `EuclideanDistance(a, rows[j], dim)` into `out[j]` for every
+/// `j < count`, where `rows[j]` points at `dim` contiguous floats (an SoA
+/// row from `FeatureMap`). The summation order matches `SquaredDistance`
+/// exactly, so results are bit-identical to `count` individual calls. A
+/// point set scanned many times is cheaper as a `PointTile`.
 void EuclideanDistancesTo(const float* a, const float* const* rows,
                           size_t count, size_t dim, double* out);
 

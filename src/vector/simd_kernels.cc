@@ -53,16 +53,25 @@ void ScalarEuclideanRows(const float* a, const float* const* rows,
   }
 }
 
+// Walks the tile one dimension (one contiguous tile row) at a time; out[j]
+// is target j's running sum, so each still adds its terms in ascending i.
+void ScalarSquaredCols(const float* a, const float* bt, size_t count,
+                       size_t dim, double* out) {
+  for (size_t j = 0; j < count; ++j) out[j] = 0.0;
+  for (size_t i = 0; i < dim; ++i) {
+    const double ai = a[i];
+    const float* col = bt + i * count;
+    for (size_t j = 0; j < count; ++j) {
+      const double d = ai - col[j];
+      out[j] += d * d;
+    }
+  }
+}
+
 void ScalarEuclideanCols(const float* a, const float* bt, size_t count,
                          size_t dim, double* out) {
-  for (size_t j = 0; j < count; ++j) {
-    double sum = 0.0;
-    for (size_t i = 0; i < dim; ++i) {
-      const double d = static_cast<double>(a[i]) - bt[i * count + j];
-      sum += d * d;
-    }
-    out[j] = std::sqrt(sum);
-  }
+  ScalarSquaredCols(a, bt, count, dim, out);
+  for (size_t j = 0; j < count; ++j) out[j] = std::sqrt(out[j]);
 }
 
 void ScalarAxpy(float* acc, float scale, const float* v, size_t dim) {
@@ -87,9 +96,9 @@ int64_t ScalarDotI8(const int8_t* a, const int8_t* b, size_t dim) {
 
 constexpr KernelTable kScalarTable = {
     "scalar",          ScalarSquaredDistance, ScalarDot,
-    ScalarSumSquares,  ScalarEuclideanRows,   ScalarEuclideanCols,
-    ScalarAxpy,        ScalarAddInPlace,      ScalarScaleInPlace,
-    ScalarDotI8,
+    ScalarSumSquares,  ScalarEuclideanRows,   ScalarSquaredCols,
+    ScalarEuclideanCols, ScalarAxpy,          ScalarAddInPlace,
+    ScalarScaleInPlace,  ScalarDotI8,
 };
 
 std::atomic<const KernelTable*> g_active{nullptr};

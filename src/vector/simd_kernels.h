@@ -33,13 +33,13 @@ namespace vz::simd {
 ///    so any vector width is bit-identical by construction.
 ///  - Integer kernels (`dot_i8`) are exact in any summation order.
 ///
-/// The batched Euclidean kernels exist in two layouts: `euclidean_rows`
-/// walks `count` row pointers (the layout `FeatureMap` hands out), while
-/// `euclidean_cols` reads a column-major transpose tile (`bt[i * count + j]`
-/// holds element `i` of target `j`) so one vector register spans *outputs*
-/// instead of dimensions. The column layout is what makes AVX2 profitable
-/// without reordering any per-output sum: lane `j` still accumulates
-/// dimensions in ascending order.
+/// The batched kernels exist in two layouts: `euclidean_rows` walks `count`
+/// row pointers (the layout `FeatureMap` hands out), while `squared_cols`
+/// and `euclidean_cols` read a column-major transpose tile (`bt[i * count +
+/// j]` holds element `i` of target `j`; `PointTile` owns one) so one vector
+/// register spans *outputs* instead of dimensions. The column layout is what
+/// makes AVX2 profitable without reordering any per-output sum: lane `j`
+/// still accumulates dimensions in ascending order.
 struct KernelTable {
   /// Human-readable table name ("scalar", "avx2") for logs and tests.
   const char* name;
@@ -57,8 +57,13 @@ struct KernelTable {
   void (*euclidean_rows)(const float* a, const float* const* rows,
                          size_t count, size_t dim, double* out);
 
-  /// As euclidean_rows over a transposed tile: element i of target j lives
-  /// at bt[i * count + j] (see TransposeRows).
+  /// out[j] = squared_distance(a, target j, dim) for j < count, over a
+  /// transposed tile: element i of target j lives at bt[i * count + j] (see
+  /// TransposeRows).
+  void (*squared_cols)(const float* a, const float* bt, size_t count,
+                       size_t dim, double* out);
+
+  /// out[j] = sqrt of squared_cols' out[j].
   void (*euclidean_cols)(const float* a, const float* bt, size_t count,
                          size_t dim, double* out);
 

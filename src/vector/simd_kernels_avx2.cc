@@ -15,10 +15,13 @@
 //    sub/mul are deterministic per lane — then drain the four lane terms
 //    into the accumulator in index order with scalar adds.
 //  - The batched kernel gets its parallelism across *outputs* instead:
-//    euclidean_cols reads a column-major tile so one register holds the same
+//    squared_cols reads a column-major tile so two registers hold the same
 //    dimension i of eight different targets, and each lane's running sum
-//    still sees dimensions in ascending order. That is where the 2x+ win on
-//    the ground-matrix fill comes from.
+//    still sees dimensions in ascending order. Four such 8-wide tiles are
+//    in flight per dimension step, so eight independent add chains hide the
+//    add latency that a single tile's two chains would stall on; a partial
+//    last tile is loaded under a lane mask instead of falling back to
+//    scalar. euclidean_cols is a square-root pass over it.
 //  - Integer math (dot_i8) is exact in any order, so it uses the classic
 //    unsigned*signed maddubs reduction freely.
 
@@ -30,18 +33,12 @@
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 
 #include "vector/simd_kernels.h"
 
 namespace vz::simd {
 namespace {
-
-// Converts the low/high float quads of one 8-float load into two double
-// quads: out_lo = (double)v[0..3], out_hi = (double)v[4..7].
-inline void CvtPsPd8(__m256 v, __m256d* lo, __m256d* hi) {
-  *lo = _mm256_cvtps_pd(_mm256_castps256_ps128(v));
-  *hi = _mm256_cvtps_pd(_mm256_extractf128_ps(v, 1));
-}
 
 // Drains a 4-lane double vector of per-element terms into `sum` with scalar
 // adds in lane (= index) order, preserving the reference summation order.
@@ -100,40 +97,99 @@ void Avx2EuclideanRows(const float* a, const float* const* rows, size_t count,
   }
 }
 
-// The workhorse: 8 outputs per tile, accumulated in registers across the
-// whole dimension loop. Lane j's sum is built one dimension at a time in
-// ascending order — the same order as the scalar per-pair loop — with
-// separate sub/mul/add (no FMA), so each output is bit-identical to
-// ScalarSquaredDistance on (a, column j).
+// Lane masks for a partial 8-wide tile: kLaneMask + 8 - w selects w lanes.
+alignas(32) constexpr int32_t kLaneMask[16] = {-1, -1, -1, -1, -1, -1, -1, -1,
+                                               0,  0,  0,  0,  0,  0,  0,  0};
+
+// Adds dimension i's terms for one 8-wide tile into its two 4-lane
+// accumulators; `b_lo`/`b_hi` are the tile's floats of tile row i.
+inline void AccumulateTile8(__m256d ai, __m128 b_lo, __m128 b_hi,
+                            __m256d* acc_lo, __m256d* acc_hi) {
+  const __m256d d_lo = _mm256_sub_pd(ai, _mm256_cvtps_pd(b_lo));
+  const __m256d d_hi = _mm256_sub_pd(ai, _mm256_cvtps_pd(b_hi));
+  *acc_lo = _mm256_add_pd(*acc_lo, _mm256_mul_pd(d_lo, d_lo));
+  *acc_hi = _mm256_add_pd(*acc_hi, _mm256_mul_pd(d_hi, d_hi));
+}
+
+// Squared distances of `width` adjacent targets, the columns of kTiles 8-wide
+// tiles (`bt` and `out` start at the first), with every sum held in a
+// register across the whole dimension loop: 2 * kTiles independent add
+// chains, so four tiles keep the adder busy where one would wait on its own
+// latency. Lane j's sum is built one dimension at a time in ascending order
+// — the same order as the scalar per-pair loop — with separate sub/mul/add
+// (no FMA), so each output is bit-identical to ScalarSquaredDistance on
+// (a, column j). With kMaskLast the last tile may be partial: its lanes past
+// `width` load 0 and are never stored.
+template <size_t kTiles, bool kMaskLast>
+inline void SquaredTiles(const float* a, const float* bt, size_t count,
+                         size_t dim, size_t width, double* out) {
+  const int32_t* mask = kLaneMask + 8 - (width - 8 * (kTiles - 1));
+  const __m128i mask_lo = _mm_loadu_si128(
+      reinterpret_cast<const __m128i*>(mask));
+  const __m128i mask_hi = _mm_loadu_si128(
+      reinterpret_cast<const __m128i*>(mask + 4));
+  __m256d acc[2 * kTiles];
+  for (__m256d& v : acc) v = _mm256_setzero_pd();
+  for (size_t i = 0; i < dim; ++i) {
+    const __m256d ai = _mm256_set1_pd(static_cast<double>(a[i]));
+    const float* row = bt + i * count;
+    for (size_t t = 0; t < kTiles; ++t) {
+      const float* col = row + 8 * t;
+      if (kMaskLast && t + 1 == kTiles) {
+        AccumulateTile8(ai, _mm_maskload_ps(col, mask_lo),
+                        _mm_maskload_ps(col + 4, mask_hi), &acc[2 * t],
+                        &acc[2 * t + 1]);
+      } else {
+        AccumulateTile8(ai, _mm_loadu_ps(col), _mm_loadu_ps(col + 4),
+                        &acc[2 * t], &acc[2 * t + 1]);
+      }
+    }
+  }
+  const size_t full = kMaskLast ? kTiles - 1 : kTiles;
+  for (size_t t = 0; t < 2 * full; ++t) _mm256_storeu_pd(out + 4 * t, acc[t]);
+  if (kMaskLast) {
+    alignas(32) double last[8];
+    _mm256_store_pd(last, acc[2 * kTiles - 2]);
+    _mm256_store_pd(last + 4, acc[2 * kTiles - 1]);
+    std::memcpy(out + 8 * full, last, (width - 8 * full) * sizeof(double));
+  }
+}
+
+// 32 targets per block as four 8-wide tiles, then the last 1-31 targets as
+// one to four tiles, the final one partial.
+void Avx2SquaredCols(const float* a, const float* bt, size_t count,
+                     size_t dim, double* out) {
+  size_t j = 0;
+  for (; j + 32 <= count; j += 32) {
+    SquaredTiles<4, false>(a, bt + j, count, dim, 32, out + j);
+  }
+  const size_t rest = count - j;
+  switch ((rest + 7) / 8) {
+    case 1:
+      SquaredTiles<1, true>(a, bt + j, count, dim, rest, out + j);
+      break;
+    case 2:
+      SquaredTiles<2, true>(a, bt + j, count, dim, rest, out + j);
+      break;
+    case 3:
+      SquaredTiles<3, true>(a, bt + j, count, dim, rest, out + j);
+      break;
+    case 4:
+      SquaredTiles<4, true>(a, bt + j, count, dim, rest, out + j);
+      break;
+    default:
+      break;
+  }
+}
+
 void Avx2EuclideanCols(const float* a, const float* bt, size_t count,
                        size_t dim, double* out) {
+  Avx2SquaredCols(a, bt, count, dim, out);
   size_t j = 0;
-  for (; j + 8 <= count; j += 8) {
-    __m256d acc_lo = _mm256_setzero_pd();
-    __m256d acc_hi = _mm256_setzero_pd();
-    for (size_t i = 0; i < dim; ++i) {
-      const __m256d ai = _mm256_set1_pd(static_cast<double>(a[i]));
-      __m256d b_lo, b_hi;
-      CvtPsPd8(_mm256_loadu_ps(bt + i * count + j), &b_lo, &b_hi);
-      const __m256d d_lo = _mm256_sub_pd(ai, b_lo);
-      const __m256d d_hi = _mm256_sub_pd(ai, b_hi);
-      acc_lo = _mm256_add_pd(acc_lo, _mm256_mul_pd(d_lo, d_lo));
-      acc_hi = _mm256_add_pd(acc_hi, _mm256_mul_pd(d_hi, d_hi));
-    }
-    alignas(32) double sums[8];
-    _mm256_store_pd(sums, acc_lo);
-    _mm256_store_pd(sums + 4, acc_hi);
-    for (size_t k = 0; k < 8; ++k) out[j + k] = std::sqrt(sums[k]);
+  for (; j + 4 <= count; j += 4) {
+    _mm256_storeu_pd(out + j, _mm256_sqrt_pd(_mm256_loadu_pd(out + j)));
   }
-  // Tail columns: plain scalar loop per output, same order as above.
-  for (; j < count; ++j) {
-    double sum = 0.0;
-    for (size_t i = 0; i < dim; ++i) {
-      const double d = static_cast<double>(a[i]) - bt[i * count + j];
-      sum += d * d;
-    }
-    out[j] = std::sqrt(sum);
-  }
+  for (; j < count; ++j) out[j] = std::sqrt(out[j]);
 }
 
 void Avx2Axpy(float* acc, float scale, const float* v, size_t dim) {
@@ -201,9 +257,9 @@ int64_t Avx2DotI8(const int8_t* a, const int8_t* b, size_t dim) {
 
 constexpr KernelTable kAvx2Table = {
     "avx2",          Avx2SquaredDistance, Avx2Dot,
-    Avx2SumSquares,  Avx2EuclideanRows,   Avx2EuclideanCols,
-    Avx2Axpy,        Avx2AddInPlace,      Avx2ScaleInPlace,
-    Avx2DotI8,
+    Avx2SumSquares,  Avx2EuclideanRows,   Avx2SquaredCols,
+    Avx2EuclideanCols, Avx2Axpy,          Avx2AddInPlace,
+    Avx2ScaleInPlace,  Avx2DotI8,
 };
 
 }  // namespace

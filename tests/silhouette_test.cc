@@ -66,13 +66,24 @@ TEST(ChooseKTest, RecoversTrueClusterCount) {
   EXPECT_EQ(sweep->scores.size(), 7u);
 }
 
+TEST(ChooseKTest, RejectsMixedDimensions) {
+  auto data = testing::MakeClusteredPoints(2, 10, 4, 20.0, 0.3, 8);
+  data.points[7] = FeatureVector({1.0f, 2.0f});
+  Rng rng(9);
+  auto sweep = ChooseKBySilhouette(data.points, 2, 6, &rng);
+  ASSERT_FALSE(sweep.ok());
+  EXPECT_EQ(sweep.status().code(), StatusCode::kInvalidArgument);
+}
+
 // The sweep scores every k from one shared distance pass; each score must
 // equal, bit for bit, scoring that k's fit on its own.
-void ExpectSweepMatchesPerKScores(size_t dim) {
-  SCOPED_TRACE("dim " + std::to_string(dim));
+void ExpectSweepMatchesPerKScores(size_t dim, size_t clusters = 4) {
+  SCOPED_TRACE("dim " + std::to_string(dim) + ", clusters " +
+               std::to_string(clusters));
   // Overlapping clusters, so the scores differ across k and are not all
   // near 1.
-  auto data = testing::MakeClusteredPoints(4, 15, dim, 3.0, 1.0, 40 + dim);
+  auto data =
+      testing::MakeClusteredPoints(clusters, 15, dim, 3.0, 1.0, 40 + dim);
   const size_t min_k = 2;
   const size_t max_k = 10;
   Rng rng(41);
@@ -101,6 +112,13 @@ TEST(ChooseKTest, SweepScoresEqualPerKSilhouette) {
 
 TEST(ChooseKTest, SweepScoresEqualPerKSilhouetteOnSimdTail) {
   ExpectSweepMatchesPerKScores(13);  // not a multiple of the 8-lane width
+}
+
+// Scoring takes four points per pass; 45 and 75 points leave a last pass
+// of one and of three.
+TEST(ChooseKTest, SweepScoresEqualPerKSilhouetteOnPartialPass) {
+  ExpectSweepMatchesPerKScores(48, 3);
+  ExpectSweepMatchesPerKScores(13, 5);
 }
 
 TEST(ChooseKTest, RejectsTinyInput) {

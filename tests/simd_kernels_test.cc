@@ -141,6 +141,63 @@ TEST_P(SimdKernelsTest, BatchedEuclideanMatchesScalarBitForBit) {
   }
 }
 
+// The tile kernels at every block boundary of the AVX2 walk: no column,
+// one 8-wide tile, partial or not, one and two 32-wide blocks, and 32-wide
+// blocks followed by a remainder of one, two, three or four tiles whose last
+// tile is partial or full.
+TEST_P(SimdKernelsTest, ColumnKernelsMatchScalarBitForBit) {
+  const KernelTable& active = Active();
+  const KernelTable& scalar = Scalar();
+  Rng rng(poison() ? 377 : 342);
+  const std::vector<size_t> counts = {0,  1,  7,  8,  16, 20, 24, 31, 32,
+                                      33, 40, 48, 56, 63, 64, 65, 100};
+  // One slot past `count` catches a write beyond the outputs.
+  constexpr double kUnwritten = -1.0;
+  for (size_t dim : {1UL, 13UL, 48UL, 512UL}) {
+    for (size_t count : counts) {
+      std::vector<float> query(dim);
+      std::vector<float> targets(count * dim);
+      FillFloats(&rng, query.data(), dim, poison());
+      FillFloats(&rng, targets.data(), count * dim, poison());
+      std::vector<const float*> rows(count);
+      for (size_t j = 0; j < count; ++j) rows[j] = targets.data() + j * dim;
+      std::vector<float> tile(count * dim);
+      TransposeRows(rows.data(), count, dim, tile.data());
+
+      std::vector<double> sq_active(count + 1, kUnwritten);
+      std::vector<double> sq_scalar(count + 1, kUnwritten);
+      std::vector<double> eu_active(count + 1, kUnwritten);
+      std::vector<double> eu_scalar(count + 1, kUnwritten);
+      active.squared_cols(query.data(), tile.data(), count, dim,
+                          sq_active.data());
+      scalar.squared_cols(query.data(), tile.data(), count, dim,
+                          sq_scalar.data());
+      active.euclidean_cols(query.data(), tile.data(), count, dim,
+                            eu_active.data());
+      scalar.euclidean_cols(query.data(), tile.data(), count, dim,
+                            eu_scalar.data());
+      for (size_t j = 0; j < count; ++j) {
+        const double want =
+            scalar.squared_distance(query.data(), rows[j], dim);
+        EXPECT_TRUE(BitEqual(sq_scalar[j], want))
+            << "squared scalar dim=" << dim << " count=" << count
+            << " j=" << j;
+        EXPECT_TRUE(BitEqual(sq_active[j], want))
+            << "squared dim=" << dim << " count=" << count << " j=" << j;
+        EXPECT_TRUE(BitEqual(eu_scalar[j], std::sqrt(want)))
+            << "euclidean scalar dim=" << dim << " count=" << count
+            << " j=" << j;
+        EXPECT_TRUE(BitEqual(eu_active[j], std::sqrt(want)))
+            << "euclidean dim=" << dim << " count=" << count << " j=" << j;
+      }
+      EXPECT_EQ(sq_active[count], kUnwritten) << "count=" << count;
+      EXPECT_EQ(sq_scalar[count], kUnwritten) << "count=" << count;
+      EXPECT_EQ(eu_active[count], kUnwritten) << "count=" << count;
+      EXPECT_EQ(eu_scalar[count], kUnwritten) << "count=" << count;
+    }
+  }
+}
+
 TEST_P(SimdKernelsTest, ElementwiseUpdatesMatchScalarBitForBit) {
   const KernelTable& active = Active();
   const KernelTable& scalar = Scalar();
