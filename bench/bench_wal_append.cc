@@ -1,7 +1,8 @@
 // WAL append cost across the durability dial: appends/sec and fsync-ack
-// latency for fsync_interval_ms in {-1 (no fsync), 0 (sync every append),
-// 1, 5, 20} at ~2 KiB payloads (a framed IngestFrame request). Two passes
-// per setting bracket the commit rule's price:
+// latency for fsync_interval_ms in {-1 (no fsync), 0 (self-clocked, the
+// default: fsync as soon as an append is pending), 1, 5, 20} at ~2 KiB
+// payloads (a framed IngestFrame request). Two passes per setting bracket
+// the commit rule's price:
 //   - throughput: append a burst, one WaitDurable at the end — the batch
 //     ingest shape, where group commit amortises the fsync;
 //   - ack: WaitDurable after every append — the synchronous RPC shape,

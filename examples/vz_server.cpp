@@ -22,9 +22,12 @@
 //   vz_cli --connect 127.0.0.1:9400 --downtown 4 --harbors 2 --query boat
 //
 // Durability: --wal-dir makes every ingest ack durable (logged + fsynced,
-// replayed on restart from the same directory). A warm standby tails a
-// WAL-backed primary and promotes itself onto its own --port when the
-// primary stays unreachable:
+// replayed on restart from the same directory). Group commit is
+// self-clocked by default: an ack waits for one fsync, which every append
+// racing it shares; --wal-fsync-ms T opts into a T ms gather window before
+// each fsync (fewer fsyncs, but no ack returns sooner than T). A warm
+// standby tails a WAL-backed primary and promotes itself onto its own
+// --port when the primary stays unreachable:
 //
 //   vz_server --port 9400 --wal-dir /tmp/vz-a --sync-replication &
 //   vz_server --port 9400 --wal-dir /tmp/vz-b --standby-of 127.0.0.1:9400 &
@@ -77,7 +80,7 @@ struct ServerCliOptions {
   size_t dedup_window = 0;      // exactly-once window per client session
   // Durability + replication.
   std::string wal_dir;          // empty = no WAL (acks are memory-only)
-  int64_t wal_fsync_ms = -1;    // group-commit window; <0 keeps the default
+  int64_t wal_fsync_ms = -1;    // gather window; <0 keeps the default (0)
   bool sync_replication = false;
   std::string standby_of;       // "host:port" of the primary to tail
   // Disk failure model: 1 (default) sheds writes into read-only degraded

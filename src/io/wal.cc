@@ -280,13 +280,13 @@ StatusOr<Wal::Segment> Wal::CreateSegment(uint64_t seq, uint64_t start_lsn) {
   return segment;
 }
 
-Status Wal::PoisonLocked(Status status, bool from_fsync) {
+Status Wal::Poison(Status status, bool from_fsync) {
+  std::lock_guard<std::mutex> lock(sync_mu_);
   if (from_fsync) {
     ++stats_.fsync_failures;
   } else {
     ++stats_.io_errors;
   }
-  std::lock_guard<std::mutex> lock(sync_mu_);
   if (poison_.ok()) poison_ = std::move(status);
   // Every waiter (ack paths, long polls, the sync loop) must see the
   // failure now — a blocked WaitDurable is an ack that will never be
@@ -297,29 +297,18 @@ Status Wal::PoisonLocked(Status status, bool from_fsync) {
 
 Status Wal::RotateLocked() {
   Segment& tail = segments_.back();
-  // Seal: flush the old segment completely so the sync loop only ever has
-  // to fsync the open one, then advance the durability frontier over it.
-  if (tail.file != nullptr) {
-    if (Status synced = tail.file->Sync(); !synced.ok()) {
-      return PoisonLocked(std::move(synced), /*from_fsync=*/true);
-    }
-    (void)tail.file->Close();
-    tail.file.reset();
-  }
-  {
-    std::lock_guard<std::mutex> lock(sync_mu_);
-    if (tail.last_lsn > durable_lsn_) {
-      durable_lsn_ = tail.last_lsn;
-      ++stats_.fsyncs;
-      sync_cv_.notify_all();
-    }
-  }
+  // Seal: flush the old segment completely and advance the durability
+  // frontier over it, so the sync loop only ever has to fsync the open one.
+  // The reference is dropped, not closed: the sync loop may still be
+  // flushing the file, and its last holder closes it.
+  VZ_RETURN_IF_ERROR(SyncFile(tail.file.get(), tail.last_lsn));
+  tail.file.reset();
   auto fresh_or = CreateSegment(next_segment_seq_++, tail.last_lsn);
   if (!fresh_or.ok()) {
     // The sealed tail has no open file any more; without a fresh segment
     // the log cannot accept appends — poison rather than leave a half
     // rotated log that a later append would trip over.
-    return PoisonLocked(fresh_or.status(), /*from_fsync=*/false);
+    return Poison(fresh_or.status(), /*from_fsync=*/false);
   }
   segments_.push_back(std::move(*fresh_or));
   return Status::OK();
@@ -352,7 +341,7 @@ StatusOr<uint64_t> Wal::Append(const WalRecord& record) {
     // later append would sit past that tear and be unreachable by the
     // chain decode — poison instead of silently stacking unreadable
     // records behind an ENOSPC.
-    return PoisonLocked(std::move(written), /*from_fsync=*/false);
+    return Poison(std::move(written), /*from_fsync=*/false);
   }
   tail.record_bytes += framed.size();
   tail.last_lsn = lsn;
@@ -367,10 +356,8 @@ StatusOr<uint64_t> Wal::Append(const WalRecord& record) {
   return lsn;
 }
 
-Status Wal::SyncOpenSegmentLocked(uint64_t target_lsn) {
-  // `mu_` held. Everything up to `target_lsn` was fully written before the
-  // caller sampled it, so one fsync of the open segment covers it (sealed
-  // segments were flushed at rotation).
+Status Wal::SyncFile(WritableFile* file, uint64_t target_lsn) {
+  std::lock_guard<std::mutex> fsync_lock(fsync_mu_);
   {
     // Fsyncgate: once an fsync failed, the kernel may already have dropped
     // the dirty pages — a retried fsync that "succeeds" proves nothing.
@@ -378,10 +365,9 @@ Status Wal::SyncOpenSegmentLocked(uint64_t target_lsn) {
     std::lock_guard<std::mutex> lock(sync_mu_);
     if (!poison_.ok()) return poison_;
   }
-  Segment& tail = segments_.back();
-  if (options_.fsync_interval_ms >= 0 && tail.file != nullptr) {
-    if (Status synced = tail.file->Sync(); !synced.ok()) {
-      return PoisonLocked(std::move(synced), /*from_fsync=*/true);
+  if (options_.fsync_interval_ms >= 0 && file != nullptr) {
+    if (Status synced = file->Sync(); !synced.ok()) {
+      return Poison(std::move(synced), /*from_fsync=*/true);
     }
   }
   std::lock_guard<std::mutex> lock(sync_mu_);
@@ -395,7 +381,6 @@ Status Wal::SyncOpenSegmentLocked(uint64_t target_lsn) {
 
 void Wal::SyncLoop() {
   for (;;) {
-    uint64_t target = 0;
     {
       std::unique_lock<std::mutex> lock(sync_mu_);
       // A poisoned log parks the loop: there is nothing left it could make
@@ -404,20 +389,15 @@ void Wal::SyncLoop() {
         return stop_ || (poison_.ok() && appended_lsn_ > durable_lsn_);
       });
       if (stop_) return;  // destructor does the final flush
-      target = appended_lsn_;
     }
-    // Group-commit gather window: appends racing this sleep share the fsync.
+    // The opt-in gather window: appends racing this sleep share the fsync.
+    // Without it commit is self-clocked — appends that land during one
+    // fsync ride the next.
     if (options_.fsync_interval_ms > 0) {
       std::this_thread::sleep_for(
           std::chrono::milliseconds(options_.fsync_interval_ms));
     }
-    std::lock_guard<std::mutex> lock(mu_);
-    {
-      std::lock_guard<std::mutex> sync_lock(sync_mu_);
-      target = std::max(target, appended_lsn_);
-    }
-    (void)SyncOpenSegmentLocked(target);  // failure poisons the log and
-                                          // releases every waiter
+    (void)Sync();  // failure poisons the log and releases every waiter
   }
 }
 
@@ -434,13 +414,18 @@ Status Wal::WaitDurable(uint64_t lsn) {
 }
 
 Status Wal::Sync() {
-  std::lock_guard<std::mutex> lock(mu_);
+  // Everything up to `last_lsn_` was fully written before it was published,
+  // and sealed segments were flushed at rotation, so one fsync of the open
+  // segment covers the sampled target. The fsync runs with `mu_` released;
+  // the shared reference keeps the file open across a racing rotation.
+  std::shared_ptr<WritableFile> file;
   uint64_t target = 0;
   {
-    std::lock_guard<std::mutex> sync_lock(sync_mu_);
-    target = appended_lsn_;
+    std::lock_guard<std::mutex> lock(mu_);
+    file = segments_.back().file;
+    target = last_lsn_;
   }
-  return SyncOpenSegmentLocked(target);
+  return SyncFile(file.get(), target);
 }
 
 Status Wal::health() const {
@@ -578,6 +563,7 @@ uint64_t Wal::live_bytes() const {
 
 WalStats Wal::stats() const {
   std::lock_guard<std::mutex> lock(mu_);
+  std::lock_guard<std::mutex> sync_lock(sync_mu_);
   WalStats stats = stats_;
   stats.last_lsn = last_lsn_;
   stats.base_lsn = base_lsn_;
@@ -585,7 +571,6 @@ WalStats Wal::stats() const {
   for (const Segment& segment : segments_) {
     stats.live_bytes += segment.record_bytes;
   }
-  std::lock_guard<std::mutex> sync_lock(sync_mu_);
   stats.durable_lsn = durable_lsn_;
   return stats;
 }

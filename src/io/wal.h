@@ -47,11 +47,16 @@ namespace vz::io {
 /// costs exactly the unacknowledged suffix, never a parse error.
 ///
 /// Durability is group-commit: `Append` writes the record to the OS and
-/// returns; a background thread batches an `fsync` every
-/// `fsync_interval_ms`; `WaitDurable(lsn)` blocks until the covering fsync
-/// completed. One fsync therefore amortizes over every append of the
-/// interval, across all sessions — the ack-latency/throughput knob measured
-/// by `bench_wal_append`.
+/// returns; a background thread fsyncs the open segment as soon as an
+/// append is pending, and every append that lands during that fsync rides
+/// the next one, across all sessions; `WaitDurable(lsn)` blocks until the
+/// covering fsync completed. Commit is thus self-clocked by default: a lone
+/// writer waits for one fsync, and concurrent writers share one. A positive
+/// `fsync_interval_ms` opts into a gather window before each fsync, which
+/// trades fewer fsyncs for an ack-latency floor of the window (the dial
+/// `bench_wal_append` prices). The fsync runs with the append lock
+/// released, so an append never waits on the disk flush — except the one
+/// that rotates the segment, which seals the old file with its own fsync.
 ///
 /// Disk failures follow the fsyncgate rule: a failed write or fsync
 /// permanently POISONS the log. Once poisoned, `Append` refuses new records,
@@ -77,10 +82,12 @@ inline constexpr uint32_t kWalOpEpochMarker = 0xFFFF0001u;
 
 struct WalOptions {
   std::string dir;
-  /// Group-commit gather window. 0 syncs as fast as the sync thread can
-  /// turn around (still batching appends that race one fsync); < 0 disables
-  /// fsync entirely (benchmarks only — no durability).
-  int64_t fsync_interval_ms = 2;
+  /// Group-commit gather window. 0 (the default) is self-clocked: the sync
+  /// thread fsyncs as soon as an append is pending, batching the appends
+  /// that race one fsync. A positive window sleeps that long before each
+  /// fsync — fewer fsyncs, but no ack returns sooner than the window.
+  /// < 0 disables fsync entirely (benchmarks only — no durability).
+  int64_t fsync_interval_ms = 0;
   /// Segment rotation threshold (record bytes per segment file).
   size_t segment_bytes = 4u << 20;
   /// LSN floor when the directory holds no records — the checkpoint cut a
@@ -200,8 +207,9 @@ class Wal {
     uint64_t start_lsn = 0;  // records span (start_lsn, last_lsn]
     uint64_t last_lsn = 0;
     uint64_t record_bytes = 0;  // valid extent past the header
-    /// Open for append on the tail segment only (shared so read-only
-    /// Segment copies stay cheap); null on sealed segments.
+    /// Open for append on the tail segment only; null on sealed segments.
+    /// Shared so read-only Segment copies stay cheap and an fsync running
+    /// outside `mu_` keeps the file open across a rotation.
     std::shared_ptr<WritableFile> file;
   };
 
@@ -211,10 +219,14 @@ class Wal {
   Status ScanAndSalvage();
   StatusOr<Segment> CreateSegment(uint64_t seq, uint64_t start_lsn);
   Status RotateLocked();
-  Status SyncOpenSegmentLocked(uint64_t target_lsn);
+  /// Fsyncs `file` (null: nothing to flush) and advances the durable
+  /// frontier to `target_lsn`, or poisons the log. Takes `fsync_mu_` but
+  /// not `mu_` (held only by the rotation path); the caller keeps `file`
+  /// alive.
+  Status SyncFile(WritableFile* file, uint64_t target_lsn);
   /// Latches `status` as the permanent poison (first failure wins), counts
-  /// it, wakes every waiter, and returns the latched poison. `mu_` held.
-  Status PoisonLocked(Status status, bool from_fsync);
+  /// it, wakes every waiter, and returns the latched poison.
+  Status Poison(Status status, bool from_fsync);
   void SyncLoop();
   StatusOr<std::vector<WalRecord>> ReadSegment(const Segment& segment,
                                                uint64_t from_lsn,
@@ -225,12 +237,22 @@ class Wal {
   Env* env_ = nullptr;  // options_.env or the POSIX default
 
   /// Serializes all segment/file mutations (append, rotate, compact, read).
+  /// Lock order: `mu_`, then `fsync_mu_`, then `sync_mu_`.
   mutable std::mutex mu_;
   std::vector<Segment> segments_;
   uint64_t last_lsn_ = 0;
   uint64_t base_lsn_ = 0;
   uint64_t next_segment_seq_ = 1;
+  /// `fsyncs`, `fsync_failures` and `io_errors` are counted under
+  /// `sync_mu_` (where the frontier advances or the poison latches), the
+  /// rest under `mu_`; `stats()` reads them holding both.
   WalStats stats_;
+
+  /// One fsync at a time, and never under `mu_` except to seal a segment
+  /// at rotation. Serializing them keeps the fsyncgate rule: a second fsync
+  /// racing a failed one could report success for pages the failure
+  /// dropped, so each checks the poison and flushes with no other in flight.
+  std::mutex fsync_mu_;
 
   /// Durability frontier, under its own lock so fsync waits never block
   /// appends.

@@ -364,18 +364,24 @@ void RpcEndpoint::Push(uint64_t conn_id) {
   {
     std::lock_guard<std::mutex> write_lock(conn->write_mu);
     if (conn->closed) return;  // drained events die with the connection
+    // Counted before the bytes reach the socket, so a client that has seen
+    // a push never reads stats that miss it; a failed write takes it back.
+    pushes_.fetch_add(deliveries.size());
+    push_gaps_.fetch_add(gaps);
     // The probe said writable, so this normally completes without
     // blocking; a peer that stalls mid-frame still runs into the write
     // deadline and is evicted — never a torn frame.
     written = WriteEncodedFrames(conn->fd, frames, WriteTimeout());
-    if (!written.ok()) ::shutdown(conn->fd, SHUT_RDWR);  // the loop tears down
+    if (!written.ok()) {
+      pushes_.fetch_sub(deliveries.size());
+      push_gaps_.fetch_sub(gaps);
+      ::shutdown(conn->fd, SHUT_RDWR);  // the loop tears down
+    }
   }
   if (!written.ok()) {
     if (written.code() == StatusCode::kUnavailable) evicted_slow_.fetch_add(1);
     return;
   }
-  pushes_.fetch_add(deliveries.size());
-  push_gaps_.fetch_add(gaps);
   std::lock_guard<std::mutex> lock(mu_);
   conn->last_activity = SteadyClock::now();
   conn->bytes_out += bytes_out;

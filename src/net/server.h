@@ -62,8 +62,9 @@ struct ServerOptions : RpcEndpoint::Config {
   /// checkpoint plus the log tail. Empty = in-memory only (the pre-WAL
   /// behaviour).
   std::string wal_dir;
-  /// Group-commit gather window (see `io::WalOptions::fsync_interval_ms`).
-  int64_t wal_fsync_interval_ms = 2;
+  /// Group-commit gather window (see `io::WalOptions::fsync_interval_ms`):
+  /// 0, the log's default, fsyncs as soon as an append is pending.
+  int64_t wal_fsync_interval_ms = io::WalOptions{}.fsync_interval_ms;
   /// WAL segment rotation threshold.
   uint64_t wal_segment_bytes = 4ull << 20;
   /// Live log bytes that trigger a checkpoint (snapshot + manifest, then

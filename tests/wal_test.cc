@@ -1,21 +1,30 @@
 // WAL unit coverage: framing round trips, dense-LSN enforcement, segment
-// rotation, group-commit durability, checkpoint compaction — plus the
-// salvage fuzzer: under seeded torn-tail, partial-fsync (zeroed tail) and
-// bit-flip faults, `Wal::Open` must recover exactly a prefix of the
-// committed records and stay appendable. Every acked-but-then-damaged
-// suffix is bounded data loss; a phantom, reordered or corrupted record
-// surviving salvage would be corruption, which is why this suite exists.
+// rotation, group-commit durability and its locking (an append never waits
+// on an fsync; a lone ack waits for one fsync, not a timer), checkpoint
+// compaction — plus the salvage fuzzer: under seeded torn-tail,
+// partial-fsync (zeroed tail) and bit-flip faults, `Wal::Open` must recover
+// exactly a prefix of the committed records and stay appendable. Every
+// acked-but-then-damaged suffix is bounded data loss; a phantom, reordered
+// or corrupted record surviving salvage would be corruption, which is why
+// this suite exists.
 #include "io/wal.h"
 
 #include <gtest/gtest.h>
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <chrono>
 #include <cinttypes>
+#include <condition_variable>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
+#include <future>
 #include <iterator>
+#include <mutex>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/rng.h"
@@ -229,6 +238,208 @@ TEST(WalTest, CompactionDeletesCoveredSegmentsAndAdvancesBase) {
   ASSERT_EQ(tail->size(), 1u);
   EXPECT_EQ((*tail)[0].lsn, 31u);
   RemoveDirRecursive(dir);
+}
+
+/// The real disk, except that a file's `Sync` returns at once without
+/// flushing (these cases time the log's locking, not the device) and,
+/// while held, parks until released.
+class HeldSyncEnv final : public Env {
+ public:
+  /// Every file `Sync` from now on parks until `Release`.
+  void Hold() {
+    std::lock_guard<std::mutex> lock(mu_);
+    held_ = true;
+  }
+  /// True once a `Sync` is parked; false after `timeout`.
+  bool WaitParked(std::chrono::milliseconds timeout) {
+    std::unique_lock<std::mutex> lock(mu_);
+    return cv_.wait_for(lock, timeout, [this] { return parked_ > 0; });
+  }
+  void Release() {
+    std::lock_guard<std::mutex> lock(mu_);
+    held_ = false;
+    cv_.notify_all();
+  }
+
+  StatusOr<std::unique_ptr<WritableFile>> NewWritableFile(
+      const std::string& path, bool truncate) override {
+    VZ_ASSIGN_OR_RETURN(std::unique_ptr<WritableFile> file,
+                        base_->NewWritableFile(path, truncate));
+    return std::unique_ptr<WritableFile>(
+        std::make_unique<File>(this, std::move(file)));
+  }
+  StatusOr<std::string> ReadFile(const std::string& path) override {
+    return base_->ReadFile(path);
+  }
+  Status Rename(const std::string& from, const std::string& to) override {
+    return base_->Rename(from, to);
+  }
+  Status Unlink(const std::string& path) override {
+    return base_->Unlink(path);
+  }
+  StatusOr<std::vector<std::string>> ListDir(const std::string& dir) override {
+    return base_->ListDir(dir);
+  }
+  Status CreateDirIfMissing(const std::string& dir) override {
+    return base_->CreateDirIfMissing(dir);
+  }
+  Status SyncDir(const std::string& dir) override {
+    return base_->SyncDir(dir);
+  }
+  Status Truncate(const std::string& path, uint64_t size) override {
+    return base_->Truncate(path, size);
+  }
+
+ private:
+  class File final : public WritableFile {
+   public:
+    File(HeldSyncEnv* env, std::unique_ptr<WritableFile> base)
+        : env_(env), base_(std::move(base)) {}
+    Status Append(const char* data, size_t size) override {
+      return base_->Append(data, size);
+    }
+    Status Sync() override {
+      env_->Park();
+      return Status::OK();
+    }
+    Status Close() override { return base_->Close(); }
+
+   private:
+    HeldSyncEnv* const env_;
+    const std::unique_ptr<WritableFile> base_;
+  };
+
+  void Park() {
+    std::unique_lock<std::mutex> lock(mu_);
+    if (!held_) return;
+    ++parked_;
+    cv_.notify_all();
+    cv_.wait(lock, [this] { return !held_; });
+    --parked_;
+  }
+
+  Env* const base_ = Env::Default();
+  std::mutex mu_;
+  std::condition_variable cv_;
+  bool held_ = false;
+  int parked_ = 0;
+};
+
+TEST(WalTest, AppendNeverWaitsOnAnFsync) {
+  const std::string dir = TempDir("wal_unlocked_fsync");
+  std::filesystem::remove_all(dir);
+  HeldSyncEnv env;
+  WalOptions options;
+  options.dir = dir;
+  options.env = &env;
+  auto wal = Wal::Open(options);
+  ASSERT_TRUE(wal.ok()) << wal.status().ToString();
+
+  // The first append wakes the sync thread, which parks inside its fsync.
+  env.Hold();
+  auto first = (*wal)->Append(MakeRecord(1));
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  if (!env.WaitParked(std::chrono::seconds(10))) {
+    env.Release();
+    FAIL() << "the sync thread never reached its fsync";
+  }
+  // An append from another thread must not queue behind that fsync. The
+  // latch opens either way, so a blocked append fails the case, never
+  // hangs it.
+  auto second = std::async(std::launch::async,
+                           [&] { return (*wal)->Append(MakeRecord(2)); });
+  const bool returned = second.wait_for(std::chrono::seconds(2)) ==
+                        std::future_status::ready;
+  env.Release();
+  EXPECT_TRUE(returned) << "Append waited on an in-flight fsync";
+  const StatusOr<uint64_t> second_lsn = second.get();
+  ASSERT_TRUE(second_lsn.ok()) << second_lsn.status().ToString();
+  EXPECT_EQ(*second_lsn, 2u);
+  EXPECT_TRUE((*wal)->WaitDurable(*first).ok());
+  EXPECT_TRUE((*wal)->WaitDurable(*second_lsn).ok());
+  EXPECT_TRUE((*wal)->health().ok());
+  wal->reset();
+  std::filesystem::remove_all(dir);
+}
+
+TEST(WalTest, LoneAckWaitsForOneFsyncNotATimer) {
+  const std::string dir = TempDir("wal_lone_ack");
+  std::filesystem::remove_all(dir);
+  HeldSyncEnv env;  // never held: every Sync returns at once
+  WalOptions options;  // the default commit: no gather window
+  options.dir = dir;
+  options.env = &env;
+  auto wal = Wal::Open(options);
+  ASSERT_TRUE(wal.ok()) << wal.status().ToString();
+  std::vector<double> ack_ms;
+  for (uint64_t i = 1; i <= 20; ++i) {
+    const auto start = std::chrono::steady_clock::now();
+    auto lsn = (*wal)->Append(MakeRecord(i));
+    ASSERT_TRUE(lsn.ok()) << lsn.status().ToString();
+    ASSERT_TRUE((*wal)->WaitDurable(*lsn).ok());
+    ack_ms.push_back(std::chrono::duration<double, std::milli>(
+                         std::chrono::steady_clock::now() - start)
+                         .count());
+  }
+  std::nth_element(ack_ms.begin(), ack_ms.begin() + ack_ms.size() / 2,
+                   ack_ms.end());
+  EXPECT_LT(ack_ms[ack_ms.size() / 2], 1.0)
+      << "a lone ack waited out a timer, not an fsync";
+  wal->reset();
+  std::filesystem::remove_all(dir);
+}
+
+TEST(WalTest, RotationBesideInFlightFsyncsKeepsEveryAck) {
+  // The default self-clocked commit, and the opt-in gather window.
+  for (const int64_t interval_ms : {WalOptions{}.fsync_interval_ms,
+                                    int64_t{2}}) {
+    SCOPED_TRACE("fsync_interval_ms = " + std::to_string(interval_ms));
+    const std::string dir = TempDir("wal_rotate_concurrent");
+    std::filesystem::remove_all(dir);
+    WalOptions options;
+    options.dir = dir;
+    options.fsync_interval_ms = interval_ms;
+    options.segment_bytes = 256;  // a rotation every few records
+    constexpr uint64_t kWriters = 2;
+    constexpr uint64_t kPerWriter = 300;
+    std::mutex acked_mu;
+    std::vector<std::pair<uint64_t, WalRecord>> acked;  // (lsn, record)
+    {
+      auto wal = Wal::Open(options);
+      ASSERT_TRUE(wal.ok()) << wal.status().ToString();
+      std::vector<std::thread> writers;
+      for (uint64_t w = 0; w < kWriters; ++w) {
+        writers.emplace_back([&, w] {
+          for (uint64_t i = 1; i <= kPerWriter; ++i) {
+            WalRecord record = MakeRecord(i);
+            record.session_id = 1 + w;
+            auto lsn = (*wal)->Append(record);
+            if (!lsn.ok() || !(*wal)->WaitDurable(*lsn).ok()) return;
+            std::lock_guard<std::mutex> lock(acked_mu);
+            acked.emplace_back(*lsn, std::move(record));
+          }
+        });
+      }
+      for (std::thread& writer : writers) writer.join();
+      EXPECT_TRUE((*wal)->health().ok()) << (*wal)->health().ToString();
+      const WalStats stats = (*wal)->stats();
+      EXPECT_EQ(stats.fsync_failures, 0u);
+      EXPECT_GT(stats.segments_created, 20u);
+    }
+    ASSERT_EQ(acked.size(), kWriters * kPerWriter);
+    std::sort(acked.begin(), acked.end(),
+              [](const auto& a, const auto& b) { return a.first < b.first; });
+    auto wal = Wal::Open(options);
+    ASSERT_TRUE(wal.ok()) << wal.status().ToString();
+    auto records = (*wal)->ReadFrom(0, 2 * kWriters * kPerWriter);
+    ASSERT_TRUE(records.ok()) << records.status().ToString();
+    ASSERT_EQ(records->size(), acked.size());
+    for (size_t i = 0; i < records->size(); ++i) {
+      ExpectRecordsEqual((*records)[i], acked[i].second, i + 1);
+    }
+    wal->reset();
+    std::filesystem::remove_all(dir);
+  }
 }
 
 TEST(WalTest, CheckpointMetaRoundTripAndCorruptionDetection) {
