@@ -146,8 +146,6 @@ int main() {
   net::CoordinatorOptions coord_options;
   coord_options.sync_interval_ms = 0;
   coord_options.max_connections = 32;
-  coord_options.omd = bench::BenchVzOptions().omd;
-  coord_options.inter = bench::BenchVzOptions().inter;
   coord_options.boundary_scale = bench::BenchVzOptions().boundary_scale;
   for (const auto& shard : edge_shards) {
     edge_systems.push_back(

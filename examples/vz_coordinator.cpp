@@ -1,8 +1,9 @@
 // vz_coordinator — the query plane of a sharded deployment: fans
 // DirectQuery/ClusteringQuery/MonitorStats out over N edge vz_servers,
-// merges their partial answers, and maintains the inter-camera
-// representative index locally via the kRepSync RPC. It holds no video
-// state of its own and refuses mutating RPCs — ingest goes to the edges.
+// merges their partial answers, and keeps each edge's representatives
+// (shipped by the kRepSync RPC) to skip edges none of whose
+// representatives a direct query hits. It holds no video state of its own
+// and refuses mutating RPCs — ingest goes to the edges.
 //
 //   vz_coordinator [--port P] --edge HOST:PORT [--edge HOST:PORT ...]
 //                  [--boundary-scale S] [--sync-interval-ms T]
@@ -13,7 +14,8 @@
 // so every coordinator of one deployment must list the same edges in the
 // same order. --boundary-scale must match the edges'
 // VideoZillaOptions::boundary_scale (vz_server uses 1.8) or fan-out
-// pruning will disagree with edge hit tests.
+// pruning will disagree with edge hit tests; an AdminTune sent through the
+// coordinator replaces it with the scale the edges echo.
 //
 //   vz_server --port 9401 --ingest --shard-index 0 --shard-count 2 &
 //   vz_server --port 9402 --ingest --shard-index 1 --shard-count 2 &

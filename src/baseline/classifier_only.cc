@@ -1,24 +1,9 @@
 #include "baseline/classifier_only.h"
 
-#include <algorithm>
-
 namespace vz::baseline {
 
 void ClassifierOnlyBaseline::IngestFrame(const core::FrameObservation& frame) {
   frames_.push_back(frame.frame_id);
-  frame_cameras_.push_back(frame.camera);
-}
-
-std::vector<int64_t> ClassifierOnlyBaseline::FramesOf(
-    const std::vector<core::CameraId>& cameras) const {
-  std::vector<int64_t> result;
-  for (size_t i = 0; i < frames_.size(); ++i) {
-    if (std::find(cameras.begin(), cameras.end(), frame_cameras_[i]) !=
-        cameras.end()) {
-      result.push_back(frames_[i]);
-    }
-  }
-  return result;
 }
 
 }  // namespace vz::baseline

@@ -22,15 +22,10 @@ class ClassifierOnlyBaseline {
   /// Every frame (the examined set of a classifier-only query).
   const std::vector<int64_t>& AllFrames() const { return frames_; }
 
-  /// Frames of the given cameras only.
-  std::vector<int64_t> FramesOf(
-      const std::vector<core::CameraId>& cameras) const;
-
   size_t num_frames() const { return frames_.size(); }
 
  private:
   std::vector<int64_t> frames_;
-  std::vector<core::CameraId> frame_cameras_;  // parallel to frames_
 };
 
 }  // namespace vz::baseline

@@ -43,16 +43,6 @@ Status InterCameraIndex::UpdateCamera(const IntraCameraIndex& intra) {
   return Rebuild();
 }
 
-Status InterCameraIndex::SetEntries(std::vector<RepEntry> entries) {
-  metric_.cache().Invalidate(std::move(entry_ids_));
-  entries_ = std::move(entries);
-  entry_ids_.clear();
-  for (size_t i = 0; i < entries_.size(); ++i) {
-    entry_ids_.push_back(next_entry_id_++);
-  }
-  return Rebuild();
-}
-
 Status InterCameraIndex::Reset(Rng rng) {
   rng_ = std::move(rng);
   metric_.cache().Invalidate(std::move(entry_ids_));
@@ -131,18 +121,7 @@ Status InterCameraIndex::Regroup() {
   groups_.reserve(raw.size());
   for (const std::vector<int>& members : raw) {
     Group group;
-    std::vector<const Representative*> reps;
-    for (int m : members) {
-      group.entry_indices.push_back(static_cast<size_t>(m));
-      reps.push_back(&entries_[static_cast<size_t>(m)].rep);
-    }
-    if (!reps.empty()) {
-      // Covering summaries keep group-level pruning lossless: whatever hits
-      // a member representative also hits the group.
-      VZ_ASSIGN_OR_RETURN(
-          group.representative,
-          BuildCoveringRepresentative(reps, options_.representative, &rng_));
-    }
+    group.entry_indices.assign(members.begin(), members.end());
     groups_.push_back(std::move(group));
   }
   return Status::OK();

@@ -24,7 +24,6 @@ struct InterIndexOptions {
   /// When set, overrides the group count — the x-axis of Fig. 20 and a knob
   /// of the performance monitor (Sec. 5.3).
   std::optional<size_t> forced_num_groups;
-  RepresentativeOptions representative;
   index::PerchOptions perch;
   /// Tighten the tree's lower bounds with the representatives' quantized
   /// shadows (see `QuantizedOmdLowerBound`); pruning-only.
@@ -51,9 +50,9 @@ class InterCameraIndex {
     Representative rep;
   };
 
-  /// A group of semantically similar representatives with its own summary.
+  /// A group of semantically similar representatives (entries grouped by
+  /// the OMD tree), the unit a clustering query answers from.
   struct Group {
-    Representative representative;
     std::vector<size_t> entry_indices;
   };
 
@@ -79,13 +78,6 @@ class InterCameraIndex {
   /// Drops a camera's representatives (cameraTerminate support).
   Status RemoveCamera(const CameraId& camera);
 
-  /// Replaces the whole entry set and rebuilds — how a coordinator installs
-  /// the representatives its edges shipped over RepSync. Unlike
-  /// `UpdateCamera` this takes entries directly (there is no local intra
-  /// index behind them) and does not count traffic bytes; the caller owns
-  /// that accounting.
-  Status SetEntries(std::vector<RepEntry> entries);
-
   /// Drops every entry AND restores the random stream to `rng` — the full
   /// reset used when the owning system is re-seeded from a checkpoint, so
   /// the rebuilt index consumes the same stream as a freshly constructed
@@ -96,8 +88,9 @@ class InterCameraIndex {
   const std::vector<RepEntry>& entries() const { return entries_; }
   const std::vector<Group>& groups() const { return groups_; }
 
-  /// Direct-query pruning: representatives in groups whose summary contains
-  /// `feature`, filtered by each representative's own boundaries.
+  /// Direct-query pruning: the representatives whose own decision
+  /// boundaries (scaled by `boundary_scale`) contain `feature`, in entry
+  /// order. Reads no group: the result does not depend on the grouping.
   std::vector<const RepEntry*> FeatureSearch(const FeatureVector& feature,
                                              double boundary_scale = 1.0) const;
 
@@ -116,9 +109,6 @@ class InterCameraIndex {
   /// Bytes of representative data received from edge indices so far — the
   /// hierarchical side of the Sec. 7.3 traffic comparison.
   size_t representative_bytes_received() const { return rep_bytes_received_; }
-
-  /// Read access to the underlying tree.
-  const index::PerchTree& tree() const { return *tree_; }
 
   /// Entry pairs whose OMD is memoized across rebuilds; at most size()^2.
   size_t memoized_pairs() const {

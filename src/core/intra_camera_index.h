@@ -96,9 +96,6 @@ class IntraCameraIndex {
   /// Overrides (or restores, with nullopt) the cluster count.
   void SetForcedClusterCount(std::optional<size_t> k);
 
-  /// Read access to the underlying tree, for diagnostics and benches.
-  const index::PerchTree& tree() const { return tree_; }
-
  private:
   // Chooses the cluster count: forced, else silhouette over SVS centroids.
   size_t ChooseClusterCount();

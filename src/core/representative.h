@@ -92,7 +92,7 @@ struct RepresentativeOptions {
   /// data is treated as unimodal (k = 1).
   double min_silhouette = 0.4;
   /// Quantile of member-to-center distances used as the decision boundary.
-  /// 1.0 is the paper's "farthest data point"; the default 0.95 keeps one
+  /// 1.0 is the paper's "farthest data point"; the default 0.9 keeps one
   /// heavy-tailed outlier (a hard example in CNN feature space) from
   /// inflating the ball until it swallows neighboring classes.
   double boundary_quantile = 0.9;
@@ -109,12 +109,13 @@ StatusOr<Representative> BuildRepresentative(
 StatusOr<Representative> BuildRepresentative(
     const FeatureMap& map, const RepresentativeOptions& options, Rng* rng);
 
-/// Builds a second-level representative over existing representatives (the
-/// inter-camera index's group summaries). Centers are clustered as points,
-/// but each group boundary is a *covering radius*: the member-center
-/// distance plus that member's own boundary, so that any feature hitting a
-/// member representative also hits the group summary (M-tree-style
-/// covering, required for hierarchy-level pruning to be lossless).
+/// Builds a second-level representative over existing representatives (an
+/// intra-camera cluster's summary over its SVSs' representatives). Centers
+/// are clustered as points, but each boundary is a *covering radius*: the
+/// member-center distance plus that member's own boundary, so that any
+/// feature hitting a member representative also hits the summary
+/// (M-tree-style covering, required for hierarchy-level pruning to be
+/// lossless).
 StatusOr<Representative> BuildCoveringRepresentative(
     const std::vector<const Representative*>& members,
     const RepresentativeOptions& options, Rng* rng);

@@ -87,7 +87,6 @@ class ChaosProxy {
   /// Pumps bytes `src` -> `dst`, applying the injector to every chunk.
   void Pump(std::shared_ptr<Relay> relay, int src, int dst,
             sim::WireFaultInjector injector);
-  void MergeLedger(const sim::WireFaultInjector::Ledger& ledger);
 
   const ChaosProxyOptions options_;
   UniqueFd listen_fd_;

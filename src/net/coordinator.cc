@@ -49,9 +49,8 @@ int64_t Coordinator::NowMs() {
 Coordinator::Coordinator(const CoordinatorOptions& options)
     : options_(options),
       registry_(options.edges, options.registry),
-      omd_(options.omd),
-      inter_(&omd_, options.inter, Rng(options.seed ^ 0x1357)),
       edge_entries_(options.edges.size()),
+      prune_scale_(options.boundary_scale),
       idle_clients_(options.edges.size()),
       push_clients_(options.edges.size()) {
   RegisterHandlers();
@@ -77,7 +76,7 @@ Status Coordinator::Start() {
   config.write_timeout_ms = options_.write_timeout_ms;
   VZ_RETURN_IF_ERROR(endpoint_.Start(config));
   stopping_.store(false);
-  // Prime the registry and the representative index before the first query
+  // Prime the registry and the representative lists before the first query
   // can arrive; edges that are down simply start their ladder early.
   (void)SyncPass(/*respect_backoff=*/false);
   if (options_.sync_interval_ms > 0) {
@@ -130,8 +129,10 @@ CoordinatorStats Coordinator::stats() const {
   stats.rep_sync_updates = rep_sync_updates_.load();
   stats.probes_sent = probes_sent_.load();
   {
-    std::shared_lock<std::shared_mutex> lock(index_mu_);
-    stats.rep_entries = inter_.size();
+    std::shared_lock<std::shared_mutex> lock(prune_mu_);
+    for (const auto& entries : edge_entries_) {
+      stats.rep_entries += entries.size();
+    }
   }
   stats.subscriptions_active = engine_.stats().subscriptions_active;
   stats.subscriptions_total = subscriptions_total_.load();
@@ -325,6 +326,16 @@ std::string Coordinator::HandleAdminTune(io::BinaryReader* reader,
   if (echo == nullptr) {
     *failure = Status::Unavailable("no eligible shard applied the tuning");
     return StatusOnlyResponse(*failure);
+  }
+  {
+    // Pruning follows the edges: it hit-tests at their scale, and only
+    // while every candidate an edge returns comes from a cluster whose
+    // representative the edge ships.
+    const auto mode = static_cast<core::IndexMode>(echo->index_mode);
+    std::unique_lock<std::shared_mutex> lock(prune_mu_);
+    prune_scale_ = echo->boundary_scale;
+    prune_by_reps_ = mode == core::IndexMode::kHierarchical ||
+                     mode == core::IndexMode::kIntraOnly;
   }
   return OkResponse(*echo);
 }
@@ -537,22 +548,25 @@ std::vector<bool> Coordinator::DirectQueryConsultSet(
     const FeatureVector& feature) {
   std::vector<bool> consult = EligibleSet();
   if (!options_.prune_direct_fanout) return consult;
-  std::shared_lock<std::shared_mutex> lock(index_mu_);
-  if (inter_.size() == 0) return consult;  // nothing synced yet anywhere
+  std::shared_lock<std::shared_mutex> lock(prune_mu_);
+  if (!prune_by_reps_) return consult;
+  if (std::all_of(edge_entries_.begin(), edge_entries_.end(),
+                  [](const auto& entries) { return entries.empty(); })) {
+    return consult;  // nothing synced yet anywhere
+  }
   // Shards with at least one representative passing the hit test stay in;
   // a synced shard with zero hits is pruned (its own edge index would
   // reject the same representatives). A never-synced shard must stay in:
   // there is nothing to prune with.
-  std::vector<bool> has_hit(registry_.size(), false);
-  const core::InterCameraIndex::RepEntry* base = inter_.entries().data();
-  for (const core::InterCameraIndex::RepEntry* entry :
-       inter_.FeatureSearch(feature, options_.boundary_scale)) {
-    has_hit[entry_owner_[static_cast<size_t>(entry - base)]] = true;
-  }
   for (size_t i = 0; i < consult.size(); ++i) {
     if (!consult[i]) continue;
     if (registry_.synced_version(i) == 0) continue;  // never synced
-    if (!has_hit[i]) {
+    const bool hit = std::any_of(
+        edge_entries_[i].begin(), edge_entries_[i].end(),
+        [&](const core::InterCameraIndex::RepEntry& entry) {
+          return entry.rep.Hit(feature, prune_scale_);
+        });
+    if (!hit) {
       consult[i] = false;
       pruned_legs_.fetch_add(1);
     }
@@ -925,9 +939,8 @@ void Coordinator::SyncLoop() {
 
 size_t Coordinator::SyncPass(bool respect_backoff) {
   // One pass at a time: the background thread and PollEdgesNow must not
-  // interleave their registry updates and index rebuilds.
+  // interleave their registry updates and entry installs.
   std::lock_guard<std::mutex> pass_lock(pass_mu_);
-  bool changed = false;
   for (size_t i = 0; i < registry_.size(); ++i) {
     const int64_t now = NowMs();
     const bool probing = !registry_.Eligible(i);
@@ -948,13 +961,12 @@ size_t Coordinator::SyncPass(bool respect_backoff) {
     }
     uint64_t entry_count = 0;
     if (reply->unchanged) {
-      std::shared_lock<std::shared_mutex> lock(index_mu_);
+      std::shared_lock<std::shared_mutex> lock(prune_mu_);
       entry_count = edge_entries_[i].size();
     } else {
       entry_count = reply->entries.size();
-      std::unique_lock<std::shared_mutex> lock(index_mu_);
+      std::unique_lock<std::shared_mutex> lock(prune_mu_);
       edge_entries_[i] = std::move(reply->entries);
-      changed = true;
       rep_sync_updates_.fetch_add(1);
     }
     registry_.RecordRepSync(i, reply->version, entry_count, NowMs());
@@ -980,30 +992,11 @@ size_t Coordinator::SyncPass(bool respect_backoff) {
       (void)PushConnection(i);
     }
   }
-  if (changed) {
-    std::unique_lock<std::shared_mutex> lock(index_mu_);
-    RebuildIndexLocked();
-  }
   size_t eligible = 0;
   for (size_t i = 0; i < registry_.size(); ++i) {
     if (registry_.Eligible(i)) ++eligible;
   }
   return eligible;
-}
-
-void Coordinator::RebuildIndexLocked() {
-  std::vector<core::InterCameraIndex::RepEntry> combined;
-  entry_owner_.clear();
-  for (size_t i = 0; i < edge_entries_.size(); ++i) {
-    for (const auto& entry : edge_entries_[i]) {
-      combined.push_back(entry);
-      entry_owner_.push_back(i);
-    }
-  }
-  // SetEntries installs the entry list before rebuilding tree and groups,
-  // so `entry_owner_` stays aligned with `entries()` even if the rebuild
-  // fails (poisoned distances) — and pruning only needs the entry list.
-  (void)inter_.SetEntries(std::move(combined));
 }
 
 }  // namespace vz::net

@@ -67,13 +67,14 @@ struct CoordinatorOptions {
   /// get the fixed `kEdgeConnectTimeoutMs`). A killed edge fails much faster
   /// (connection refused / reset).
   int64_t edge_io_timeout_ms = 5'000;
-  /// Prune direct-query fan-out through the local representative index:
+  /// Prune direct-query fan-out with the edges' shipped representatives:
   /// shards none of whose synced representatives pass the hit test are not
   /// consulted (never-synced shards always are — there is nothing to prune
   /// with). Pruning-only at the shard granularity: an edge would reject the
   /// same representatives itself.
   bool prune_direct_fanout = true;
-  /// Boundary scale of the coordinator-side hit tests; must match the
+  /// Boundary scale of the coordinator-side hit tests until an `AdminTune`
+  /// fanned out through this coordinator sets another; must match the
   /// edges' `VideoZillaOptions::boundary_scale`.
   double boundary_scale = 1.0;
 
@@ -85,13 +86,10 @@ struct CoordinatorOptions {
   int64_t sync_interval_ms = 250;
   EdgeRegistryOptions registry;
 
-  /// Configuration of the local representative index (OMD + inter options);
-  /// must match the edges' so group summaries and hit tests agree.
+  /// Unused: the coordinator keeps no representative index of its own, so
+  /// nothing reads these. Kept only while existing callers still assign them.
   core::OmdOptions omd;
   core::InterIndexOptions inter;
-  /// Seed of the local index's stream (group-count sweeps); pruning results
-  /// never depend on it.
-  uint64_t seed = 0xC0CA;
 };
 
 /// Lifetime counters of the coordinator.
@@ -107,13 +105,13 @@ struct CoordinatorStats {
   /// Answers returned with `degraded = true` (a shard was down, slow, or
   /// already evicted).
   uint64_t degraded_answers = 0;
-  /// Query legs pruned by the representative index.
+  /// Query legs pruned by the shipped representatives.
   uint64_t pruned_legs = 0;
   /// Rep-sync rounds that shipped a changed entry set.
   uint64_t rep_sync_updates = 0;
   /// Probes sent to unreachable edges.
   uint64_t probes_sent = 0;
-  /// Representative entries currently indexed (gauge).
+  /// Representative entries currently held, summed over edges (gauge).
   uint64_t rep_entries = 0;
   /// Standing queries registered by clients (gauge / lifetime).
   uint64_t subscriptions_active = 0;
@@ -130,9 +128,10 @@ struct CoordinatorStats {
 /// deployment"): speaks the same wire protocol as `Server`, but answers
 /// queries by scattering them over the edge shards and merging the partial
 /// results, never holding video state of its own. What it does hold — fed by
-/// the `kRepSync` RPC — is the inter-camera representative index, which lets
-/// it prune direct-query fan-out exactly like a single-node deployment
-/// prunes camera scans.
+/// the `kRepSync` RPC — is each edge's list of representatives, which lets
+/// it prune direct-query fan-out: a shard none of whose representatives
+/// pass the hit test, at the boundary scale and index mode last fanned out
+/// by `kAdminTune`, is not consulted.
 ///
 /// Robustness contract: a query never fails because a shard is down or slow.
 /// Each leg travels with a deadline carved from the client's budget; a leg
@@ -241,6 +240,8 @@ class Coordinator {
                               io::BinaryReader* reader, Status* failure);
   std::string HandleUnsubscribe(uint64_t conn_id, io::BinaryReader* reader,
                                 Status* failure);
+  /// kAdminTune: fans the knobs out to every eligible shard and records the
+  /// echoed boundary scale and index mode for direct-query pruning.
   std::string HandleAdminTune(io::BinaryReader* reader, Status* failure);
   /// Unsubscribes the edge legs of the client subscriptions `ids`, each on
   /// the push connection it rides, holding no coordinator lock across the
@@ -309,14 +310,12 @@ class Coordinator {
   /// thread). With `respect_backoff`, unreachable edges whose probe is not
   /// yet due are skipped.
   size_t SyncPass(bool respect_backoff);
-  /// Rebuilds the local representative index from the per-edge entry sets
-  /// (in shard-index order).
-  void RebuildIndexLocked();
   void SyncLoop();
 
   /// The shards a direct query must consult: eligible edges, minus those
   /// whose synced representatives all fail the hit test (when pruning is
-  /// on). Never-synced eligible edges are always consulted.
+  /// on and the edges answer from cluster representatives). Never-synced
+  /// eligible edges are always consulted.
   std::vector<bool> DirectQueryConsultSet(const FeatureVector& feature);
   /// The shards a clustering query (or stats fan-out) consults: every
   /// eligible edge.
@@ -332,17 +331,19 @@ class Coordinator {
   const CoordinatorOptions options_;
   EdgeRegistry registry_;
 
-  // --- Local representative index (fed by rep-sync). ---
-  core::OmdCalculator omd_;
-  /// Guards the index and the per-edge entry sets below. Shared by query
-  /// pruning, exclusive for sync installs.
-  mutable std::shared_mutex index_mu_;
-  core::InterCameraIndex inter_;
-  /// Entry sets as shipped per edge; concatenated in shard order into
-  /// `inter_` (`entry_owner_` maps a combined entry index back to its
-  /// shard).
+  // --- Pruning state (fed by rep-sync and kAdminTune). ---
+  /// Guards the three fields below. Shared by query pruning, exclusive for
+  /// sync installs and tuning.
+  mutable std::shared_mutex prune_mu_;
+  /// Entry sets as shipped per edge, in shard order.
   std::vector<std::vector<core::InterCameraIndex::RepEntry>> edge_entries_;
-  std::vector<size_t> entry_owner_;
+  /// Boundary scale of the hit tests: the option until a fanned-out
+  /// `kAdminTune` echoes another.
+  double prune_scale_;
+  /// False once a fanned-out `kAdminTune` put the edges in an index mode
+  /// whose candidates do not all come from a shipped representative
+  /// (`kFlatSvs`, `kFlat`); pruning then consults every eligible shard.
+  bool prune_by_reps_ = true;
 
   // --- Edge connection pool. ---
   std::mutex pool_mu_;

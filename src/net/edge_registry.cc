@@ -97,11 +97,6 @@ ShardState EdgeRegistry::StateAtLocked(const Edge& edge,
   return ShardState::kHealthy;
 }
 
-ShardState EdgeRegistry::StateAt(size_t index, int64_t now_ms) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return StateAtLocked(edges_[index], now_ms);
-}
-
 std::vector<core::CameraId> EdgeRegistry::CamerasOf(size_t index) const {
   std::lock_guard<std::mutex> lock(mu_);
   return edges_[index].cameras;

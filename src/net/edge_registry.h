@@ -116,9 +116,6 @@ class EdgeRegistry {
   /// probed).
   bool ProbeDue(size_t index, int64_t now_ms) const;
 
-  /// The ladder state at `now_ms`, staleness applied.
-  ShardState StateAt(size_t index, int64_t now_ms) const;
-
   /// Cameras known to live on the edge.
   std::vector<core::CameraId> CamerasOf(size_t index) const;
 

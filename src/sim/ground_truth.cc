@@ -28,15 +28,6 @@ bool GroundTruthLog::SvsContains(const core::Svs& svs,
   return false;
 }
 
-size_t GroundTruthLog::SvsMatchingFrames(const core::Svs& svs,
-                                         int object_class) const {
-  size_t count = 0;
-  for (int64_t frame_id : svs.frame_ids()) {
-    if (FrameContains(frame_id, object_class)) ++count;
-  }
-  return count;
-}
-
 std::vector<core::SvsId> GroundTruthLog::TrueSvsSet(
     const core::SvsStore& store, int object_class,
     const core::QueryConstraints& constraints) const {

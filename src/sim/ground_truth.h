@@ -37,9 +37,6 @@ class GroundTruthLog {
   /// Does any of the SVS's frames truly contain `object_class`?
   bool SvsContains(const core::Svs& svs, int object_class) const;
 
-  /// Frames of the SVS that truly contain `object_class`.
-  size_t SvsMatchingFrames(const core::Svs& svs, int object_class) const;
-
   /// All SVS ids in `store` that truly contain `object_class`, subject to
   /// the constraints. This is the reference set for precision/recall.
   std::vector<core::SvsId> TrueSvsSet(

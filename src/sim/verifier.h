@@ -69,7 +69,6 @@ class SimObjectVerifier : public core::ObjectVerifier {
   double total_gpu_ms() const {
     return total_gpu_ms_.load(std::memory_order_relaxed);
   }
-  void ResetTotals() { total_gpu_ms_.store(0.0, std::memory_order_relaxed); }
 
  private:
   const FeatureSpace* space_;

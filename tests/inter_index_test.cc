@@ -115,6 +115,62 @@ TEST_F(InterIndexTest, FeatureSearchPrunesByContent) {
   EXPECT_EQ(hits[0]->camera, "lot-a");
 }
 
+// Direct-query pruning reads no group: for any feature, FeatureSearch
+// returns exactly the entries a brute-force hit test over `entries()`
+// accepts, in entry order, and regrouping (one group, or as many as there
+// are entries) changes no answer.
+TEST_F(InterIndexTest, FeatureSearchIsAHitScanWhateverTheGrouping) {
+  InterCameraIndex inter(&calc_, InterIndexOptions{}, Rng(48));
+  auto a = MakeIntra("lot-a", {0.0, 0.2, 5.0, 5.2}, 49);
+  auto b = MakeIntra("road-a", {2.5, 2.7, 7.5, 7.7}, 50);
+  auto c = MakeIntra("harbor-a", {10.0, 10.2, 5.1}, 51);
+  for (const auto* intra : {a.get(), b.get(), c.get()}) {
+    ASSERT_TRUE(inter.UpdateCamera(*intra).ok());
+  }
+  ASSERT_GE(inter.size(), 4u);
+  Rng rng(52);
+  std::vector<FeatureVector> features;
+  for (size_t q = 0; q < 64; ++q) {
+    const double center = rng.UniformDouble(-1.0, 12.0);
+    FeatureVector feature(4);
+    for (size_t d = 0; d < 4; ++d) {
+      feature[d] = static_cast<float>(center + rng.Gaussian(0.0, 0.3));
+    }
+    features.push_back(std::move(feature));
+  }
+  const auto brute_force = [&inter](const FeatureVector& feature,
+                                    double scale) {
+    std::vector<const InterCameraIndex::RepEntry*> hits;
+    for (const InterCameraIndex::RepEntry& entry : inter.entries()) {
+      if (entry.rep.Hit(feature, scale)) hits.push_back(&entry);
+    }
+    return hits;
+  };
+  size_t hit = 0;
+  size_t missed = 0;
+  const auto expect_hit_scan = [&](const std::string& grouping) {
+    SCOPED_TRACE(grouping);
+    for (double scale : {1.0, 1.5}) {
+      for (size_t q = 0; q < features.size(); ++q) {
+        SCOPED_TRACE("feature " + std::to_string(q));
+        const auto want = brute_force(features[q], scale);
+        EXPECT_EQ(inter.FeatureSearch(features[q], scale), want);
+        ++(want.empty() ? missed : hit);
+      }
+    }
+  };
+  expect_hit_scan("swept groups");
+  ASSERT_TRUE(inter.SetForcedGroupCount(1).ok());
+  ASSERT_EQ(inter.groups().size(), 1u);
+  expect_hit_scan("one group");
+  ASSERT_TRUE(inter.SetForcedGroupCount(inter.size()).ok());
+  ASSERT_GT(inter.groups().size(), 1u);
+  expect_hit_scan("a group per entry");
+  // The features land on both sides of the boundaries.
+  EXPECT_GT(hit, 0u);
+  EXPECT_GT(missed, 0u);
+}
+
 TEST_F(InterIndexTest, GroupOfNearestFindsRightGroup) {
   InterIndexOptions options;
   options.forced_num_groups = 2;
@@ -179,14 +235,7 @@ TEST_F(InterIndexTest, RebuildsSolveOnlyPairsOfNewEntries) {
   }
   expect_bounded("remove cam-c", 0,
                  [&inter] { return inter.RemoveCamera("cam-c"); });
-
-  // SetEntries imports everything afresh; the identities it assigns then
-  // carry the next rebuild like any other.
-  const std::vector<InterCameraIndex::RepEntry> synced = inter.entries();
-  expect_bounded("set entries", synced.size(),
-                 [&inter, &synced] { return inter.SetEntries(synced); });
-  expect_bounded("import cam-c after set entries", c->clusters().size(),
-                 update(*c));
+  expect_bounded("re-import cam-c", c->clusters().size(), update(*c));
 
   ASSERT_TRUE(inter.Reset(Rng(35)).ok());
   EXPECT_EQ(inter.size(), 0u);

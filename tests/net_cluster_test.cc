@@ -7,7 +7,10 @@
 //      bit-identical to a fault-free control — across VZ_CLUSTER_SEEDS
 //      (default 10) kill/victim combinations;
 //   2. representative-index fan-out pruning never changes an answer (a
-//      pruned shard could not have contributed anything);
+//      pruned shard could not have contributed anything), also after an
+//      AdminTune through the coordinator widens the edges' boundaries or
+//      switches them to an index mode that does not answer from cluster
+//      representatives;
 //   3. scatter-gather merge determinism: with edge clocks on a SimClock and
 //      delay-only chaos proxies reordering which edge answers first, the
 //      merged answer is bit-identical across response orders and edge
@@ -325,6 +328,98 @@ TEST(NetClusterTest, RepresentativePruningNeverChangesAnswers) {
     EXPECT_EQ(got->degraded, want->degraded);
     EXPECT_EQ(got->completed_fraction, want->completed_fraction);
   }
+
+  control_client.Close();
+  pruned_client.Close();
+  control.Shutdown();
+}
+
+// Drill 2b: the coordinator prunes at the tuning it fanned out. An
+// AdminTune through it that widens the edges' boundaries, or puts them in
+// an index mode whose candidates do not all come from a shipped
+// representative (kFlatSvs, kFlat), must not leave pruning behind: answers
+// stay equal to an unpruned control over the same edges in every phase.
+TEST(NetClusterTest, PruningFollowsTuningFannedOutThroughTheCoordinator) {
+  sim::Deployment deployment(SmallDeployment());
+  deployment.observations();
+  const size_t kEdges = 3;
+
+  TestCluster cluster(&deployment, kEdges, SmallSystemOptions());
+  ASSERT_TRUE(cluster.StartEdges().ok());
+  CoordinatorOptions pruning;
+  pruning.prune_direct_fanout = true;
+  ASSERT_TRUE(cluster.StartCoordinator(pruning).ok());
+  auto connected = cluster.Connect(410);
+  ASSERT_TRUE(connected.ok());
+  Client pruned_client = std::move(*connected);
+
+  std::vector<EdgeEndpoint> endpoints;
+  for (size_t i = 0; i < kEdges; ++i) {
+    endpoints.push_back({"127.0.0.1", cluster.edge_port(i)});
+  }
+  CoordinatorOptions unpruned = DrillCoordinatorOptions();
+  unpruned.edges = endpoints;
+  unpruned.sync_interval_ms = 0;
+  Coordinator control(unpruned);
+  ASSERT_TRUE(control.Start().ok());
+  auto control_connected = Client::Connect("127.0.0.1", control.port());
+  ASSERT_TRUE(control_connected.ok());
+  Client control_client = std::move(*control_connected);
+
+  Rng rng(23);
+  std::vector<FeatureVector> queries;
+  for (int object_class = 0; object_class < 6; ++object_class) {
+    queries.push_back(deployment.MakeQueryFeature(object_class, &rng));
+  }
+  // Every phase's answers equal the control's; returns the legs the pruning
+  // coordinator pruned over the phase.
+  const auto expect_answers_match = [&](const std::string& phase) {
+    SCOPED_TRACE(phase);
+    const uint64_t pruned_before =
+        cluster.coordinator().stats().pruned_legs;
+    for (size_t q = 0; q < queries.size(); ++q) {
+      SCOPED_TRACE("object class " + std::to_string(q));
+      auto got = pruned_client.DirectQuery(queries[q]);
+      EXPECT_TRUE(got.ok()) << got.status().ToString();
+      auto want = control_client.DirectQuery(queries[q]);
+      EXPECT_TRUE(want.ok()) << want.status().ToString();
+      if (!got.ok() || !want.ok()) continue;
+      EXPECT_EQ(got->candidate_svss, want->candidate_svss);
+      EXPECT_EQ(got->matched_svss, want->matched_svss);
+      EXPECT_EQ(got->frames_processed, want->frames_processed);
+      EXPECT_EQ(got->degraded, want->degraded);
+    }
+    return cluster.coordinator().stats().pruned_legs - pruned_before;
+  };
+  const auto tune = [&](const AdminTuneRequest& request) {
+    auto echoed = pruned_client.AdminTune(request);
+    EXPECT_TRUE(echoed.ok()) << echoed.status().ToString();
+    return echoed.ok();
+  };
+
+  EXPECT_GT(expect_answers_match("as started"), 0u);
+
+  AdminTuneRequest wider;
+  wider.boundary_scale = 2.0;
+  ASSERT_TRUE(tune(wider));
+  expect_answers_match("boundary scale 2.0");
+
+  AdminTuneRequest flat;
+  flat.index_mode = static_cast<uint32_t>(core::IndexMode::kFlat);
+  ASSERT_TRUE(tune(flat));
+  EXPECT_EQ(expect_answers_match("flat"), 0u);
+
+  AdminTuneRequest flat_svs;
+  flat_svs.index_mode = static_cast<uint32_t>(core::IndexMode::kFlatSvs);
+  ASSERT_TRUE(tune(flat_svs));
+  EXPECT_EQ(expect_answers_match("flat SVS"), 0u);
+
+  // Back to the hierarchy at the options' scale: pruning resumes.
+  AdminTuneRequest restored;
+  restored.index_mode = static_cast<uint32_t>(core::IndexMode::kHierarchical);
+  restored.boundary_scale = 1.0;
+  ASSERT_TRUE(tune(restored));
+  EXPECT_GT(expect_answers_match("restored"), 0u);
 
   control_client.Close();
   pruned_client.Close();
