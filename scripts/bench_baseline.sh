@@ -4,10 +4,11 @@
 #
 #   scripts/bench_baseline.sh [build_dir]     # default: build
 #
-# BENCH_micro_omd.json is google-benchmark's native JSON for the kernel-layer
-# microbenchmarks (ground-matrix fill and quantized lower bound, with
-# threads/dim/simd counters) and the ingest fits built on the same kernels
-# (silhouette sweep and representative, with points/simd counters). BENCH_sec73_ann.json holds one JSON object per
+# BENCH_micro_omd.json is google-benchmark's native JSON for the OMD solve
+# layer (exact and thresholded OMD per map size, ground matrix included), the
+# kernel-layer microbenchmarks (ground-matrix fill and quantized lower bound,
+# with threads/dim/simd counters) and the ingest fits built on the same
+# kernels (silhouette sweep and representative, with points/simd counters). BENCH_sec73_ann.json holds one JSON object per
 # line, scraped from the bench's "JSON {...}" rows. Both record what built
 # them: the repository commit (suffixed -dirty when tracked files differ from
 # it) and the build directory's CMAKE_BUILD_TYPE, as `vz_commit` and
@@ -25,7 +26,7 @@ BUILD_TYPE="$(sed -n 's/^CMAKE_BUILD_TYPE:[A-Z]*=//p' \
   "${BUILD_DIR}/CMakeCache.txt")"
 
 "${BUILD_DIR}/bench/bench_micro_omd" \
-  --benchmark_filter='BM_GroundDistanceMatrix|BM_QuantizedLowerBound|BM_ChooseKBySilhouette|BM_BuildRepresentative' \
+  --benchmark_filter='BM_ExactOmd|BM_ThresholdedOmd|BM_GroundDistanceMatrix|BM_QuantizedLowerBound|BM_ChooseKBySilhouette|BM_BuildRepresentative' \
   --benchmark_context="vz_commit=${COMMIT},vz_build_type=${BUILD_TYPE}" \
   --benchmark_format=json > BENCH_micro_omd.json
 

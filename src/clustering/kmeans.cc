@@ -1,6 +1,7 @@
 #include "clustering/kmeans.h"
 
 #include <algorithm>
+#include <cstring>
 #include <limits>
 
 namespace vz::clustering {
@@ -11,20 +12,22 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 
 // k-means++ seeding: first center uniform (by weight), subsequent centers
 // sampled proportionally to weighted squared distance to the nearest chosen
-// center.
+// center. Center c's distance row (squared distance to every point) lands in
+// `rows` at c * n; every center but the last gets one, as the sampling needs
+// it.
 std::vector<size_t> SeedPlusPlus(const std::vector<FeatureVector>& points,
                                  const PointTile& tile,
                                  const std::vector<double>& weights, size_t k,
-                                 Rng* rng) {
+                                 Rng* rng, std::vector<double>* rows) {
   const size_t n = points.size();
   std::vector<size_t> centers;
   centers.reserve(k);
   centers.push_back(rng->WeightedIndex(weights));
   std::vector<double> min_sq(n, kInf);
-  std::vector<double> dist(n);
   std::vector<double> sampling(n);
   while (centers.size() < k) {
-    tile.SquaredDistancesTo(points[centers.back()].data(), dist.data());
+    double* dist = rows->data() + (centers.size() - 1) * n;
+    tile.SquaredDistancesTo(points[centers.back()].data(), dist);
     for (size_t i = 0; i < n; ++i) {
       min_sq[i] = std::min(min_sq[i], dist[i]);
       sampling[i] = min_sq[i] * weights[i];
@@ -42,24 +45,29 @@ std::vector<size_t> SeedPlusPlus(const std::vector<FeatureVector>& points,
 }
 
 // One assignment pass: each point's nearest centroid and the squared
-// distance to it. Every point tries the centers in ascending order with a
-// strict `<`, as a per-point loop would, so ties and NaN distances resolve
-// the same way; the tile yields one center's distances to all points per
-// kernel call. `dist` is scratch of one double per point.
+// distance to it. Center c's distances to all points are row c of `rows`
+// (one tile kernel call per center), recomputed only where `stale[c]`: a
+// row stays exact while its centroid's floats do. Every point tries the
+// centers in ascending order with a strict `<`, as a per-point loop would,
+// so ties and NaN distances resolve the same way.
 void AssignNearest(const PointTile& tile,
                    const std::vector<FeatureVector>& centroids,
-                   std::vector<size_t>* nearest, std::vector<double>* best,
-                   std::vector<double>* dist) {
+                   std::vector<double>* rows, std::vector<bool>* stale,
+                   std::vector<size_t>* nearest, std::vector<double>* best) {
   const size_t n = tile.size();
   nearest->assign(n, 0);
   best->assign(n, kInf);
   for (size_t c = 0; c < centroids.size(); ++c) {
-    tile.SquaredDistancesTo(centroids[c].data(), dist->data());
+    double* dist = rows->data() + c * n;
+    if ((*stale)[c]) {
+      tile.SquaredDistancesTo(centroids[c].data(), dist);
+      (*stale)[c] = false;
+    }
     for (size_t i = 0; i < n; ++i) {
       // Selects rather than branches: which center wins is data, not a
       // pattern the branch predictor could learn.
-      const bool closer = (*dist)[i] < (*best)[i];
-      (*best)[i] = closer ? (*dist)[i] : (*best)[i];
+      const bool closer = dist[i] < (*best)[i];
+      (*best)[i] = closer ? dist[i] : (*best)[i];
       (*nearest)[i] = closer ? c : (*nearest)[i];
     }
   }
@@ -74,16 +82,21 @@ KMeansResult KMeansOnce(const std::vector<FeatureVector>& points,
   const size_t dim = points[0].dim();
 
   KMeansResult result;
-  const std::vector<size_t> seeds = SeedPlusPlus(points, tile, w, k, rng);
+  // Row c: squared distances from centroid c to every point. The seeding
+  // fills every row but the last; the centroids start as the seed points.
+  std::vector<double> rows(k * n);
+  std::vector<bool> stale(k, false);
+  stale[k - 1] = true;
+  const std::vector<size_t> seeds =
+      SeedPlusPlus(points, tile, w, k, rng, &rows);
   result.centroids.reserve(k);
   for (size_t s : seeds) result.centroids.push_back(points[s]);
 
   std::vector<size_t> assigned;
   std::vector<double> best;  // squared distance to the assigned centroid
-  std::vector<double> dist(n);
   bool settled = false;
   for (size_t iter = 0; iter < options.max_iterations; ++iter) {
-    AssignNearest(tile, result.centroids, &assigned, &best, &dist);
+    AssignNearest(tile, result.centroids, &rows, &stale, &assigned, &best);
     // The centroids are the weighted means of the previous pass's clusters
     // (an empty one kept its center). If this pass assigns every point as
     // that one did, the update would rebuild them bit for bit, so every
@@ -107,12 +120,18 @@ KMeansResult KMeansOnce(const std::vector<FeatureVector>& points,
         next[c] = result.centroids[c];  // empty cluster keeps its center
       }
       movement += EuclideanDistance(next[c], result.centroids[c]);
+      // A centroid whose floats did not change (an empty cluster, or one
+      // whose members all stayed) keeps its row: the kernel would rewrite
+      // it bit for bit.
+      stale[c] = std::memcmp(next[c].data(), result.centroids[c].data(),
+                             dim * sizeof(float)) != 0;
     }
     result.centroids = std::move(next);
     if (movement <= options.tolerance) break;
   }
   if (!settled) {
-    AssignNearest(tile, result.centroids, &result.assignments, &best, &dist);
+    AssignNearest(tile, result.centroids, &rows, &stale, &result.assignments,
+                  &best);
   }
 
   // Sizes and inertia of the final assignment.

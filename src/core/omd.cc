@@ -118,8 +118,8 @@ StatusOr<double> OmdCalculator::DistanceWithOptions(const FeatureMap& a,
   Subsample(*left, cap, &av, &aw);
   Subsample(*right, cap, &bv, &bw);
 
-  // Dense ground-distance matrix, shared by both solver modes.
-  const size_t m = bv.size();
+  // Dense ground-distance matrix, shared by both solver modes and read by
+  // the solver in place.
   std::vector<double> cost;
   const double max_cost =
       FillGroundMatrix(pool_, av, bv, left->dim(), &cost, cancel);
@@ -129,20 +129,16 @@ StatusOr<double> OmdCalculator::DistanceWithOptions(const FeatureMap& a,
   if (Cancelled(cancel)) {
     return Status::Cancelled("OMD cancelled during ground-matrix fill");
   }
-  const auto ground = [&cost, m](size_t i, size_t j) {
-    return cost[i * m + j];
-  };
-
   if (options.mode == OmdMode::kExact || max_cost == 0.0) {
     VZ_ASSIGN_OR_RETURN(solver::EmdResult result,
-                        solver::ExactEmd(aw, bw, ground, cancel));
+                        solver::ExactEmd(aw, bw, cost, cancel));
     return result.distance;
   }
   const double threshold =
       std::min(1.0, std::max(1e-3, options.threshold_alpha)) * max_cost;
   VZ_ASSIGN_OR_RETURN(
       solver::EmdResult result,
-      solver::ThresholdedEmd(aw, bw, ground, threshold, cancel));
+      solver::ThresholdedEmd(aw, bw, cost, threshold, cancel));
   return result.distance;
 }
 

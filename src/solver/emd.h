@@ -3,6 +3,7 @@
 
 #include <cstddef>
 #include <functional>
+#include <span>
 #include <vector>
 
 #include "common/deadline.h"
@@ -29,11 +30,30 @@ struct EmdResult {
 /// Weights need not be pre-normalized; they are scaled to sum to 1 on each
 /// side, matching the uniform 1/n weighting of Eq. 1 when callers pass all
 /// ones. Errors on empty inputs, negative weights, zero-mass sides, or
-/// negative ground distances. `cancel` (may be null) is forwarded to the
-/// min-cost-flow pivot loop; a fired token aborts with `kCancelled`.
+/// negative ground distances. `cancel` (may be null) is checked at the top
+/// of every augmentation of the transport solve; a fired token aborts with
+/// `kCancelled`.
+///
+/// The solve is successive shortest paths with Dijkstra potentials on a
+/// dense, row-major residual layout of the transport network, relaxed and
+/// scanned by the `relax_arcs`/`first_argmin` kernels. It keeps
+/// `MinCostFlow`'s node ids, settle order, arc order and arithmetic, so the
+/// distance, `num_arcs` and every flow equal a `MinCostFlow` solve of the
+/// same network bit for bit (`solver_property_test` holds it as the
+/// oracle). Each thread reuses one set of solve buffers, so a solve
+/// allocates nothing once its thread has seen an instance that large.
 StatusOr<EmdResult> ExactEmd(const std::vector<double>& supplies,
                              const std::vector<double>& demands,
                              const GroundDistanceFn& distance,
+                             const CancelToken* cancel = nullptr);
+
+/// As above, over a dense row-major ground matrix: `ground[i *
+/// demands.size() + j]` is the distance from supply i to demand j.
+/// InvalidArgument when it does not hold `supplies.size() *
+/// demands.size()` values.
+StatusOr<EmdResult> ExactEmd(const std::vector<double>& supplies,
+                             const std::vector<double>& demands,
+                             std::span<const double> ground,
                              const CancelToken* cancel = nullptr);
 
 /// One arc of an optimal transport plan.
@@ -65,9 +85,17 @@ StatusOr<EmdFlowResult> ExactEmdWithFlow(const std::vector<double>& supplies,
 /// through one transshipment vertex whose incoming arcs cost `threshold` and
 /// outgoing arcs cost 0 (Fig. 6b). The value is a lower bound on `ExactEmd`
 /// and matches it when `threshold` is at least the maximum pairwise distance.
+/// Solved like `ExactEmd`, with the same bit-for-bit guarantee.
 StatusOr<EmdResult> ThresholdedEmd(const std::vector<double>& supplies,
                                    const std::vector<double>& demands,
                                    const GroundDistanceFn& distance,
+                                   double threshold,
+                                   const CancelToken* cancel = nullptr);
+
+/// As above, over a dense row-major ground matrix (see `ExactEmd`).
+StatusOr<EmdResult> ThresholdedEmd(const std::vector<double>& supplies,
+                                   const std::vector<double>& demands,
+                                   std::span<const double> ground,
                                    double threshold,
                                    const CancelToken* cancel = nullptr);
 

@@ -19,6 +19,12 @@ namespace vz::solver {
 /// saturates a super-source or super-sink arc, so the number of augmenting
 /// iterations is bounded by the number of supply plus demand nodes even with
 /// real-valued capacities.
+///
+/// This is the reference, not the production path: the EMD entries
+/// (`solver/emd.h`) solve the same transport networks on a dense layout
+/// with this class's node order, arc order and arithmetic, and
+/// `solver_property_test` checks them against it bit for bit. Nothing in
+/// `src/` outside this file and its source calls it.
 class MinCostFlow {
  public:
   /// Result of a solve: total flow shipped and its total cost.

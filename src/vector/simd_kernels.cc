@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 
 namespace vz::simd {
 
@@ -94,11 +95,38 @@ int64_t ScalarDotI8(const int8_t* a, const int8_t* b, size_t dim) {
   return sum;
 }
 
+size_t ScalarRelaxArcs(double from_dist, double from_potential,
+                       const double* residual, const double* cost,
+                       const double* potential, size_t count, double eps,
+                       double* dist, uint32_t* improved) {
+  size_t num_improved = 0;
+  for (size_t k = 0; k < count; ++k) {
+    if (RelaxArc(from_dist, from_potential, residual[k], cost[k],
+                 potential[k], eps, &dist[k])) {
+      improved[num_improved++] = static_cast<uint32_t>(k);
+    }
+  }
+  return num_improved;
+}
+
+size_t ScalarFirstArgmin(const double* v, size_t count) {
+  double best = std::numeric_limits<double>::infinity();
+  size_t at = count;
+  for (size_t j = 0; j < count; ++j) {
+    if (v[j] < best) {
+      best = v[j];
+      at = j;
+    }
+  }
+  return at;
+}
+
 constexpr KernelTable kScalarTable = {
     "scalar",          ScalarSquaredDistance, ScalarDot,
     ScalarSumSquares,  ScalarEuclideanRows,   ScalarSquaredCols,
     ScalarEuclideanCols, ScalarAxpy,          ScalarAddInPlace,
-    ScalarScaleInPlace,  ScalarDotI8,
+    ScalarScaleInPlace,  ScalarDotI8,         ScalarRelaxArcs,
+    ScalarFirstArgmin,
 };
 
 std::atomic<const KernelTable*> g_active{nullptr};

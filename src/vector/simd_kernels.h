@@ -32,6 +32,11 @@ namespace vz::simd {
 ///    round per element exactly like the scalar loop; lanes are independent,
 ///    so any vector width is bit-identical by construction.
 ///  - Integer kernels (`dot_i8`) are exact in any summation order.
+///  - The transport-solve kernels (`relax_arcs`, `first_argmin`) are
+///    per-lane double adds, compares and selects, with no reduction but
+///    `first_argmin`'s, whose lanes merge by (value, index): every table
+///    writes the same distances and parents and returns the same index,
+///    NaN inputs included.
 ///
 /// The batched kernels exist in two layouts: `euclidean_rows` walks `count`
 /// row pointers (the layout `FeatureMap` hands out), while `squared_cols`
@@ -80,7 +85,41 @@ struct KernelTable {
   /// [-127, 127] (the symmetric-quantizer range); -128 is outside the
   /// contract (the AVX2 unsigned*signed trick saturates on it).
   int64_t (*dot_i8)(const int8_t* a, const int8_t* b, size_t dim);
+
+  /// One Dijkstra relaxation of a node's arcs into `count` consecutive
+  /// nodes of a dense residual graph (the transport solve in
+  /// `solver/emd.cc`); `potential` and `dist` are indexed from the first of
+  /// those nodes. Arc k is usable iff !(residual[k] <= eps); its step is
+  /// reduced = (cost[k] + from_potential) - potential[k], clamped as
+  /// `reduced > 0 ? reduced : 0`. Node k improves iff its arc is usable and
+  /// from_dist + step + eps < dist[k]; then dist[k] = from_dist + step.
+  /// Writes the improved k, ascending, to `improved` (room for `count`) and
+  /// returns how many there are. Lanes are independent, so any vector width
+  /// is bit-identical by construction.
+  size_t (*relax_arcs)(double from_dist, double from_potential,
+                       const double* residual, const double* cost,
+                       const double* potential, size_t count, double eps,
+                       double* dist, uint32_t* improved);
+
+  /// The first index j (ascending, strict `<`) of the smallest v[j] below
+  /// +inf, or `count` when there is none. NaN entries never win; -0.0 and
+  /// +0.0 tie, so the earlier one wins.
+  size_t (*first_argmin)(const double* v, size_t count);
 };
+
+/// One arc of `relax_arcs`: the formula the scalar table applies per arc;
+/// true iff `*dist` improved. The transport solve calls it directly for the
+/// arcs it keeps one at a time (a node's single arcs, the sparse twins).
+inline bool RelaxArc(double from_dist, double from_potential, double residual,
+                     double cost, double potential, double eps,
+                     double* dist) {
+  if (residual <= eps) return false;
+  const double reduced = cost + from_potential - potential;
+  const double step = reduced > 0.0 ? reduced : 0.0;
+  if (!(from_dist + step + eps < *dist)) return false;
+  *dist = from_dist + step;
+  return true;
+}
 
 /// The portable reference table. Always available.
 const KernelTable& Scalar();

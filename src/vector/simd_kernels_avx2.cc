@@ -34,6 +34,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
+#include <limits>
 
 #include "vector/simd_kernels.h"
 
@@ -255,11 +256,107 @@ int64_t Avx2DotI8(const int8_t* a, const int8_t* b, size_t dim) {
   return total;
 }
 
+// Four arcs per step. The usable test, the clamped step and the improvement
+// test are per-lane IEEE compares, adds and a max, rounded exactly as the
+// scalar loop rounds them: `_mm256_max_pd(reduced, 0)` returns its second
+// operand unless reduced > 0, which is the scalar's `reduced > 0 ? reduced :
+// 0` for -0.0 and NaN too, and _CMP_NLE_UQ is `!(residual <= eps)`. Few
+// lanes improve once the first nodes are settled, so the store sits behind a
+// movemask test.
+size_t Avx2RelaxArcs(double from_dist, double from_potential,
+                     const double* residual, const double* cost,
+                     const double* potential, size_t count, double eps,
+                     double* dist, uint32_t* improved) {
+  const __m256d du = _mm256_set1_pd(from_dist);
+  const __m256d pu = _mm256_set1_pd(from_potential);
+  const __m256d veps = _mm256_set1_pd(eps);
+  const __m256d zero = _mm256_setzero_pd();
+  size_t num_improved = 0;
+  size_t k = 0;
+  for (; k + 4 <= count; k += 4) {
+    const __m256d reduced = _mm256_sub_pd(
+        _mm256_add_pd(_mm256_loadu_pd(cost + k), pu),
+        _mm256_loadu_pd(potential + k));
+    const __m256d next = _mm256_add_pd(du, _mm256_max_pd(reduced, zero));
+    const __m256d old = _mm256_loadu_pd(dist + k);
+    const __m256d improves = _mm256_and_pd(
+        _mm256_cmp_pd(_mm256_loadu_pd(residual + k), veps, _CMP_NLE_UQ),
+        _mm256_cmp_pd(_mm256_add_pd(next, veps), old, _CMP_LT_OQ));
+    const int mask = _mm256_movemask_pd(improves);
+    if (mask == 0) continue;
+    _mm256_storeu_pd(dist + k, _mm256_blendv_pd(old, next, improves));
+    for (int lane = 0; lane < 4; ++lane) {
+      if ((mask >> lane) & 1) {
+        improved[num_improved++] = static_cast<uint32_t>(k + lane);
+      }
+    }
+  }
+  // The scalar formula again rather than `RelaxArc`: an inline function
+  // compiled here, with -mavx2, could be the copy the linker keeps for
+  // every caller.
+  for (; k < count; ++k) {
+    if (residual[k] <= eps) continue;
+    const double reduced = cost[k] + from_potential - potential[k];
+    const double step = reduced > 0.0 ? reduced : 0.0;
+    if (from_dist + step + eps < dist[k]) {
+      dist[k] = from_dist + step;
+      improved[num_improved++] = static_cast<uint32_t>(k);
+    }
+  }
+  return num_improved;
+}
+
+// Two passes, neither with a loop-carried compare-and-blend: the minimum
+// over four independent accumulators (`_mm256_min_pd(x, acc)` keeps acc
+// unless x < acc, so NaN never enters; a partial last group loads +inf in
+// its missing lanes), then the first entry equal to it. The scalar's
+// strict-`<` scan also stops at the first entry equal to the minimum, and
+// -0.0 == +0.0 there as here.
+size_t Avx2FirstArgmin(const double* v, size_t count) {
+  const __m256d inf = _mm256_set1_pd(std::numeric_limits<double>::infinity());
+  __m256d acc[4] = {inf, inf, inf, inf};
+  size_t k = 0;
+  for (; k + 16 <= count; k += 16) {
+    for (size_t t = 0; t < 4; ++t) {
+      acc[t] = _mm256_min_pd(_mm256_loadu_pd(v + k + 4 * t), acc[t]);
+    }
+  }
+  for (size_t t = 0; k + 4 <= count; k += 4, ++t) {
+    acc[t] = _mm256_min_pd(_mm256_loadu_pd(v + k), acc[t]);
+  }
+  const size_t rest = count - k;
+  if (rest > 0) {
+    const __m256i lanes = _mm256_cvtepi32_epi64(_mm_loadu_si128(
+        reinterpret_cast<const __m128i*>(kLaneMask + 8 - rest)));
+    const __m256d x = _mm256_blendv_pd(inf, _mm256_maskload_pd(v + k, lanes),
+                                       _mm256_castsi256_pd(lanes));
+    acc[3] = _mm256_min_pd(x, acc[3]);
+  }
+  __m256d min = _mm256_min_pd(_mm256_min_pd(acc[0], acc[1]),
+                              _mm256_min_pd(acc[2], acc[3]));
+  min = _mm256_min_pd(min, _mm256_permute2f128_pd(min, min, 1));
+  min = _mm256_min_pd(min, _mm256_permute_pd(min, 0b0101));
+  if (!(_mm256_cvtsd_f64(min) < std::numeric_limits<double>::infinity())) {
+    return count;
+  }
+  for (k = 0; k + 4 <= count; k += 4) {
+    const int equal = _mm256_movemask_pd(
+        _mm256_cmp_pd(_mm256_loadu_pd(v + k), min, _CMP_EQ_OQ));
+    if (equal != 0) return k + static_cast<size_t>(__builtin_ctz(equal));
+  }
+  const double least = _mm256_cvtsd_f64(min);
+  for (; k < count; ++k) {
+    if (v[k] == least) return k;
+  }
+  return count;
+}
+
 constexpr KernelTable kAvx2Table = {
     "avx2",          Avx2SquaredDistance, Avx2Dot,
     Avx2SumSquares,  Avx2EuclideanRows,   Avx2SquaredCols,
     Avx2EuclideanCols, Avx2Axpy,          Avx2AddInPlace,
-    Avx2ScaleInPlace,  Avx2DotI8,
+    Avx2ScaleInPlace,  Avx2DotI8,         Avx2RelaxArcs,
+    Avx2FirstArgmin,
 };
 
 }  // namespace

@@ -142,6 +142,32 @@ TEST(ThresholdedEmdTest, FewerArcsThanExact) {
   EXPECT_LT(approx->num_arcs, exact->num_arcs);
 }
 
+TEST(EmdTest, FiredTokenCancelsEverySolveEntry) {
+  const std::vector<double> w(4, 1.0);
+  const auto ground = [](size_t i, size_t j) {
+    return std::fabs(static_cast<double>(i) - static_cast<double>(j));
+  };
+  std::vector<double> matrix;
+  for (size_t i = 0; i < w.size(); ++i) {
+    for (size_t j = 0; j < w.size(); ++j) matrix.push_back(ground(i, j));
+  }
+  CancelToken token;
+  token.Cancel();
+  const StatusOr<EmdResult> results[] = {
+      ExactEmd(w, w, ground, &token),
+      ExactEmd(w, w, matrix, &token),
+      ThresholdedEmd(w, w, ground, 1.5, &token),
+      ThresholdedEmd(w, w, matrix, 1.5, &token),
+  };
+  for (const StatusOr<EmdResult>& result : results) {
+    ASSERT_FALSE(result.ok());
+    EXPECT_EQ(result.status().code(), StatusCode::kCancelled);
+  }
+  // The same instance solves once the token is gone.
+  EXPECT_TRUE(ExactEmd(w, w, matrix).ok());
+  EXPECT_TRUE(ThresholdedEmd(w, w, matrix, 1.5).ok());
+}
+
 // Metric-property sweep: EMD with a metric ground distance is a metric
 // (Rubner et al. 2000) — check symmetry and the triangle inequality on
 // random instances.

@@ -30,7 +30,9 @@ class InterIndexTest : public ::testing::Test {
     auto intra = std::make_unique<IntraCameraIndex>(camera, &store_, &metric_,
                                                     options, Rng(seed));
     for (size_t i = 0; i < centers.size(); ++i) {
-      const SvsId id = store_.Create(camera, next_time_, next_time_ += 10,
+      const int64_t start = next_time_;
+      next_time_ += 10;
+      const SvsId id = store_.Create(camera, start, next_time_,
                                      MakeMap(10, 4, centers[i], 0.3,
                                              seed * 100 + i));
       EXPECT_TRUE(intra->Insert(id).ok());

@@ -15,7 +15,9 @@ class IntraIndexTest : public ::testing::Test {
 
   // Creates an SVS around `center` and returns its id.
   SvsId AddSvs(double center, uint64_t seed) {
-    return store_.Create("cam", next_time_, next_time_ += 10,
+    const int64_t start = next_time_;
+    next_time_ += 10;
+    return store_.Create("cam", start, next_time_,
                          MakeMap(12, 4, center, 0.3, seed));
   }
 

@@ -269,6 +269,12 @@ struct OracleCase {
   enum class Weights { kEmpty, kRandom, kSomeZero, kAllZero } weights =
       Weights::kEmpty;
   bool duplicates = false;  // every third point repeats an earlier one
+  // > 0: the points cycle through this many distinct ones, so k-means++
+  // runs out of sampling mass and seeds repeat a point.
+  size_t distinct = 0;
+  // Three far, tight blobs beside two overlapping ones: the far clusters
+  // settle after a pass or two while the others keep moving.
+  bool settling = false;
   size_t max_iterations = 50;
   double tolerance = 1e-6;
   size_t restarts = 2;
@@ -279,12 +285,14 @@ struct OracleCase {
 // clusters can empty out.
 std::vector<FeatureVector> OraclePoints(const OracleCase& c) {
   Rng rng(c.seed);
-  const size_t blobs = 1 + c.n % 5;
+  const size_t blobs = c.settling ? 5 : 1 + c.n % 5;
   std::vector<FeatureVector> centers;
   for (size_t b = 0; b < blobs; ++b) {
+    // Settling layout: blobs 0-2 far apart, 3 and 4 near the origin.
+    const double spread = c.settling ? (b < 3 ? 100.0 : 1.0) : 2.0;
     FeatureVector center(c.dim);
     for (size_t i = 0; i < c.dim; ++i) {
-      center[i] = static_cast<float>(rng.Gaussian(0.0, 2.0));
+      center[i] = static_cast<float>(rng.Gaussian(0.0, spread));
     }
     centers.push_back(std::move(center));
   }
@@ -294,9 +302,15 @@ std::vector<FeatureVector> OraclePoints(const OracleCase& c) {
       points.push_back(points[rng.UniformUint64(p)]);
       continue;
     }
-    FeatureVector v = centers[rng.UniformUint64(blobs)];
+    if (c.distinct > 0 && p >= c.distinct) {
+      points.push_back(points[p % c.distinct]);
+      continue;
+    }
+    const size_t blob = rng.UniformUint64(blobs);
+    const double noise = c.settling ? (blob < 3 ? 0.05 : 1.5) : 1.5;
+    FeatureVector v = centers[blob];
     for (size_t i = 0; i < c.dim; ++i) {
-      v[i] += static_cast<float>(rng.Gaussian(0.0, 1.5));
+      v[i] += static_cast<float>(rng.Gaussian(0.0, noise));
     }
     points.push_back(std::move(v));
   }
@@ -365,6 +379,21 @@ std::vector<OracleCase> OracleCases() {
   add({.name = "n 600, dim 13, duplicates", .n = 600, .dim = 13, .k = 8,
        .duplicates = true});
   add({.name = "n 512, dim 48", .n = 512, .dim = 48, .k = 2});
+  add({.name = "far clusters settle first", .n = 300, .dim = 13, .k = 8,
+       .settling = true});
+  add({.name = "far clusters settle first, weighted", .n = 240, .dim = 48,
+       .k = 9, .weights = W::kRandom, .settling = true});
+  add({.name = "seeds repeat a point", .n = 30, .dim = 13, .k = 5,
+       .distinct = 3});
+  add({.name = "seeds repeat a point, some zero weights", .n = 40, .dim = 1,
+       .k = 6, .weights = W::kSomeZero, .distinct = 2});
+  add({.name = "k equals n", .n = 24, .dim = 13, .k = 24});
+  add({.name = "k equals n, weighted", .n = 17, .dim = 48, .k = 17,
+       .weights = W::kRandom});
+  add({.name = "one iteration, movement stop", .n = 100, .dim = 13, .k = 5,
+       .max_iterations = 1, .tolerance = 1e6});
+  add({.name = "one iteration, movement stop, settling", .n = 150, .dim = 48,
+       .k = 6, .settling = true, .max_iterations = 1, .tolerance = 1e6});
   return cases;
 }
 

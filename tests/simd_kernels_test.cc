@@ -236,6 +236,109 @@ INSTANTIATE_TEST_SUITE_P(FiniteAndPoisoned, SimdKernelsTest,
                            return info.param ? "NanInfPayloads" : "Finite";
                          });
 
+// The transport-solve kernels over every length 0-67 (each 4-lane group
+// boundary, with a partial last group of each size). Residuals straddle the
+// tolerance and include NaN; costs include -0.0; distances include +inf and
+// ties; every table must write the same distances bit for bit and report
+// the same improved nodes.
+TEST(SimdKernelsSolverTest, RelaxArcsMatchesScalarBitForBit) {
+  const KernelTable& active = Active();
+  const KernelTable& scalar = Scalar();
+  Rng rng(4242);
+  constexpr double kEps = 1e-12;
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  for (size_t count = 0; count <= 67; ++count) {
+    for (int trial = 0; trial < 8; ++trial) {
+      std::vector<double> residual(count), cost(count), potential(count);
+      std::vector<double> dist(count + 1, -1.0);  // one slot past `count`
+      for (size_t k = 0; k < count; ++k) {
+        switch (rng.UniformInt(0, 5)) {
+          case 0: residual[k] = 0.0; break;
+          case 1: residual[k] = kEps; break;
+          case 2: residual[k] = 2 * kEps; break;
+          case 3: residual[k] = std::numeric_limits<double>::quiet_NaN();
+            break;
+          default: residual[k] = rng.UniformDouble(0.0, 1.0); break;
+        }
+        cost[k] = rng.Bernoulli(0.2) ? -0.0 : rng.UniformDouble(-2.0, 2.0);
+        potential[k] = static_cast<double>(rng.UniformInt(-2, 2));
+        dist[k] = rng.Bernoulli(0.3) ? kInf
+                                     : static_cast<double>(rng.UniformInt(0, 3));
+      }
+      const double from_dist = static_cast<double>(rng.UniformInt(0, 2));
+      const double from_potential = rng.Bernoulli(0.5)
+                                        ? rng.UniformDouble(-1.0, 1.0)
+                                        : static_cast<double>(trial % 3);
+      std::vector<double> dist_a = dist, dist_s = dist;
+      std::vector<uint32_t> improved_a(count), improved_s(count);
+      const size_t num_a = active.relax_arcs(
+          from_dist, from_potential, residual.data(), cost.data(),
+          potential.data(), count, kEps, dist_a.data(), improved_a.data());
+      const size_t num_s = scalar.relax_arcs(
+          from_dist, from_potential, residual.data(), cost.data(),
+          potential.data(), count, kEps, dist_s.data(), improved_s.data());
+      ASSERT_EQ(num_a, num_s) << "count=" << count;
+      for (size_t k = 0; k < num_s; ++k) {
+        EXPECT_EQ(improved_a[k], improved_s[k]) << "count=" << count;
+      }
+      for (size_t k = 0; k <= count; ++k) {
+        EXPECT_TRUE(BitEqual(dist_a[k], dist_s[k]))
+            << "count=" << count << " k=" << k;
+      }
+      EXPECT_EQ(dist_s[count], -1.0) << "count=" << count;
+      // The scalar table is the per-arc formula.
+      std::vector<double> dist_r = dist;
+      size_t num_r = 0;
+      for (size_t k = 0; k < count; ++k) {
+        if (RelaxArc(from_dist, from_potential, residual[k], cost[k],
+                     potential[k], kEps, &dist_r[k])) {
+          EXPECT_EQ(improved_s[num_r++], k);
+        }
+      }
+      EXPECT_EQ(num_r, num_s);
+    }
+  }
+}
+
+TEST(SimdKernelsSolverTest, FirstArgminMatchesScalar) {
+  const KernelTable& active = Active();
+  const KernelTable& scalar = Scalar();
+  Rng rng(2424);
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  for (size_t count = 0; count <= 67; ++count) {
+    for (int trial = 0; trial < 16; ++trial) {
+      std::vector<double> v(count);
+      for (double& x : v) {
+        switch (rng.UniformInt(0, 6)) {
+          case 0: x = kInf; break;
+          case 1: x = std::numeric_limits<double>::quiet_NaN(); break;
+          case 2: x = 0.0; break;
+          case 3: x = -0.0; break;
+          default: x = static_cast<double>(rng.UniformInt(0, 4)); break;
+        }
+      }
+      if (trial % 4 == 0) {  // nothing below +inf
+        for (double& x : v) {
+          x = rng.Bernoulli(0.5) ? kInf
+                                 : std::numeric_limits<double>::quiet_NaN();
+        }
+      }
+      size_t want = count;
+      double best = kInf;
+      for (size_t j = 0; j < count; ++j) {
+        if (v[j] < best) {
+          best = v[j];
+          want = j;
+        }
+      }
+      EXPECT_EQ(scalar.first_argmin(v.data(), count), want)
+          << "count=" << count;
+      EXPECT_EQ(active.first_argmin(v.data(), count), want)
+          << "count=" << count;
+    }
+  }
+}
+
 TEST(SimdKernelsInt8Test, DotI8MatchesScalarAndIsExact) {
   const KernelTable& active = Active();
   const KernelTable& scalar = Scalar();
